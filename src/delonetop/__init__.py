@@ -4,7 +4,7 @@ triples, and quantized topological indices with independent oracles.
 The package is organized bottom-up:
 
 * geometry   -- Delone windows (periodic, perturbed, hard-core random,
-                cut-and-project), validation, neighbor search, products.
+                cut-and-project), validation, cKDTree neighbor search, products.
 * clifford   -- exact real Clifford representations Cl_{p,q} on the exterior
                 algebra.
 * groupoid   -- pattern-equivariant hopping kernels, their localized block
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 from .errors import (GapUndefined, GenerationFailed, InvalidInput,
                      KernelNotSelfAdjoint, LocalizerUnreliable,
                      SymmetryViolation, ToolkitError)
-from .geometry import (DeloneSet, GridIndex, LocalPattern, ValidationReport,
+from .geometry import (DeloneSet, LocalPattern, ValidationReport,
                        gen_cut_and_project, gen_hardcore_random, gen_periodic,
                        gen_perturbed_lattice, local_pattern, neighbors,
                        product_delone, read_pointset, translate,

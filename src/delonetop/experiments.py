@@ -84,13 +84,6 @@ class ExperimentReport:
         }
 
 
-class _EigOnly:
-    """Minimal SpectralData stand-in when only eigenvalues are needed."""
-
-    def __init__(self, eigenvalues):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-
-
 def _pmap(fn, items, workers: int = 1):
     """Ordered map over an executor.
 
@@ -440,7 +433,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
             if base.mode == "odd":
                 gap, _ = symmetric_gap(evs)
             else:
-                gap = spectral_gap(_EigOnly(evs), base.mu)
+                gap = spectral_gap(evs, base.mu)
         except GapUndefined:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": 0.0, "status": "gap_closed"}
@@ -616,8 +609,8 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
                 mu = 0.0 if isinstance(mu_policy, str) else float(mu_policy)
                 gap, _ = symmetric_gap(evs)
             else:
-                mu = _resolve_mu(_EigOnly(evs), mu_policy)
-                gap = spectral_gap(_EigOnly(evs), mu)
+                mu = _resolve_mu(evs, mu_policy)
+                gap = spectral_gap(evs, mu)
         except GapUndefined as err:
             return {"site": i, "status": "gap_closed", "error": str(err)}
         kappa = _kappa_list(index_cfg, gap, omega, evs)[0]

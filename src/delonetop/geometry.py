@@ -29,7 +29,6 @@ __all__ = [
     "DeloneSet",
     "LocalPattern",
     "ValidationReport",
-    "GridIndex",
     "box",
     "validate_delone",
     "gen_periodic",
@@ -38,6 +37,7 @@ __all__ = [
     "gen_cut_and_project",
     "product_delone",
     "neighbors",
+    "neighbor_lists",
     "local_pattern",
     "translate",
     "union_pointsets",
@@ -141,47 +141,23 @@ class ValidationReport:
     passed: bool
 
 
-class GridIndex:
-    """Uniform grid buckets for fixed-radius neighbor queries.
+# cKDTree distances may differ from np.linalg.norm in the last bit, so trees
+# are queried at the radius plus this pad and the norm rule decides.
+_PAD = 1e-9
 
-    Cells have edge length >= the query radius, so a closed-ball query only
-    needs the 3^d block of cells around the query point.
-    """
 
-    def __init__(self, points: np.ndarray, cell: float):
-        if cell <= 0:
-            raise InvalidInput("cell size must be positive")
-        self.points = np.asarray(points, dtype=float)
-        self.cell = float(cell)
-        self.dim = self.points.shape[1] if self.points.ndim == 2 else 0
-        self._buckets: dict[tuple, list[int]] = {}
-        if self.points.size:
-            keys = np.floor(self.points / self.cell).astype(np.int64)
-            for i, key in enumerate(map(tuple, keys)):
-                self._buckets.setdefault(key, []).append(i)
-
-    def insert(self, i: int, p: np.ndarray) -> None:
-        key = tuple(np.floor(np.asarray(p, dtype=float) / self.cell).astype(np.int64))
-        self._buckets.setdefault(key, []).append(i)
-
-    def query(self, x: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all points with |p - x| <= radius, ascending."""
-        if radius > self.cell:
-            raise InvalidInput("query radius exceeds the cell size guarantee")
-        x = np.asarray(x, dtype=float)
-        base = np.floor(x / self.cell).astype(np.int64)
-        hits: list[int] = []
-        for off in np.ndindex(*(3,) * len(base)):
-            key = tuple(base + np.asarray(off) - 1)
-            hits.extend(self._buckets.get(key, ()))
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        idx = np.array(sorted(hits), dtype=np.int64)
-        d = np.linalg.norm(self.points[idx] - x, axis=1)
-        return idx[d <= radius]
-
-    def has_point_within(self, x: np.ndarray, radius: float) -> bool:
-        return self.query(x, radius).size > 0
+def neighbor_lists(points: np.ndarray, centers: np.ndarray, radius: float) -> list[np.ndarray]:
+    """For each center c, the ascending indices of the points with
+    ``np.linalg.norm(p - c, axis=1) <= radius``: the package's one
+    fixed-radius neighbor engine."""
+    points = np.asarray(points, dtype=float)
+    centers = np.asarray(centers, dtype=float).reshape(-1, points.shape[1])
+    cand = cKDTree(points).query_ball_point(centers, radius + _PAD, return_sorted=True)
+    out = []
+    for c, idx in zip(centers, cand):
+        idx = np.asarray(idx, dtype=np.int64)
+        out.append(idx[np.linalg.norm(points[idx] - c, axis=1) <= radius])
+    return out
 
 
 def validate_delone(ds: DeloneSet, grid_step: float) -> ValidationReport:
@@ -308,6 +284,48 @@ def gen_perturbed_lattice(basis, window, max_disp: float, seed: int) -> DeloneSe
     return DeloneSet(d, pts, base.r_pack - max_disp, base.R_cov + max_disp, (lo, hi), meta)
 
 
+def _conflicts(A: np.ndarray, B: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with ``np.linalg.norm(A[i] - B[j]) <= r``; only
+    pairs within _PAD of r, where the vectorised distance may differ from
+    that expression in the last bit, are decided by the expression itself."""
+    pairs = cKDTree(A).sparse_distance_matrix(cKDTree(B), r + _PAD, output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    diff = A[i] - B[j]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hits = dist <= r
+    for k in np.flatnonzero(np.abs(dist - r) <= _PAD):
+        hits[k] = np.linalg.norm(diff[k]) <= r
+    return i[hits], j[hits]
+
+
+def _adsorb(placed: np.ndarray, chunks, r: float) -> np.ndarray:
+    """`placed` followed by the chunks' rows that sequential adsorption
+    accepts: those with no earlier point within the closed radius-r ball.
+    Rows near a placed point are dropped at once; conflicts among a chunk's
+    survivors are resolved greedily in row order."""
+    for X in chunks:
+        S = np.delete(X, _conflicts(placed, X, r)[1], axis=0)
+        i, j = _conflicts(S, S, r)
+        i, j = i[i < j], j[i < j]
+        order = np.argsort(j, kind="stable")
+        later, starts = np.unique(j[order], return_index=True)
+        keep = np.ones(len(S), dtype=bool)
+        for k, earlier in zip(later, np.split(i[order], starts[1:])):
+            keep[k] = not keep[earlier].any()
+        placed = np.vstack([placed, S[keep]])
+    return placed
+
+
+def _chunks(total: int):
+    """Bounds (a, b) of consecutive chunks of range(total) that double from
+    16 to 4096 rows: small chunks keep in-chunk conflicts few while the
+    window is empty, large ones later are rejected at once."""
+    a, size = 0, 16
+    while a < total:
+        yield a, min(a + size, total)
+        a, size = a + size, min(2 * size, 4096)
+
+
 def gen_hardcore_random(
     window,
     min_dist: float,
@@ -323,6 +341,10 @@ def gen_hardcore_random(
     are automatically >= min_dist from every point, and afterwards every
     window position has a point within target_R with margin to spare.  The
     result is validated before it is returned.
+
+    Proposals and fill centers are handled in chunks, yet the points, their
+    order and ``rsa_accepted``/``fill_inserted`` are those of the sequential
+    loop (one ``rng.random(d)`` per proposal) for every seed.
     """
     if min_dist <= 0:
         raise InvalidInput("min_dist must be positive")
@@ -332,49 +354,27 @@ def gen_hardcore_random(
     d = len(lo)
     rng = np.random.default_rng(seed)
 
-    accepted: list[np.ndarray] = []
-    index = GridIndex(np.empty((0, d)), cell=max(min_dist, target_R))
-    pts_buf: list[np.ndarray] = []
-
-    def _near(x, radius):
-        base = np.floor(x / index.cell).astype(np.int64)
-        for off in np.ndindex(*(3,) * d):
-            for i in index._buckets.get(tuple(base + np.asarray(off) - 1), ()):
-                if np.linalg.norm(pts_buf[i] - x) <= radius:
-                    return True
-        return False
-
-    for _ in range(int(max_attempts)):
-        x = lo + (hi - lo) * rng.random(d)
-        if not _near(x, min_dist):
-            index.insert(len(pts_buf), x)
-            pts_buf.append(x)
-            accepted.append(x)
+    draws = (lo + (hi - lo) * rng.random((b - a, d)) for a, b in _chunks(int(max_attempts)))
+    pts = _adsorb(np.empty((0, d)), draws, min_dist)
+    accepted = len(pts)
 
     fill_R = (min_dist + target_R) / 2.0
     h = (target_R - min_dist) / (2.0 * math.sqrt(d))
     fill_axes = [np.arange(a + h / 2, b + 1e-12, h) for a, b in zip(lo, hi)]
-    if all(len(ax) for ax in fill_axes):
-        centers = np.stack(np.meshgrid(*fill_axes, indexing="ij"), axis=-1).reshape(-1, d)
-        filled = 0
-        for c in centers:
-            if not _near(c, fill_R):
-                index.insert(len(pts_buf), c)
-                pts_buf.append(c)
-                filled += 1
-    else:
-        filled = 0
+    centers = np.stack(np.meshgrid(*fill_axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = _adsorb(pts, (centers[a:b] for a, b in _chunks(len(centers))), fill_R)
+    filled = len(pts) - accepted
 
-    if not pts_buf:
+    if not len(pts):
         raise GenerationFailed(
             "attempt budget exhausted before any point was accepted")
-    pts = _lex_sorted(np.array(pts_buf, dtype=float).reshape(-1, d))
+    pts = _lex_sorted(pts)
     meta = {
         "generator": "hardcore_random",
         "min_dist": min_dist,
         "target_R": target_R,
         "seed": int(seed),
-        "rsa_accepted": len(accepted),
+        "rsa_accepted": accepted,
         "fill_inserted": filled,
     }
     ds = DeloneSet(d, pts, min_dist / 2.0, target_R, (lo, hi), meta)
@@ -490,11 +490,10 @@ def product_delone(a: DeloneSet, b: DeloneSet) -> DeloneSet:
 
 
 def neighbors(ds: DeloneSet, x, radius: float) -> np.ndarray:
-    """Indices of all sites within the closed `radius` ball around x."""
+    """Ascending indices of all sites within the closed `radius` ball around x."""
     if radius <= 0:
         raise InvalidInput("radius must be positive")
-    index = GridIndex(ds.points, cell=radius)
-    return index.query(np.asarray(x, dtype=float), radius)
+    return neighbor_lists(ds.points, x, radius)[0]
 
 
 def local_pattern(ds: DeloneSet, i: int, rho: float) -> LocalPattern:

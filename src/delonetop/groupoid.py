@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InvalidInput, KernelNotSelfAdjoint
-from .geometry import DeloneSet, GridIndex, LocalPattern, product_delone, translate
+from .geometry import DeloneSet, LocalPattern, neighbor_lists, product_delone, translate
 
 __all__ = [
     "HoppingFunction",
@@ -255,15 +255,13 @@ def represent(f: HoppingFunction, omega: DeloneSet) -> BlockOperator:
         raise InvalidInput("kernel dimension does not match the point set")
     n = len(omega)
     pts = omega.points
-    radius = max(f.R_f, 1e-9)
-    cell = max(radius, f.rho_f, 1e-9)
-    index = GridIndex(pts, cell=cell)
+    hops = neighbor_lists(pts, pts, max(f.R_f, 1e-9))
+    pats = neighbor_lists(pts, pts, f.rho_f) if f.rho_f > 0 else [[i] for i in range(n)]
 
     entries: dict[tuple[int, int], np.ndarray] = {}
     for i in range(n):
-        pat_idx = index.query(pts[i], f.rho_f) if f.rho_f > 0 else np.array([i])
-        pattern = LocalPattern(omega.dim, f.rho_f, pts[pat_idx] - pts[i])
-        for j in index.query(pts[i], radius):
+        pattern = LocalPattern(omega.dim, f.rho_f, pts[pats[i]] - pts[i])
+        for j in hops[i]:
             block = np.asarray(f.kernel(pattern, pts[j] - pts[i]), dtype=complex)
             if np.abs(block).max() > 0:
                 entries[(i, int(j))] = block

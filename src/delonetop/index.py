@@ -98,7 +98,7 @@ class IndexResult:
     kappa: float
     x0: tuple
     mu: float
-    status: str            # "ok" | "unreliable" | "gap_closed"
+    status: str            # "ok" | "unreliable"
     oracles: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import DeloneSet, GridIndex
+from .geometry import DeloneSet, neighbor_lists
 from .groupoid import BlockOperator
 
 __all__ = [
@@ -97,10 +97,8 @@ def subset_injection(X: DeloneSet, Y: DeloneSet) -> np.ndarray:
     """
     if X.dim != Y.dim:
         raise InvalidInput("point sets have different dimensions")
-    index = GridIndex(Y.points, cell=max(2.0 * Y.r_pack, 1e-9))
     out = np.empty(len(X), dtype=int)
-    for i, x in enumerate(X.points):
-        hits = index.query(x, 1e-12)
+    for i, hits in enumerate(neighbor_lists(Y.points, X.points, 1e-12)):
         if hits.size != 1:
             raise InvalidInput(f"X point {i} has {hits.size} matches in Y")
         out[i] = hits[0]
@@ -160,11 +158,10 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
         return BlockOperator(sites, block_dim, {}, hermitian=True)
 
     pts = sites.points
-    index = GridIndex(pts, cell=max(R, 1e-9))
     rng = np.random.default_rng(seed)
     entries: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(len(sites)):
-        for j in index.query(pts[i], R):
+    for i, hits in enumerate(neighbor_lists(pts, pts, R)):
+        for j in hits:
             j = int(j)
             if j < i:
                 continue

@@ -24,6 +24,70 @@ def brute_neighbors(points, x, radius):
     return np.array(out, dtype=np.int64)
 
 
+class ReferenceExhausted(Exception):
+    """The reference generator accepted no point at all."""
+
+
+def reference_hardcore_random(window, min_dist, target_R, seed, max_attempts=100_000):
+    """Random sequential adsorption one proposal at a time, then the fill pass.
+
+    Oracle of the batched gen_hardcore_random: the same draws and the same
+    rule, a point is rejected when np.linalg.norm(p - x) <= radius for an
+    earlier point p (found through uniform grid buckets).  Returns the
+    lexicographically sorted points, the number of accepted proposals and
+    the number of inserted fill centers.
+    """
+    lo = np.atleast_1d(np.asarray(window[0], dtype=float))
+    hi = np.atleast_1d(np.asarray(window[1], dtype=float))
+    d = len(lo)
+    rng = np.random.default_rng(seed)
+
+    accepted = []
+    cell = max(min_dist, target_R)
+    buckets = {}
+    pts_buf = []
+
+    def insert(i, p):
+        key = tuple(np.floor(np.asarray(p, dtype=float) / cell).astype(np.int64))
+        buckets.setdefault(key, []).append(i)
+
+    def _near(x, radius):
+        base = np.floor(x / cell).astype(np.int64)
+        for off in np.ndindex(*(3,) * d):
+            for i in buckets.get(tuple(base + np.asarray(off) - 1), ()):
+                if np.linalg.norm(pts_buf[i] - x) <= radius:
+                    return True
+        return False
+
+    for _ in range(int(max_attempts)):
+        x = lo + (hi - lo) * rng.random(d)
+        if not _near(x, min_dist):
+            insert(len(pts_buf), x)
+            pts_buf.append(x)
+            accepted.append(x)
+
+    fill_R = (min_dist + target_R) / 2.0
+    h = (target_R - min_dist) / (2.0 * math.sqrt(d))
+    fill_axes = [np.arange(a + h / 2, b + 1e-12, h) for a, b in zip(lo, hi)]
+    if all(len(ax) for ax in fill_axes):
+        centers = np.stack(np.meshgrid(*fill_axes, indexing="ij"), axis=-1).reshape(-1, d)
+        filled = 0
+        for c in centers:
+            if not _near(c, fill_R):
+                insert(len(pts_buf), c)
+                pts_buf.append(c)
+                filled += 1
+    else:
+        filled = 0
+
+    if not pts_buf:
+        raise ReferenceExhausted(
+            "attempt budget exhausted before any point was accepted")
+    pts = np.array(pts_buf, dtype=float).reshape(-1, d)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts, len(accepted), filled
+
+
 def brute_min_pair(points):
     """Half the minimum pairwise distance, by the O(n^2) double loop."""
     points = np.asarray(points, dtype=float)

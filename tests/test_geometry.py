@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delonetop.errors import GenerationFailed, InvalidInput
-from delonetop.geometry import (DeloneSet, GridIndex, gen_cut_and_project,
+from delonetop.geometry import (DeloneSet, box, gen_cut_and_project,
                                 gen_hardcore_random, gen_periodic,
                                 gen_perturbed_lattice, local_pattern, neighbors,
                                 product_delone, read_pointset, translate,
                                 union_pointsets, validate_delone, write_pointset)
-from oracles import (TAU, brute_cover_scan, brute_min_pair, brute_neighbors,
-                     fibonacci_word, gap_word)
+from oracles import (TAU, ReferenceExhausted, brute_cover_scan, brute_min_pair,
+                     brute_neighbors, fibonacci_word, gap_word,
+                     reference_hardcore_random)
 
 
 def z2(size=10.0):
@@ -127,6 +128,38 @@ def test_hardcore_exhaustion_raises():
     with pytest.raises(GenerationFailed):
         gen_hardcore_random(([0.0, 0.0], [0.1, 0.1]), 0.8, 1.6, seed=0,
                             max_attempts=0)
+    with pytest.raises(ReferenceExhausted):
+        reference_hardcore_random(([0.0, 0.0], [0.1, 0.1]), 0.8, 1.6, 0,
+                                  max_attempts=0)
+
+
+# (window, min_dist, target_R, seed, max_attempts); the 300-attempt windows
+# leave holes for the fill pass, the others run the full proposal budget
+HARDCORE_REFERENCE_CASES = [
+    (([0.0, 0.0], [27.0, 27.0]), 0.8, 1.2, 1, 100_000),
+    (([0.0, 0.0], [10.0, 10.0]), 0.8, 1.2, 0, 300),
+    (([0.0, 0.0], [10.0, 10.0]), 0.8, 1.2, 1, 300),
+    (([0.0, 0.0], [10.0, 10.0]), 0.8, 1.2, 2, 300),
+    (([0.0, 0.0], [12.0, 12.0]), 0.5, 1.5, 3, 100_000),
+    (([0.0, 0.0], [6.0, 9.0]), 0.8, 1.2, 4, 100_000),
+    (([0.0], [20.0]), 0.8, 1.2, 5, 100_000),
+    (([0.0, 0.0], [0.5, 0.5]), 0.8, 1.6, 1, 100_000),
+]
+
+
+@pytest.mark.parametrize("window,min_dist,target_R,seed,max_attempts",
+                         HARDCORE_REFERENCE_CASES)
+def test_hardcore_matches_sequential_reference(window, min_dist, target_R, seed,
+                                               max_attempts):
+    ds = gen_hardcore_random(window, min_dist, target_R, seed=seed,
+                             max_attempts=max_attempts)
+    pts, accepted, filled = reference_hardcore_random(
+        window, min_dist, target_R, seed, max_attempts=max_attempts)
+    assert np.array_equal(ds.points, pts)
+    assert ds.metadata["rsa_accepted"] == accepted
+    assert ds.metadata["fill_inserted"] == filled
+    if max_attempts == 300:
+        assert filled > 0
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +252,17 @@ def test_neighbors_radius_15_count():
     assert len(neighbors(ds, (0.0, 0.0), 1.5)) == 9
 
 
+@pytest.mark.parametrize("radius,count", [(1.0, 5), (2.0, 13)])
+def test_neighbors_exact_ties_on_sphere(radius, count):
+    # on Z^2 the sites at distance exactly `radius` belong to the closed ball
+    ds = z2()
+    for x in ((3.0, 3.0), (0.0, 0.0), (5.0, 9.0)):
+        idx = neighbors(ds, x, radius)
+        assert np.array_equal(idx, brute_neighbors(ds.points, x, radius))
+        assert np.all(np.diff(idx) > 0)
+    assert len(neighbors(ds, (3.0, 3.0), radius)) == count
+
+
 def test_neighbors_negative_radius():
     with pytest.raises(InvalidInput):
         neighbors(z2(), (0.0, 0.0), -1.0)
@@ -289,12 +333,12 @@ def test_perturbed_lattice_respects_packing_radius(seed, disp):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), radius=st.floats(0.3, 2.0))
-def test_grid_index_query_matches_brute(seed, radius):
+def test_neighbors_query_matches_brute(seed, radius):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-5.0, 5.0, size=(60, 2))
     x = rng.uniform(-5.0, 5.0, size=2)
-    idx = GridIndex(pts, cell=max(radius, 1e-9))
-    assert np.array_equal(idx.query(x, radius), brute_neighbors(pts, x, radius))
+    ds = DeloneSet(2, pts, 1e-6, 1.0, box([-5.0, -5.0], [5.0, 5.0]))
+    assert np.array_equal(neighbors(ds, x, radius), brute_neighbors(pts, x, radius))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from delonetop.errors import InvalidInput, KernelNotSelfAdjoint
-from delonetop.geometry import (gen_cut_and_project, gen_hardcore_random,
-                                gen_periodic, local_pattern)
+from delonetop.geometry import (LocalPattern, gen_cut_and_project,
+                                gen_hardcore_random, gen_periodic, local_pattern)
 from delonetop.groupoid import (PAULI, BlockOperator, HoppingFunction,
                                 bloch_hamiltonian, builtin_model,
                                 covariance_check, represent, stack_operator)
-from oracles import path_graph_eigenvalues
+from oracles import brute_neighbors, path_graph_eigenvalues
 
 
 def z1(n):
@@ -61,6 +61,24 @@ def test_delta_kernel_gives_identity():
     omega = z2(5)
     H = represent(f, omega)
     assert np.array_equal(H.to_dense(), np.eye(2 * len(omega)))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_WINDOWS))
+def test_represent_entries_follow_brute_neighbor_order(name):
+    f, omega = MODEL_WINDOWS[name]()
+    pts = omega.points
+    want = {}
+    for i, x in enumerate(pts):
+        pat = brute_neighbors(pts, x, f.rho_f) if f.rho_f > 0 else [i]
+        pattern = LocalPattern(omega.dim, f.rho_f, pts[pat] - x)
+        for j in map(int, brute_neighbors(pts, x, max(f.R_f, 1e-9))):
+            block = np.asarray(f.kernel(pattern, pts[j] - x), dtype=complex)
+            if np.abs(block).max() > 0:
+                want[(i, j)] = block
+    H = represent(f, omega)
+    assert list(H.entries) == list(want)
+    for key, block in want.items():
+        assert np.array_equal(H.entries[key], block)
 
 
 def test_nn_chain_matches_path_graph_closed_form():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from delonetop.errors import InvalidInput
-from delonetop.geometry import DeloneSet, gen_periodic, union_pointsets
+from delonetop.geometry import (DeloneSet, gen_hardcore_random, gen_periodic,
+                                union_pointsets)
 from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.roe import (covering_embed, is_controlled, position_commutator,
                            random_perturbation, subset_injection,
                            summability_profile, support_stats)
+from oracles import brute_neighbors
 
 
 def z2(size):
@@ -201,6 +203,30 @@ def test_perturbation_seed_determinism():
     assert all(np.array_equal(a.entries[k], b.entries[k]) for k in a.entries)
     assert any(not np.array_equal(a.entries[k], c.entries[k])
                for k in a.entries if k in c.entries)
+
+
+def test_perturbation_consumes_rng_in_ascending_neighbor_order():
+    sites = gen_hardcore_random(([0.0, 0.0], [6.0, 6.0]), 0.8, 1.4, seed=3)
+    R, strength, N, seed = 1.5, 0.3, 2, 5
+    V = random_perturbation(sites, R, strength, N, seed=seed)
+    rng = np.random.default_rng(seed)
+    want = {}
+    for i, x in enumerate(sites.points):
+        for j in map(int, brute_neighbors(sites.points, x, R)):
+            if j < i:
+                continue
+            B = rng.standard_normal((N, N)) + 1.0j * rng.standard_normal((N, N))
+            if j == i:
+                B = 0.5 * (B + B.conj().T)
+            nrm = np.linalg.svd(B, compute_uv=False)[0]
+            if nrm > strength:
+                B = B * (strength / nrm)
+            want[(i, j)] = B
+            if j != i:
+                want[(j, i)] = B.conj().T
+    assert list(V.entries) == list(want)
+    for key, B in want.items():
+        assert np.array_equal(V.entries[key], B)
 
 
 def test_perturbation_rejects_bad_arguments():

@@ -4,8 +4,8 @@ import pytest
 from delonetop.errors import GapUndefined, InvalidInput
 from delonetop.geometry import gen_periodic
 from delonetop.groupoid import builtin_model, represent
-from delonetop.spectral import (eig_hermitian, fermi_projection, largest_gap,
-                                spectral_gap, symmetric_gap,
+from delonetop.spectral import (_MRRR_MIN_DIM, eig_hermitian, fermi_projection,
+                                largest_gap, spectral_gap, symmetric_gap,
                                 write_spectrum_csv)
 from oracles import path_graph_eigenvalues
 
@@ -28,6 +28,13 @@ def test_diagonal_matrix_sorted():
 
 def test_path_graph_against_closed_form():
     n = 50
+    H = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    spec = eig_hermitian(H)
+    assert np.abs(spec.eigenvalues - path_graph_eigenvalues(n)).max() <= 1e-9
+
+
+def test_mrrr_path_against_closed_form():
+    n = _MRRR_MIN_DIM
     H = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     spec = eig_hermitian(H)
     assert np.abs(spec.eigenvalues - path_graph_eigenvalues(n)).max() <= 1e-9
@@ -64,6 +71,7 @@ def test_outputs_are_readonly():
 def test_gap_at_zero_of_pm_one():
     gap = spectral_gap(eig_hermitian(np.diag([-1.0, 1.0])), 0.0)
     assert (gap.below, gap.above, gap.width) == (-1.0, 1.0, 2.0)
+    assert spectral_gap(np.array([-1.0, 1.0]), 0.0) == gap
     assert gap.center == 0.0
     assert gap.bounded
 
@@ -87,6 +95,7 @@ def test_largest_gap_picks_widest():
     gap = largest_gap(spec)
     assert (gap.below, gap.above) == (0.1, 2.0)
     assert gap.center == pytest.approx(1.05)
+    assert largest_gap(spec.eigenvalues) == gap
     with pytest.raises(GapUndefined):
         largest_gap(eig_hermitian(np.diag([1.0])))
     with pytest.raises(GapUndefined):
