@@ -2,11 +2,11 @@
 
 Configs are INI-style section/key files (JSON accepted interchangeably);
 every key is schema-checked and unknown keys are rejected with a
-line-anchored message (exit code 2).  Runs write report.json (deterministic
-bytes), spectrum.csv, localizer_spectrum.csv, trials.csv, lattice.svg and a
-run_meta.json holding timestamps and timings, which is excluded from golden
-comparisons.  Exit code 0 iff the experiment verdict is pass; runtime
-failures exit 1 with the failure recorded in report.json.
+line-anchored message (exit code 2).  Runs write report.json, spectrum.csv,
+trials.csv, lattice.svg and a run_meta.json holding timestamps and timings,
+which is excluded from golden comparisons.  Exit code 0 iff the experiment
+verdict is pass; runtime failures exit 1 with the failure recorded in
+report.json.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import numpy as np
 
 from . import __version__
 from .errors import GapUndefined, LocalizerUnreliable, ToolkitError
-from .experiments import (ExperimentReport, build_lattice, run_omega_independence,
-                          run_quantization, run_robustness, run_stacking)
+from .experiments import (ExperimentReport, _model_from_cfg, _resolve_mu,
+                          build_lattice, run_omega_independence, run_quantization,
+                          run_robustness, run_stacking)
 from .geometry import validate_delone, write_pointset
-from .groupoid import builtin_model, represent
+from .groupoid import represent
 from .serialize import dumps17, format_float, to_plain
-from .spectral import eig_hermitian, largest_gap, spectral_gap, write_spectrum_csv
+from .spectral import eig_hermitian, spectral_gap, write_spectrum_csv
 
 __all__ = ["main", "entry", "load_config", "emit_report", "SchemaError"]
 
@@ -296,9 +297,6 @@ def emit_report(report: ExperimentReport, outdir, formats, meta: dict) -> Path:
     if "csv" in formats:
         if "spectrum" in report.artifacts:
             write_spectrum_csv(outdir / "spectrum.csv", report.artifacts["spectrum"])
-        loc = report.artifacts.get("localizer_spectrum")
-        if loc is not None and np.asarray(loc).size:
-            write_spectrum_csv(outdir / "localizer_spectrum.csv", loc)
         if report.records:
             rows = ["trial,seed,index,margin,gap"]
             for k, rec in enumerate(report.records):
@@ -347,18 +345,10 @@ def _cmd_generate(cfg: dict, workers: int) -> ExperimentReport:
 
 def _cmd_spectrum(cfg: dict, workers: int) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
-    model_cfg = dict(cfg["model"])
-    name = model_cfg.pop("name")
-    mu_policy = model_cfg.pop("mu")
-    f = builtin_model(name, **model_cfg)
-    H = represent(f, sites)
-    hdata = eig_hermitian(H.to_dense())
-    if isinstance(mu_policy, str):
-        gap = largest_gap(hdata)
-        mu = gap.center
-    else:
-        mu = float(mu_policy)
-        gap = spectral_gap(hdata, mu)
+    f, mu_policy, _ = _model_from_cfg(cfg["model"])
+    hdata = eig_hermitian(represent(f, sites).to_dense())
+    mu = _resolve_mu(hdata, mu_policy)
+    gap = spectral_gap(hdata, mu)
     report = ExperimentReport("spectrum", cfg)
     report.records.append({
         "n_sites": len(sites), "mu": mu, "gap_below": gap.below,

@@ -27,7 +27,10 @@ class GapUndefined(ToolkitError):
 
 
 class LocalizerUnreliable(ToolkitError):
-    """The localizer spectral margin is below the validity threshold."""
+    """The localizer margin could not be computed: the shift-invert
+    eigensolve for the smallest |eigenvalue| did not converge.  A margin
+    that is computed but small is not an error; it yields an IndexResult
+    with status "unreliable"."""
 
 
 class SymmetryViolation(ToolkitError):

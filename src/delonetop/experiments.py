@@ -214,7 +214,6 @@ class _BaseRun:
     kappas: list
     results: list
     plateau: bool
-    localizer_spectrum: np.ndarray
     oracles: dict
 
 
@@ -238,20 +237,14 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
     grading = _CHIRAL_GRADING if mode == "odd" else None
 
     results = []
-    loc_spectrum = np.zeros(0)
-    for pos, kappa in enumerate(kappas):
+    for kappa in kappas:
         if mode == "even":
-            out = localizer_index_even(H, mu, position_dirac(sites, x0, f.N), kappa,
-                                       margin_min=margin_min, hdata=hdata,
-                                       return_spectrum=pos == 0)
+            res = localizer_index_even(H, mu, position_dirac(sites, x0, f.N), kappa,
+                                       margin_min=margin_min, hdata=hdata)
         else:
-            out = localizer_index_odd(H, position_dirac(sites, x0, f.N), kappa,
+            res = localizer_index_odd(H, position_dirac(sites, x0, f.N), kappa,
                                       grading, mu=mu, margin_min=margin_min,
-                                      hdata=hdata, return_spectrum=pos == 0)
-        if pos == 0:
-            res, loc_spectrum = out
-        else:
-            res = out
+                                      hdata=hdata)
         results.append(res)
     valid = [r.index for r in results if r.status == "ok"]
     plateau = bool(valid) and len(set(valid)) == 1
@@ -273,7 +266,7 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
             oracles["bloch"] = bloch_winding(ak, int(index_cfg.get("winding_samples",
                                                                    WINDING_SAMPLES)))
     return _BaseRun(sites, f, H, hdata, mu, gap, mode, x0, kappas,
-                    results, plateau, loc_spectrum, oracles)
+                    results, plateau, oracles)
 
 
 def _periodic_basis(lattice_cfg: dict):
@@ -303,7 +296,6 @@ def _stash_artifacts(report: ExperimentReport, base: _BaseRun) -> None:
     report.artifacts["sites"] = base.sites
     report.artifacts["onsite"] = _onsite_potential(base.H)
     report.artifacts["spectrum"] = np.asarray(base.hdata.eigenvalues)
-    report.artifacts["localizer_spectrum"] = np.asarray(base.localizer_spectrum)
 
 
 def _echo(**sections) -> dict:
@@ -517,14 +509,9 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     x0_2d = stacked.sites.window_center
     dirac2 = position_dirac(stacked.sites, x0_2d, stacked.block_dim)
     stacked_results = []
-    loc_spec = np.zeros(0)
-    for pos, kappa in enumerate(base.kappas):
-        out = localizer_index_even(stacked, base.mu, dirac2, kappa,
-                                   hdata=evs_stacked, return_spectrum=pos == 0)
-        if pos == 0:
-            res, loc_spec = out
-        else:
-            res = out
+    for kappa in base.kappas:
+        res = localizer_index_even(stacked, base.mu, dirac2, kappa,
+                                   hdata=evs_stacked)
         stacked_results.append(res)
         report.records.append(_result_record(res, stage="stacked"))
     stacked_valid = [r.index for r in stacked_results if r.status == "ok"]
@@ -556,7 +543,6 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     report.artifacts["sites"] = stacked.sites
     report.artifacts["onsite"] = _onsite_potential(stacked)
     report.artifacts["spectrum"] = evs_stacked
-    report.artifacts["localizer_spectrum"] = loc_spec
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -643,6 +629,5 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
         report.artifacts["sites"] = sites
         report.artifacts["onsite"] = _onsite_potential(H0)
         report.artifacts["spectrum"] = np.linalg.eigvalsh(H0.to_dense())
-        report.artifacts["localizer_spectrum"] = np.zeros(0)
     report.timings["total"] = time.perf_counter() - t0
     return report

@@ -1,10 +1,18 @@
 """Position Dirac operators and integer index pairings.
 
 The pairing of a gapped Hamiltonian with the position spectral triple is
-computed as the half-signature of a finite-volume spectral localizer,
+computed as the half-signature of a finite-volume spectral localizer
+(Loring & Schulz-Baldes, "Finite volume calculation of K-theory invariants",
+NYJM 2017; "The spectral localizer for even index pairings", JNCG 2020),
 cross-checked by independent oracles: the real-space three-sector projector
 formula (aperiodic windows) and Bloch-side invariants (Fukui-Hatsugai-Suzuki
 plaquette Chern number, winding of det A(k)) for periodic models.
+
+The even (2D) localizer never forms its full spectrum: the signature is the
+inertia of H - mu plus that of an m x m Schur complement (Haynsworth,
+"Determination of the inertia of a partitioned Hermitian matrix", LAA 1968),
+and the margin is one shift-invert ARPACK eigenvalue of the sparse
+localizer.  The odd (1D) localizer is small and stays a dense eigvalsh.
 
 Complex symmetry classes only: class A in even dimension d = 2 and class
 AIII in odd dimension d = 1.
@@ -18,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import CliffordRep, build_rep
-from .errors import GapUndefined, InvalidInput, SymmetryViolation
+from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
+                     SymmetryViolation)
 from .geometry import DeloneSet
 from .groupoid import BlockOperator
 from .spectral import SpectralData
@@ -133,15 +142,11 @@ def _check_gap(evs: np.ndarray, mu: float) -> None:
         raise GapUndefined(f"no spectral gap at mu = {mu!r}")
 
 
-def _signature_result(L: np.ndarray, kappa: float, x0, mu: float,
-                      margin_min: float, oracles: dict | None,
-                      return_spectrum: bool):
-    evl = np.linalg.eigvalsh(L) if L.size else np.zeros(0)
-    margin = float(np.abs(evl).min()) if evl.size else np.inf
-    half_sig = 0.5 * float((evl > 0).sum() - (evl < 0).sum())
+def _index_result(half_sig: float, margin: float, kappa: float, x0, mu: float,
+                  margin_min: float, oracles: dict | None) -> IndexResult:
     nearest = round(half_sig)
     ok = margin > margin_min and abs(half_sig - nearest) <= 0.01
-    result = IndexResult(
+    return IndexResult(
         index=int(nearest) if ok else None,
         half_signature=half_sig,
         margin=margin,
@@ -151,20 +156,76 @@ def _signature_result(L: np.ndarray, kappa: float, x0, mu: float,
         status="ok" if ok else "unreliable",
         oracles=dict(oracles or {}),
     )
-    return (result, evl) if return_spectrum else result
+
+
+def _signature(vals: np.ndarray) -> int:
+    return int((vals > 0).sum() - (vals < 0).sum())
+
+
+def _schur_eigenvalues(A: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """Spectrum of the Schur complement L/A = -A - (k D-)^dag A^-1 (k D-)."""
+    X = np.linalg.solve(A, np.diag(kd))
+    return np.linalg.eigvalsh(-A - kd.conj()[:, None] * X)
+
+
+def _even_margin(A: np.ndarray, kd: np.ndarray) -> float:
+    """Smallest |eigenvalue| of L = [[A, k D-], [k D-^dag, -A]] by ARPACK
+    shift-invert around 0 on the sparse L (one sparse LU, then solves).
+
+    The start vector is a fixed-seed random one: a constant vector can be
+    orthogonal to the wanted eigenvector on a symmetric window.  For m = 1
+    the localizer is 2 x 2, below ARPACK's k < n - 1, and its spectrum is
+    +-sqrt(a^2 + |k d|^2).
+    """
+    m = A.shape[0]
+    if m == 1:
+        return float(np.hypot(A[0, 0].real, abs(kd[0])))
+    # Imported here: scipy.sparse.linalg adds ~35 modules to CLI start-up.
+    from scipy import sparse
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    rows, cols = np.nonzero(A)
+    vals = A[rows, cols]
+    diag = np.arange(m)
+    L = sparse.csc_matrix(
+        (np.concatenate([vals, -vals, kd, kd.conj()]),
+         (np.concatenate([rows, rows + m, diag, diag + m]),
+          np.concatenate([cols, cols + m, diag + m, diag]))),
+        shape=(2 * m, 2 * m))
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(2 * m) + 1.0j * rng.standard_normal(2 * m)
+    try:
+        lam = eigsh(L, k=1, sigma=0, v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence as err:
+        raise LocalizerUnreliable(
+            f"shift-invert margin solve did not converge: {err}") from err
+    return float(np.abs(lam).min())
 
 
 def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
                          margin_min: float | None = None, hdata=None,
-                         oracles: dict | None = None,
-                         return_spectrum: bool = False):
+                         oracles: dict | None = None) -> IndexResult:
     """Half-signature index of L = [[H - mu, k D-], [k D-^dag, -(H - mu)]].
 
     D- = (X1 - x01) - i (X2 - x02) acts site-diagonally on the internal
-    space.  Reliability requires the smallest |eigenvalue| of L (the margin)
-    to exceed margin_min, which defaults to 1e-3 of the localizer's natural
-    scale max(||H - mu||, kappa * max|x - x0|); the second term catches the
-    absurd-kappa regime where the position part dwarfs the Hamiltonian.
+    space.  The 2m x 2m spectrum of L is never formed:
+
+    - signature: with A = H - mu, inertia is additive over the Schur
+      complement (Haynsworth 1968), In(L) = In(A) + In(L/A) with
+      L/A = -A - k^2 D-^dag A^-1 D-.  In(A) is read off the eigenvalues of
+      H (hdata, which must be the spectrum of H; computed when None), and
+      In(L/A) comes from one m x m solve and one m x m eigvalsh.
+    - margin: the smallest |eigenvalue| of the sparse L, by ARPACK
+      shift-invert at 0 (Loring & Schulz-Baldes, NYJM 2017).  LocalizerUnreliable
+      is raised when that solve does not converge.
+
+    (L/A)^-1 is the lower-right block of L^-1, so min|eig(L/A)| >= margin;
+    this ties the two computations together and is asserted.
+
+    Reliability requires the margin to exceed margin_min, which defaults to
+    1e-3 of the localizer's natural scale max(||H - mu||, kappa * max|x - x0|);
+    the second term catches the absurd-kappa regime where the position part
+    dwarfs the Hamiltonian.
     """
     if dirac.sites.dim != 2:
         raise InvalidInput("even localizer needs a 2-dimensional point set")
@@ -178,17 +239,19 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     _check_gap(evs, mu)
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
+    if m == 0:
+        return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min, oracles)
 
     rel = dirac.sites.points - dirac.x0
-    dminus = np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
+    kd = kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
     A = Hd - mu * np.eye(m)
-    L = np.zeros((2 * m, 2 * m), dtype=complex)
-    L[:m, :m] = A
-    L[m:, m:] = -A
-    L[:m, m:] = kappa * np.diag(dminus)
-    L[m:, :m] = kappa * np.diag(dminus.conj())
-    return _signature_result(L, kappa, dirac.x0, mu, margin_min, oracles,
-                             return_spectrum)
+    schur = _schur_eigenvalues(A, kd)
+    margin = _even_margin(A, kd)
+    schur_min = float(np.abs(schur).min())
+    assert schur_min >= margin * (1.0 - 1e-9), (
+        f"Schur complement eigenvalue {schur_min:.17g} below the margin {margin:.17g}")
+    half_sig = 0.5 * (_signature(evs - mu) + _signature(schur))
+    return _index_result(half_sig, margin, kappa, dirac.x0, mu, margin_min, oracles)
 
 
 def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,
@@ -217,8 +280,7 @@ def _chiral_split(grading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
                         grading: np.ndarray, mu: float = 0.0,
                         margin_min: float | None = None, hdata=None,
-                        oracles: dict | None = None,
-                        return_spectrum: bool = False):
+                        oracles: dict | None = None) -> IndexResult:
     """Winding index of a chiral 1D Hamiltonian via the odd localizer.
 
     In the chiral basis H = [[0, A], [A^dag, 0]] the localizer is
@@ -260,8 +322,10 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     L[h:, h:] = -kappa * np.diag(x)
     L[:h, h:] = A
     L[h:, :h] = A.conj().T
-    return _signature_result(L, kappa, dirac.x0, mu, margin_min, oracles,
-                             return_spectrum)
+    evl = np.linalg.eigvalsh(L)
+    margin = float(np.abs(evl).min()) if evl.size else np.inf
+    return _index_result(0.5 * _signature(evl), margin, kappa, dirac.x0, mu,
+                         margin_min, oracles)
 
 
 def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,

@@ -186,3 +186,36 @@ def winding_unwrap(ak, n=4096):
     nearest = round(w)
     assert abs(w - nearest) < 1e-6, f"winding {w} is not integral"
     return nearest
+
+
+def reference_localizer_even(H, mu, points, x0, block_dim, kappa):
+    """Even localizer index from the full spectrum of the dense 2m x 2m matrix
+
+        L = [[H - mu, kappa D-], [kappa D-^dag, -(H - mu)]],
+        D- = (x1 - x01) - i (x2 - x02) on every orbital of a site.
+
+    Oracle of the inertia/shift-invert localizer_index_even, at its default
+    margin_min = 1e-3 * max(||H - mu||, |kappa| max|x - x0|).  Returns a dict
+    with index, status, half_signature and margin.
+    """
+    H = np.asarray(H, dtype=complex)
+    m = H.shape[0]
+    rel = np.asarray(points, dtype=float) - np.asarray(x0, dtype=float)
+    hscale = np.abs(np.linalg.eigvalsh(H) - mu).max()
+    margin_min = 1e-3 * max(hscale, abs(kappa) * np.linalg.norm(rel, axis=1).max())
+    dminus = np.repeat(rel[:, 0] - 1.0j * rel[:, 1], block_dim)
+    A = H - mu * np.eye(m)
+    L = np.zeros((2 * m, 2 * m), dtype=complex)
+    L[:m, :m] = A
+    L[m:, m:] = -A
+    L[:m, m:] = kappa * np.diag(dminus)
+    L[m:, :m] = kappa * np.diag(dminus.conj())
+    evl = np.linalg.eigvalsh(L)
+    margin = float(np.abs(evl).min())
+    half_sig = 0.5 * float((evl > 0).sum() - (evl < 0).sum())
+    nearest = round(half_sig)
+    ok = margin > margin_min and abs(half_sig - nearest) <= 0.01
+    return {"index": int(nearest) if ok else None,
+            "status": "ok" if ok else "unreliable",
+            "half_signature": half_sig,
+            "margin": margin}

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from delonetop.cli import SchemaError, load_config, main
@@ -108,7 +109,7 @@ def test_quantization_run_emits_all_artifacts(tmp_path, capsys):
     assert report["inputs"]["model"]["M"] == 1.0
 
     assert (out / "spectrum.csv").read_text().startswith("index,eigenvalue")
-    assert (out / "localizer_spectrum.csv").exists()
+    assert not (out / "localizer_spectrum.csv").exists()
     trials = (out / "trials.csv").read_text().splitlines()
     assert trials[0] == "trial,seed,index,margin,gap"
     assert len(trials) == 2
@@ -267,6 +268,33 @@ mu = 0.0
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "fail"
     assert report["summary"]["status"] == "gap_closed"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "quantization"])
+def test_unknown_mu_policy_exits_1(tmp_path, capsys, command):
+    cfg = write(tmp_path, "run.ini", QUANT_INI.replace("mu = 0.0", "mu = widest"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "mu must be a number or 'largest-gap'" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["status"] == "error"
+
+
+def test_unconverged_localizer_margin_exits_1_unreliable(tmp_path, capsys,
+                                                         monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    cfg = write(tmp_path, "run.ini", QUANT_INI)
+    out = tmp_path / "out"
+    assert main(["quantization", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error [unreliable]" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["status"] == "unreliable"
 
 
 def test_json_only_format_skips_csv_and_svg(tmp_path):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from delonetop.errors import GapUndefined, InvalidInput, SymmetryViolation
-from delonetop.geometry import gen_cut_and_project, gen_periodic
+from delonetop.errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
+                              SymmetryViolation)
+from delonetop.geometry import gen_cut_and_project, gen_hardcore_random, gen_periodic
 from delonetop.groupoid import bloch_hamiltonian, builtin_model, represent
 from delonetop.index import (angular_sectors, bloch_chern_fhs, bloch_winding,
                              chiral_bloch_block, kappa_stability, kitaev_chern,
                              localizer_index_even, localizer_index_odd,
                              position_dirac)
+from delonetop.roe import random_perturbation
 from delonetop.spectral import eig_hermitian, fermi_projection
-from oracles import dvector_chern_lower, winding_unwrap
+from oracles import dvector_chern_lower, reference_localizer_even, winding_unwrap
 
 GRADING = np.diag([1.0, -1.0])
 
@@ -76,6 +78,18 @@ def test_dirac_rejects_bad_arguments(z2_12):
 # even localizer
 # ---------------------------------------------------------------------------
 
+def _matches_dense_reference(H, mu, dirac, kappa, hdata=None):
+    """The inertia/shift-invert localizer against the dense 2m x 2m oracle."""
+    Hd = H.to_dense() if hasattr(H, "to_dense") else np.asarray(H)
+    r = localizer_index_even(H, mu, dirac, kappa, hdata=hdata)
+    ref = reference_localizer_even(Hd, mu, dirac.sites.points, dirac.x0,
+                                   Hd.shape[0] // len(dirac.sites), kappa)
+    assert (r.index, r.status, r.half_signature) == (
+        ref["index"], ref["status"], ref["half_signature"])
+    assert abs(r.margin - ref["margin"]) <= 1e-9 * ref["margin"]
+    return r
+
+
 def test_even_localizer_atomic_limit_is_trivial():
     omega = gen_periodic(np.eye(2), ([0.0, 0.0], [8.0, 8.0]))
     H = np.kron(np.eye(len(omega)), np.diag([1.0, -1.0]))
@@ -94,7 +108,7 @@ def test_even_localizer_chern_window_frozen_margins(z2_12, chern_12):
               0.1: 0.5832284252018702,
               0.2: 1.1086889399564739}
     for kappa, margin in frozen.items():
-        r = localizer_index_even(H, 0.0, dirac, kappa, hdata=spec)
+        r = _matches_dense_reference(H, 0.0, dirac, kappa, hdata=spec)
         assert r.status == "ok"
         assert r.index == 1
         assert r.margin == pytest.approx(margin, abs=1e-9)
@@ -115,7 +129,7 @@ def test_even_localizer_matches_bloch_oracle_both_phases(z2_12):
 def test_even_localizer_absurd_kappa_is_unreliable(z2_12, chern_12):
     _, H = chern_12
     dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
-    r = localizer_index_even(H, 0.0, dirac, 1000.0)
+    r = _matches_dense_reference(H, 0.0, dirac, 1000.0)
     assert r.status == "unreliable"
     assert r.index is None
 
@@ -143,11 +157,77 @@ def test_even_localizer_hdata_paths_agree(z2_12, chern_12):
     _, H = chern_12
     dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
     spec = eig_hermitian(H.to_dense())
-    r_none = localizer_index_even(H, 0.0, dirac, 0.1)
-    r_spec = localizer_index_even(H, 0.0, dirac, 0.1, hdata=spec)
-    r_vals = localizer_index_even(H, 0.0, dirac, 0.1, hdata=spec.eigenvalues)
+    r_none = _matches_dense_reference(H, 0.0, dirac, 0.1)
+    r_spec = _matches_dense_reference(H, 0.0, dirac, 0.1, hdata=spec)
+    r_vals = _matches_dense_reference(H, 0.0, dirac, 0.1, hdata=spec.eigenvalues)
     assert r_none.index == r_spec.index == r_vals.index == 1
     assert r_none.margin == r_spec.margin == r_vals.margin
+
+
+def test_even_localizer_matches_dense_reference_periodic_24():
+    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [24.0, 24.0]))
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    r = _matches_dense_reference(H, 0.0, dirac, 0.1,
+                                 hdata=eig_hermitian(H.to_dense()))
+    assert (r.status, r.index) == ("ok", 1)
+
+
+def test_even_localizer_matches_dense_reference_amorphous():
+    sites = gen_hardcore_random(([0.0, 0.0], [27.0, 27.0]), 0.8, 1.2, 1)
+    assert 700 <= len(sites) <= 900
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    r = _matches_dense_reference(H, 0.0, dirac, 0.1,
+                                 hdata=eig_hermitian(H.to_dense()))
+    assert (r.status, r.index) == ("ok", 1)
+
+
+def test_even_localizer_matches_dense_reference_perturbed_trial(z2_12, chern_12):
+    _, H = chern_12
+    V = random_perturbation(z2_12, 2.0, 0.2, 2, seed=5)
+    Hp = H.add(V)
+    evs = np.linalg.eigvalsh(Hp.to_dense())
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    r = _matches_dense_reference(Hp, 0.0, dirac, 0.1, hdata=evs)
+    assert (r.status, r.index) == ("ok", 1)
+
+
+def test_even_localizer_matches_dense_reference_site_at_x0():
+    sites = gen_hardcore_random(([0.0, 0.0], [12.0, 12.0]), 0.8, 1.2, 3)
+    k = int(np.argmin(np.linalg.norm(sites.points - sites.window_center, axis=1)))
+    dirac = position_dirac(sites, sites.points[k], block_dim=2)
+    assert not np.any(dirac.sites.points[k] - dirac.x0)  # D- vanishes on site k
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    _matches_dense_reference(H, 0.0, dirac, 0.1)
+
+
+def _failing_eigsh(*args, **kwargs):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                              np.zeros((0, 0)))
+
+
+def test_even_localizer_single_site_closed_form(monkeypatch):
+    # 2m = 2 is below ARPACK's k < n - 1: the margin must come from the
+    # closed form +-sqrt(a^2 + kappa^2 |d|^2), never from the solver.
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", _failing_eigsh)
+    sites = single_site(2)
+    dirac = position_dirac(sites, [0.5, 1.0], block_dim=1)
+    for a in (0.7, -0.3):
+        r = _matches_dense_reference(np.array([[a]]), 0.0, dirac, 0.4)
+        assert r.margin == pytest.approx(np.hypot(a, 0.4 * np.hypot(1.5, 1.0)),
+                                         rel=1e-14)
+        assert (r.status, r.index) == ("ok", 0)
+
+
+def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12):
+    _, H = chern_12
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", _failing_eigsh)
+    with pytest.raises(LocalizerUnreliable, match="did not converge"):
+        localizer_index_even(H, 0.0, dirac, 0.1)
 
 
 # ---------------------------------------------------------------------------
