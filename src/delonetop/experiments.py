@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import GapUndefined, InvalidInput
 from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
@@ -22,8 +23,9 @@ from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
 from .groupoid import (BlockOperator, HoppingFunction, bloch_hamiltonian,
                        builtin_model, represent, stack_operator)
 from .index import (IndexResult, angular_sectors, bloch_chern_fhs,
-                    bloch_winding, chiral_bloch_block, kitaev_chern,
-                    localizer_index_even, localizer_index_odd, position_dirac)
+                    bloch_winding, chiral_bloch_block, kappa_stability,
+                    kitaev_chern, localizer_index_even, localizer_index_odd,
+                    position_dirac)
 from .roe import random_perturbation
 from .spectral import (GapInfo, eig_hermitian, fermi_projection, largest_gap,
                        spectral_gap, symmetric_gap)
@@ -233,21 +235,11 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
         gap = spectral_gap(hdata, mu)
     x0 = _resolve_x0(index_cfg, sites)
     kappas = _kappa_list(index_cfg, gap, sites, hdata.eigenvalues)
-    margin_min = index_cfg.get("margin_min")
     grading = _CHIRAL_GRADING if mode == "odd" else None
-
-    results = []
-    for kappa in kappas:
-        if mode == "even":
-            res = localizer_index_even(H, mu, position_dirac(sites, x0, f.N), kappa,
-                                       margin_min=margin_min, hdata=hdata)
-        else:
-            res = localizer_index_odd(H, position_dirac(sites, x0, f.N), kappa,
-                                      grading, mu=mu, margin_min=margin_min,
-                                      hdata=hdata)
-        results.append(res)
-    valid = [r.index for r in results if r.status == "ok"]
-    plateau = bool(valid) and len(set(valid)) == 1
+    results, plateau = kappa_stability(
+        H, mu, position_dirac(sites, x0, f.N), kappas, mode, grading,
+        index_cfg.get("margin_min"), hdata,
+        even=localizer_index_even, odd=localizer_index_odd)
 
     oracles: dict = {}
     if mode == "even" and sites.dim == 2:
@@ -414,13 +406,16 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     kappa = base.kappas[0]
     dirac = position_dirac(sites, base.x0, base.model.N)
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
+    Hd = base.H.to_dense()
 
     def one_trial(t: int) -> dict:
         seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
         V = random_perturbation(sites, prange, strength, base.model.N,
                                 symmetry=symmetry, grading=grading, seed=seed)
-        Hp = base.H.add(V)
-        evs = np.linalg.eigvalsh(Hp.to_dense())
+        # Equal bit for bit to base.H.add(V).to_dense().  Not overwritten by
+        # eigvalsh: the localizer reads Hp afterwards.
+        Hp = Hd + V.to_dense()
+        evs = scipy.linalg.eigvalsh(Hp)
         try:
             if base.mode == "odd":
                 gap, _ = symmetric_gap(evs)
@@ -502,17 +497,17 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
     L = build_lattice(stack_cfg)
     stacked = stack_operator(base.H, L)
-    evs_stacked = np.linalg.eigvalsh(stacked.to_dense())
+    Sd = stacked.to_dense()
+    evs_stacked = scipy.linalg.eigvalsh(Sd)
     expected = np.sort(np.repeat(base.hdata.eigenvalues, len(L)))
     mult_resid = float(np.abs(evs_stacked - expected).max()) if evs_stacked.size else 0.0
 
     x0_2d = stacked.sites.window_center
     dirac2 = position_dirac(stacked.sites, x0_2d, stacked.block_dim)
-    stacked_results = []
-    for kappa in base.kappas:
-        res = localizer_index_even(stacked, base.mu, dirac2, kappa,
-                                   hdata=evs_stacked)
-        stacked_results.append(res)
+    stacked_results, _ = kappa_stability(Sd, base.mu, dirac2, base.kappas,
+                                         hdata=evs_stacked,
+                                         even=localizer_index_even)
+    for res in stacked_results:
         report.records.append(_result_record(res, stage="stacked"))
     stacked_valid = [r.index for r in stacked_results if r.status == "ok"]
     stacked_zero = (bool(stacked_valid) and set(stacked_valid) == {0}
@@ -588,8 +583,8 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
 
     def one_site(i: int) -> dict:
         omega = translate(sites, sites.points[i])
-        H = represent(f, omega)
-        evs = np.linalg.eigvalsh(H.to_dense())
+        H = represent(f, omega).to_dense()
+        evs = scipy.linalg.eigvalsh(H)
         try:
             if mode == "odd":
                 mu = 0.0 if isinstance(mu_policy, str) else float(mu_policy)
@@ -628,6 +623,6 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
         H0 = represent(f, sites)
         report.artifacts["sites"] = sites
         report.artifacts["onsite"] = _onsite_potential(H0)
-        report.artifacts["spectrum"] = np.linalg.eigvalsh(H0.to_dense())
+        report.artifacts["spectrum"] = scipy.linalg.eigvalsh(H0.to_dense())
     report.timings["total"] = time.perf_counter() - t0
     return report

@@ -140,6 +140,10 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
     budget.  With symmetry="chiral" each block is projected onto the
     anticommutant of the supplied on-site grading, (B - G B G)/2, which
     anti-commutes with G exactly (G has +-1 diagonal).
+
+    The pairs i <= j within R are drawn in one batch, in ascending (i, j)
+    order; one rng.standard_normal((pairs, 2, N, N)) call is the same
+    stream as a real and an imaginary (N, N) draw per pair.
     """
     if strength < 0:
         raise InvalidInput("strength must be nonnegative")
@@ -153,31 +157,38 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
         grading = np.asarray(grading)
         if grading.shape != (block_dim, block_dim):
             raise InvalidInput("grading shape does not match block_dim")
+        if (not np.array_equal(grading, np.diag(np.diag(grading)))
+                or not np.all(np.abs(np.diag(grading)) == 1)):
+            raise InvalidInput("grading must be a diagonal +-1 matrix")
 
     if strength == 0.0 or len(sites) == 0:
         return BlockOperator(sites, block_dim, {}, hermitian=True)
 
     pts = sites.points
-    rng = np.random.default_rng(seed)
+    hits = neighbor_lists(pts, pts, R)
+    rows = np.repeat(np.arange(len(hits)), [h.size for h in hits])
+    cols = np.concatenate(hits)
+    upper = cols >= rows
+    rows, cols = rows[upper], cols[upper]
+
+    z = np.random.default_rng(seed).standard_normal(
+        (rows.size, 2, block_dim, block_dim))
+    B = z[:, 0] + 1.0j * z[:, 1]
+    diag = rows == cols
+    B[diag] = 0.5 * (B[diag] + B[diag].conj().transpose(0, 2, 1))
+    if symmetry == "chiral":
+        g = np.diag(grading).astype(float)
+        B = 0.5 * (B - g[:, None] * B * g[None, :])
+    nrm = np.linalg.svd(B, compute_uv=False)[:, 0]
+    clip = nrm > strength
+    B[clip] = B[clip] * (strength / nrm[clip])[:, None, None]
+    keep = np.abs(B).max(axis=(1, 2)) > 0
+
     entries: dict[tuple[int, int], np.ndarray] = {}
-    for i, hits in enumerate(neighbor_lists(pts, pts, R)):
-        for j in hits:
-            j = int(j)
-            if j < i:
-                continue
-            B = rng.standard_normal((block_dim, block_dim)) \
-                + 1.0j * rng.standard_normal((block_dim, block_dim))
-            if j == i:
-                B = 0.5 * (B + B.conj().T)
-            if symmetry == "chiral":
-                B = 0.5 * (B - grading @ B @ grading)
-            nrm = _block_norm(B)
-            if nrm > strength:
-                B = B * (strength / nrm)
-            if np.abs(B).max() > 0:
-                entries[(i, j)] = B
-                if j != i:
-                    entries[(j, i)] = B.conj().T
+    for i, j, b in zip(rows[keep].tolist(), cols[keep].tolist(), B[keep]):
+        entries[(i, j)] = b
+        if j != i:
+            entries[(j, i)] = b.conj().T
     return BlockOperator(sites, block_dim, entries, hermitian=True)
 
 

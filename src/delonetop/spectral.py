@@ -6,6 +6,11 @@ everything is a full dense eigensolve; projections are built from
 eigenvectors, which is exact at finite dimension.  From _MRRR_MIN_DIM rows
 up, eigenvectors come from LAPACK's MRRR driver (Dhillon & Parlett, SIMAX
 2004), ``scipy.linalg.eigh(driver="evr")``; smaller matrices use numpy.
+
+The rest of the package sends window-sized LAPACK work (eigenvalue-only
+solves, the localizer's LU solve) through scipy.linalg: NumPy and SciPy
+each bundle an OpenBLAS, and alternating the two at 2 BLAS threads slowed
+each call ~2x.  eig_hermitian is the measured exception below.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
-# MRRR halves the 1552-row solve against numpy's divide and conquer, but
-# SciPy ships its own OpenBLAS; on the 70- and 338-row solves of a stacking
-# run (2-core host) switching between the two libraries cost more than MRRR
-# saved.
+# MRRR halves the 1552-row solve against numpy's divide and conquer.  Below
+# this size numpy's eigh stays: evr at every size gave no resolved wall-time
+# gain in benchmark pairs (2-core host), and SciPy's evd below 1000 rows is
+# byte-identical to numpy's and was neutral over 4 + 3 pairs.
 _MRRR_MIN_DIM = 1000
 
 

@@ -219,3 +219,38 @@ def reference_localizer_even(H, mu, points, x0, block_dim, kappa):
             "status": "ok" if ok else "unreliable",
             "half_signature": half_sig,
             "margin": margin}
+
+
+def reference_random_perturbation(points, R, strength, block_dim,
+                                  symmetry="none", grading=None, seed=0):
+    """Entries of the seeded controlled perturbation, one pair at a time.
+
+    Oracle of the batched roe.random_perturbation: for i ascending and each
+    neighbour j >= i (|p_j - p_i| <= R by a plain scan, ascending j), draw
+    a real and an imaginary (N, N) Gaussian block, Hermitise diagonal
+    blocks, project onto the grading's anticommutant when chiral, clip to
+    the norm budget and keep the block if it is nonzero, with its adjoint
+    at (j, i).  Returns the entries dict in insertion order.
+    """
+    points = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for i, x in enumerate(points):
+        for j in np.flatnonzero(np.linalg.norm(points - x, axis=1) <= R):
+            j = int(j)
+            if j < i:
+                continue
+            B = rng.standard_normal((block_dim, block_dim)) \
+                + 1.0j * rng.standard_normal((block_dim, block_dim))
+            if j == i:
+                B = 0.5 * (B + B.conj().T)
+            if symmetry == "chiral":
+                B = 0.5 * (B - grading @ B @ grading)
+            nrm = float(np.linalg.svd(B, compute_uv=False)[0])
+            if nrm > strength:
+                B = B * (strength / nrm)
+            if np.abs(B).max() > 0:
+                entries[(i, j)] = B
+                if j != i:
+                    entries[(j, i)] = B.conj().T
+    return entries

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,3 +320,59 @@ def test_unwritable_output_directory_exits_1(tmp_path, capsys):
                "--out", str(blocker / "out")])
     assert rc == 1
     assert "cannot write artifacts" in capsys.readouterr().err
+
+
+def test_robustness_report_stable_across_blas_thread_counts(tmp_path):
+    # The reproducibility contract at the granularity that holds: integers,
+    # statuses and the verdict are exact across OPENBLAS_NUM_THREADS, floats
+    # agree to 1e-9 relative (they move in the last digits).
+    cfg = write(tmp_path, "run.ini", """\
+[lattice]
+generator = periodic
+dim = 2
+window = [0.0, 6.0]
+
+[model]
+name = chern_2band_2d
+M = 1.0
+mu = 0.0
+
+[index]
+kappa_list = [0.1]
+
+[experiment]
+n_trials = 3
+strength_rel = 0.2
+master_seed = 0
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = tmp_path / f"t{threads}"
+        proc = subprocess.run([sys.executable, "-m", "delonetop", "robustness",
+                               "--config", str(cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads((out / "report.json").read_text()))
+    one, two = reports
+
+    def same(a, b, where):
+        if isinstance(a, float) and isinstance(b, float):
+            assert math.isclose(a, b, rel_tol=1e-9), where
+        elif isinstance(a, dict):
+            assert a.keys() == b.keys(), where
+            for k in a:
+                same(a[k], b[k], f"{where}.{k}")
+        elif isinstance(a, list):
+            assert len(a) == len(b), where
+            for k, (x, y) in enumerate(zip(a, b)):
+                same(x, y, f"{where}[{k}]")
+        else:
+            assert a == b, where
+
+    # Integers, statuses and the verdict compare exactly, floats at 1e-9.
+    same(one, two, "report")
+    assert one["verdict"] == "pass"
+    assert [(r["index"], r["status"]) for r in one["records"]] == [(1, "ok")] * 4

@@ -5,6 +5,10 @@ from delonetop.errors import InvalidInput
 from delonetop.experiments import (build_lattice, run_omega_independence,
                                    run_quantization, run_robustness,
                                    run_stacking)
+from delonetop.geometry import gen_periodic
+from delonetop.groupoid import builtin_model, represent
+from delonetop.index import (localizer_index_even, localizer_index_odd,
+                             position_dirac)
 
 CHERN = {"name": "chern_2band_2d", "M": 1.0, "mu": 0.0}
 SSH = {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}
@@ -253,3 +257,35 @@ def test_omega_independence_worker_determinism():
     b = run_omega_independence({"window": [0.0, 12.0]}, CHERN, **kw,
                                workers=4).as_dict()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# one BLAS pool
+# ---------------------------------------------------------------------------
+
+def test_window_sized_lapack_goes_through_scipy(monkeypatch):
+    # NumPy and SciPy each bundle an OpenBLAS; alternating the two slows the
+    # next solve, so window-sized eigvalsh/solve calls must all be SciPy's.
+    # np.linalg.eigh stays: eig_hermitian keeps it below 1000 rows.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("window-sized LAPACK call on NumPy's OpenBLAS")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+
+    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [6.0, 6.0]))
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    evs = np.linalg.eigh(H.to_dense())[0]
+    for hdata in (None, evs):
+        assert localizer_index_even(H, 0.0, dirac, 0.1, hdata=hdata).index == 1
+
+    chain = gen_periodic(np.eye(1), ([0.0], [40.0]))
+    Hc = represent(builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), chain)
+    dirac1 = position_dirac(chain, chain.window_center, block_dim=2)
+    assert localizer_index_odd(Hc, dirac1, 0.1, np.diag([1.0, -1.0])).index == -1
+
+    rep = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]},
+                         n_trials=3, perturbation={"strength_rel": 0.2})
+    assert rep.passed
+    assert rep.summary["included"] == 3

@@ -5,10 +5,10 @@ from delonetop.errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                               SymmetryViolation)
 from delonetop.geometry import gen_cut_and_project, gen_hardcore_random, gen_periodic
 from delonetop.groupoid import bloch_hamiltonian, builtin_model, represent
-from delonetop.index import (angular_sectors, bloch_chern_fhs, bloch_winding,
-                             chiral_bloch_block, kappa_stability, kitaev_chern,
-                             localizer_index_even, localizer_index_odd,
-                             position_dirac)
+from delonetop.index import (_chirality_residual, angular_sectors,
+                             bloch_chern_fhs, bloch_winding, chiral_bloch_block,
+                             kappa_stability, kitaev_chern, localizer_index_even,
+                             localizer_index_odd, position_dirac)
 from delonetop.roe import random_perturbation
 from delonetop.spectral import eig_hermitian, fermi_projection
 from oracles import dvector_chern_lower, reference_localizer_even, winding_unwrap
@@ -280,6 +280,30 @@ def test_odd_localizer_rejects_broken_symmetry():
     dirac = position_dirac(omega, omega.window_center, block_dim=2)
     with pytest.raises(SymmetryViolation):
         localizer_index_odd(H, dirac, 0.1, GRADING)
+
+
+@pytest.mark.parametrize("n_sites", [35, 201])
+def test_odd_chirality_residual_matches_dense_grading_product(n_sites):
+    # 70- and 402-row SSH chains: exact chiral noise, non-chiral noise below
+    # the 1e-13 bound and non-chiral noise above it.
+    omega = z1(n_sites)
+    H = represent(builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), omega)
+    G = np.kron(np.eye(n_sites), GRADING)
+    dirac = position_dirac(omega, omega.window_center, block_dim=2)
+    for seed, symmetry, strength, accepted in ((0, "chiral", 0.2, True),
+                                               (1, "chiral", 0.2, True),
+                                               (2, "none", 1e-14, True),
+                                               (3, "none", 1e-3, False)):
+        V = random_perturbation(omega, 2.0, strength, 2, symmetry=symmetry,
+                                grading=GRADING, seed=seed)
+        Hd = H.to_dense() + V.to_dense()
+        res = _chirality_residual(Hd, np.diag(G).copy())
+        assert res == float(np.abs(G @ Hd @ G + Hd).max())
+        if accepted:
+            assert localizer_index_odd(Hd, dirac, 0.1, GRADING).index == -1
+        else:
+            with pytest.raises(SymmetryViolation):
+                localizer_index_odd(Hd, dirac, 0.1, GRADING)
 
 
 def test_odd_localizer_rejects_bad_arguments(z2_12):

@@ -8,7 +8,7 @@ from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.roe import (covering_embed, is_controlled, position_commutator,
                            random_perturbation, subset_injection,
                            summability_profile, support_stats)
-from oracles import brute_neighbors
+from oracles import brute_neighbors, reference_random_perturbation
 
 
 def z2(size):
@@ -229,6 +229,48 @@ def test_perturbation_consumes_rng_in_ascending_neighbor_order():
         assert np.array_equal(V.entries[key], B)
 
 
+PERTURBATION_WINDOWS = {
+    "periodic_16": lambda: z2(16),
+    "hardcore": lambda: gen_hardcore_random(([0.0, 0.0], [9.0, 9.0]), 0.8, 1.2, seed=2),
+}
+
+
+@pytest.mark.parametrize("window", sorted(PERTURBATION_WINDOWS))
+@pytest.mark.parametrize("symmetry", ["none", "chiral"])
+@pytest.mark.parametrize("strength", [0.3, 2.5, 50.0])
+def test_perturbation_matches_per_pair_reference(window, symmetry, strength):
+    # 0.3 clips almost every block, 50 none, 2.5 some of them.
+    sites = PERTURBATION_WINDOWS[window]()
+    G = np.diag([1.0, -1.0])
+    grading = G if symmetry == "chiral" else None
+    for seed in (0, 5, 123456789):
+        V = random_perturbation(sites, 2.0, strength, 2, symmetry=symmetry,
+                                grading=grading, seed=seed)
+        want = reference_random_perturbation(sites.points, 2.0, strength, 2,
+                                             symmetry=symmetry, grading=G,
+                                             seed=seed)
+        assert list(V.entries) == list(want)
+        for key, B in want.items():
+            assert V.entries[key].tobytes() == B.tobytes()
+
+
+def test_dense_trial_sum_equals_block_sum():
+    cases = [
+        (z2(16), builtin_model("chern_2band_2d", M=1.0), "none"),
+        (gen_hardcore_random(([0.0, 0.0], [9.0, 9.0]), 0.8, 1.2, seed=2),
+         builtin_model("chern_2band_2d", M=1.0), "none"),
+        (gen_periodic(np.eye(1), ([0.0], [40.0])),
+         builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), "chiral"),
+    ]
+    for sites, f, symmetry in cases:
+        H = represent(f, sites)
+        for seed in (0, 1, 2):
+            V = random_perturbation(sites, 2.0, 0.2, f.N, symmetry=symmetry,
+                                    grading=np.diag([1.0, -1.0]), seed=seed)
+            dense = H.to_dense() + V.to_dense()
+            assert dense.tobytes() == H.add(V).to_dense().tobytes()
+
+
 def test_perturbation_rejects_bad_arguments():
     with pytest.raises(InvalidInput):
         random_perturbation(z2(3), 1.0, -0.1, 1)
@@ -238,6 +280,9 @@ def test_perturbation_rejects_bad_arguments():
         random_perturbation(z2(3), 1.0, 0.1, 1, symmetry="weird")
     with pytest.raises(InvalidInput):
         random_perturbation(z2(3), 1.0, 0.1, 2, symmetry="chiral")
+    with pytest.raises(InvalidInput, match="diagonal"):
+        random_perturbation(z2(3), 1.0, 0.1, 2, symmetry="chiral",
+                            grading=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
