@@ -22,13 +22,14 @@ import numpy as np
 
 from . import __version__
 from .errors import GapUndefined, LocalizerUnreliable, ToolkitError
-from .experiments import (ExperimentReport, _model_from_cfg, _resolve_mu,
-                          build_lattice, run_omega_independence, run_quantization,
+from .experiments import (DEFAULTS, EXPERIMENT_DEFAULTS, ExperimentReport,
+                          _model_from_cfg, _mu_gap, build_lattice,
+                          run_omega_independence, run_quantization,
                           run_robustness, run_stacking)
 from .geometry import validate_delone, write_pointset
 from .groupoid import represent
 from .serialize import dumps17, format_float, to_plain
-from .spectral import eig_hermitian, spectral_gap, write_spectrum_csv
+from .spectral import eig_hermitian, write_spectrum_csv
 
 __all__ = ["main", "entry", "load_config", "emit_report", "SchemaError"]
 
@@ -188,29 +189,13 @@ def load_config(path) -> dict:
 
 def _materialize(cfg: dict, command: str, seed_override: int | None) -> dict:
     """Fill defaults so the echoed config shows every effective setting."""
-    lattice = {"generator": "periodic", "seed": 0, **cfg.get("lattice", {})}
+    out = {sec: {**defaults, **cfg.get(sec, {})} for sec, defaults in DEFAULTS.items()}
     if seed_override is not None:
-        lattice["seed"] = seed_override
-        lattice.pop("seeds", None)
-    model = {"name": "chern_2band_2d", "mu": "largest-gap", **cfg.get("model", {})}
-    index = {"kappa_list": [], "x0": "center", **cfg.get("index", {})}
-    experiment = {**cfg.get("experiment", {})}
-    if command == "robustness":
-        experiment.setdefault("n_trials", 30)
-        experiment.setdefault("master_seed", 0)
-        experiment.setdefault("strength_rel", 0.2)
-        experiment.setdefault("range", 2.0)
-        experiment.setdefault("symmetry", "none")
-    if command == "stacking":
-        experiment.setdefault("stack_generator", "periodic")
-        experiment.setdefault("stack_window", [0.0, 8.0])
-        experiment.setdefault("stack_seed", 0)
-        experiment.setdefault("control", True)
-        experiment.setdefault("control_window", [0.0, 12.0])
-    if command == "omega":
-        experiment.setdefault("base_sites", 5)
-    return {"lattice": lattice, "model": model, "index": index,
-            "experiment": experiment}
+        out["lattice"]["seed"] = seed_override
+        out["lattice"].pop("seeds", None)
+    out["experiment"] = {**EXPERIMENT_DEFAULTS.get(command, {}),
+                         **cfg.get("experiment", {})}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +330,9 @@ def _cmd_generate(cfg: dict, workers: int) -> ExperimentReport:
 
 def _cmd_spectrum(cfg: dict, workers: int) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
-    f, mu_policy, _ = _model_from_cfg(cfg["model"])
+    f, mu_policy, mode = _model_from_cfg(cfg["model"])
     hdata = eig_hermitian(represent(f, sites).to_dense())
-    mu = _resolve_mu(hdata, mu_policy)
-    gap = spectral_gap(hdata, mu)
+    mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, mode)
     report = ExperimentReport("spectrum", cfg)
     report.records.append({
         "n_sites": len(sites), "mu": mu, "gap_below": gap.below,
@@ -371,38 +355,39 @@ def _dispatch(command: str, cfg: dict, workers: int) -> ExperimentReport:
         return _cmd_spectrum(cfg, workers)
     if command in ("index", "quantization"):
         return run_quantization(lattice, model, index, workers=workers)
+    # _materialize has filled in every default of exp.
     if command == "robustness":
         pert = {k: exp[k] for k in ("strength", "strength_rel", "range", "symmetry")
                 if k in exp}
         return run_robustness(lattice, model, index,
-                              n_trials=int(exp.get("n_trials", 30)),
+                              n_trials=int(exp["n_trials"]),
                               perturbation=pert,
-                              master_seed=int(exp.get("master_seed", 0)),
+                              master_seed=int(exp["master_seed"]),
                               workers=workers)
     if command == "stacking":
         stack_cfg = {
-            "generator": exp.get("stack_generator", "periodic"),
+            "generator": exp["stack_generator"],
             "dim": 1,
-            "window": exp.get("stack_window", [0.0, 8.0]),
-            "seed": int(exp.get("stack_seed", 0)),
+            "window": exp["stack_window"],
+            "seed": int(exp["stack_seed"]),
         }
         if "stack_min_dist" in exp:
             stack_cfg["min_dist"] = exp["stack_min_dist"]
         if "stack_target_R" in exp:
             stack_cfg["target_R"] = exp["stack_target_R"]
         control_cfg = None
-        if exp.get("control", True):
+        if exp["control"]:
             control_cfg = {
                 "lattice": {"generator": "periodic", "dim": 2,
-                            "window": exp.get("control_window", [0.0, 12.0])},
-                "model": {"name": "chern_2band_2d", "mu": 0.0},
+                            "window": exp["control_window"]},
+                "model": {"name": DEFAULTS["model"]["name"], "mu": 0.0},
                 "index": {"kappa_list": index.get("kappa_list") or [0.1]},
             }
         return run_stacking(lattice, model, stack_cfg, index,
                             control_cfg=control_cfg, workers=workers)
     if command == "omega":
         return run_omega_independence(lattice, model, index,
-                                      base_sites=exp.get("base_sites", 5),
+                                      base_sites=exp["base_sites"],
                                       workers=workers, collect_artifacts=True)
     raise SchemaError(f"unknown command {command!r}")
 

@@ -6,6 +6,14 @@ verdict is recomputable from its records.  Reports are pure functions of
 (config, seeds): trials use deterministic per-trial seeds and a fixed
 collection order, so the serialized report is byte-identical for any worker
 count.
+
+The base window, every perturbed trial and every recentred window pair H
+with the position spectral triple through the same two steps: _mu_gap
+resolves mu and the gap (a trial passes the base mu as its policy), and
+_localize runs index.kappa_stability with the configured margin_min.  Every
+default of the drivers and of the CLI lives in DEFAULTS (config sections)
+and EXPERIMENT_DEFAULTS (the [experiment] keys of each subcommand); the CLI
+merges them into the echoed inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
                        gen_periodic, gen_perturbed_lattice, translate)
 from .groupoid import (BlockOperator, HoppingFunction, bloch_hamiltonian,
                        builtin_model, represent, stack_operator)
-from .index import (IndexResult, angular_sectors, bloch_chern_fhs,
-                    bloch_winding, chiral_bloch_block, kappa_stability,
-                    kitaev_chern, localizer_index_even, localizer_index_odd,
-                    position_dirac)
+from .index import (IndexResult, PositionDirac, angular_sectors,
+                    bloch_chern_fhs, bloch_winding, chiral_bloch_block,
+                    kappa_stability, kitaev_chern, localizer_index_even,
+                    localizer_index_odd, position_dirac)
 from .roe import random_perturbation
 from .spectral import (GapInfo, eig_hermitian, fermi_projection, largest_gap,
                        spectral_gap, symmetric_gap)
@@ -47,6 +55,21 @@ MODEL_MODE = {
 }
 
 _CHIRAL_GRADING = np.diag([1.0, -1.0])
+
+_LARGEST_GAP = "largest-gap"
+
+DEFAULTS = {
+    "lattice": {"generator": "periodic", "seed": 0},
+    "model": {"name": "chern_2band_2d", "mu": _LARGEST_GAP},
+    "index": {"kappa_list": [], "x0": "center"},
+}
+EXPERIMENT_DEFAULTS = {
+    "robustness": {"n_trials": 30, "master_seed": 0, "strength_rel": 0.2,
+                   "range": 2.0, "symmetry": "none"},
+    "stacking": {"stack_generator": "periodic", "stack_window": [0.0, 8.0],
+                 "stack_seed": 0, "control": True, "control_window": [0.0, 12.0]},
+    "omega": {"base_sites": 5},
+}
 
 # fraction of the smallest window half-extent used for the Kitaev sector disk
 SECTOR_RADIUS_FRAC = 0.45
@@ -118,56 +141,73 @@ def _window_pair(spec, dim: int):
 
 def build_lattice(cfg: dict) -> DeloneSet:
     """Construct the point set described by a lattice config section."""
-    cfg = dict(cfg)
-    gen = cfg.get("generator", "periodic")
-    seed = int(cfg.get("seed", 0))
-    if gen == "periodic":
-        dim = int(cfg.get("dim", 2))
-        spacing = float(cfg.get("spacing", 1.0))
-        window = _window_pair(cfg.get("window", [0.0, 12.0]), dim)
-        return gen_periodic(spacing * np.eye(dim), window)
-    if gen == "perturbed_lattice":
-        dim = int(cfg.get("dim", 2))
-        spacing = float(cfg.get("spacing", 1.0))
-        window = _window_pair(cfg.get("window", [0.0, 12.0]), dim)
-        return gen_perturbed_lattice(spacing * np.eye(dim), window,
-                                     float(cfg.get("max_disp", 0.1)), seed)
-    if gen == "hardcore_random":
-        dim = int(cfg.get("dim", 2))
-        window = _window_pair(cfg.get("window", [0.0, 12.0]), dim)
-        return gen_hardcore_random(window,
-                                   float(cfg.get("min_dist", 0.8)),
-                                   float(cfg.get("target_R", 1.2)),
-                                   seed,
-                                   max_attempts=int(cfg.get("max_attempts", 100_000)))
+    cfg = {**DEFAULTS["lattice"], **cfg}
+    gen = cfg["generator"]
+    seed = int(cfg["seed"])
     if gen == "fibonacci_1d":
         length = float(cfg.get("length", 30.0))
         return gen_cut_and_project("fibonacci_1d", ([0.0], [length]))
     if gen == "ammann_beenker_2d":
         r = float(cfg.get("radius", 8.0))
         return gen_cut_and_project("ammann_beenker_2d", ([-r, -r], [r, r]))
-    raise InvalidInput(f"unknown lattice generator {gen!r}")
+    if gen not in ("periodic", "perturbed_lattice", "hardcore_random"):
+        raise InvalidInput(f"unknown lattice generator {gen!r}")
+    dim = int(cfg.get("dim", 2))
+    window = _window_pair(cfg.get("window", [0.0, 12.0]), dim)
+    if gen == "hardcore_random":
+        return gen_hardcore_random(window,
+                                   float(cfg.get("min_dist", 0.8)),
+                                   float(cfg.get("target_R", 1.2)),
+                                   seed,
+                                   max_attempts=int(cfg.get("max_attempts", 100_000)))
+    basis = float(cfg.get("spacing", 1.0)) * np.eye(dim)
+    if gen == "periodic":
+        return gen_periodic(basis, window)
+    return gen_perturbed_lattice(basis, window, float(cfg.get("max_disp", 0.1)), seed)
 
 
 def _model_from_cfg(model_cfg: dict) -> tuple[HoppingFunction, object, str]:
-    cfg = dict(model_cfg)
-    name = cfg.pop("name", "chern_2band_2d")
-    mu_policy = cfg.pop("mu", "largest-gap")
+    cfg = {**DEFAULTS["model"], **model_cfg}
+    name = cfg.pop("name")
+    mu_policy = cfg.pop("mu")
     if name not in MODEL_MODE:
         raise InvalidInput(f"unknown model {name!r}")
     return builtin_model(name, **cfg), mu_policy, MODEL_MODE[name]
 
 
-def _resolve_mu(hdata, mu_policy) -> float:
-    if isinstance(mu_policy, str):
-        if mu_policy != "largest-gap":
-            raise InvalidInput(f"mu must be a number or 'largest-gap', got {mu_policy!r}")
-        return largest_gap(hdata).center
-    return float(mu_policy)
+def _resolve_mu(evs: np.ndarray, mu_policy, mode: str) -> float:
+    """The number a mu policy names.  The one string policy, 'largest-gap',
+    is the centre of the widest gap, or for odd (chiral) models the
+    symmetry point 0 the pairing is pinned to."""
+    if not isinstance(mu_policy, str):
+        return float(mu_policy)
+    if mu_policy != _LARGEST_GAP:
+        raise InvalidInput(f"mu must be a number or {_LARGEST_GAP!r}, got {mu_policy!r}")
+    return 0.0 if mode == "odd" else largest_gap(evs).center
+
+
+def _mu_gap(evs: np.ndarray, mu_policy, mode: str) -> tuple[float, GapInfo]:
+    """mu and the spectral gap around it.  An odd model's gap is measured
+    around 0 after filtering machine-zero boundary modes; GapUndefined
+    propagates."""
+    mu = _resolve_mu(evs, mu_policy, mode)
+    if mode == "odd":
+        return mu, symmetric_gap(evs)[0]
+    return mu, spectral_gap(evs, mu)
+
+
+def _localize(H, mu: float, dirac, kappas, mode: str, index_cfg: dict, evs):
+    """The kappa sweep of one window: kappa_stability with the configured
+    margin_min.  The localizer names imported here are passed in, so
+    instrumentation that rebinds them (perfbench/tracer.py) sees every call."""
+    return kappa_stability(
+        H, mu, dirac, kappas, mode, _CHIRAL_GRADING if mode == "odd" else None,
+        index_cfg.get("margin_min"), evs,
+        even=localizer_index_even, odd=localizer_index_odd)
 
 
 def _resolve_x0(index_cfg: dict, sites: DeloneSet) -> np.ndarray:
-    spec = index_cfg.get("x0", "center")
+    spec = index_cfg.get("x0", DEFAULTS["index"]["x0"])
     if isinstance(spec, str):
         if spec != "center":
             raise InvalidInput(f"x0 must be 'center' or coordinates, got {spec!r}")
@@ -213,6 +253,7 @@ class _BaseRun:
     gap: GapInfo
     mode: str
     x0: np.ndarray
+    dirac: PositionDirac
     kappas: list
     results: list
     plateau: bool
@@ -225,21 +266,11 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
     f, mu_policy, mode = _model_from_cfg(model_cfg)
     H = represent(f, sites)
     hdata = eig_hermitian(H.to_dense())
-    if mode == "odd":
-        # The chiral pairing is pinned to the symmetry point, and the gap is
-        # measured after filtering machine-zero boundary modes.
-        mu = 0.0 if isinstance(mu_policy, str) else float(mu_policy)
-        gap, _ = symmetric_gap(hdata.eigenvalues)
-    else:
-        mu = _resolve_mu(hdata, mu_policy)
-        gap = spectral_gap(hdata, mu)
+    mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, mode)
     x0 = _resolve_x0(index_cfg, sites)
+    dirac = position_dirac(sites, x0, f.N)
     kappas = _kappa_list(index_cfg, gap, sites, hdata.eigenvalues)
-    grading = _CHIRAL_GRADING if mode == "odd" else None
-    results, plateau = kappa_stability(
-        H, mu, position_dirac(sites, x0, f.N), kappas, mode, grading,
-        index_cfg.get("margin_min"), hdata,
-        even=localizer_index_even, odd=localizer_index_odd)
+    results, plateau = _localize(H, mu, dirac, kappas, mode, index_cfg, hdata)
 
     oracles: dict = {}
     if mode == "even" and sites.dim == 2:
@@ -257,15 +288,14 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
             ak = chiral_bloch_block(hk, _CHIRAL_GRADING)
             oracles["bloch"] = bloch_winding(ak, int(index_cfg.get("winding_samples",
                                                                    WINDING_SAMPLES)))
-    return _BaseRun(sites, f, H, hdata, mu, gap, mode, x0, kappas,
+    return _BaseRun(sites, f, H, hdata, mu, gap, mode, x0, dirac, kappas,
                     results, plateau, oracles)
 
 
-def _periodic_basis(lattice_cfg: dict):
-    if lattice_cfg.get("generator", "periodic") != "periodic":
+def _periodic_basis(sites: DeloneSet):
+    if sites.metadata.get("generator") != "periodic":
         return None
-    dim = int(lattice_cfg.get("dim", 2))
-    return float(lattice_cfg.get("spacing", 1.0)) * np.eye(dim)
+    return np.asarray(sites.metadata["basis"])
 
 
 def _result_record(res: IndexResult, **extra) -> dict:
@@ -309,18 +339,19 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     """
     index_cfg = dict(index_cfg or {})
     t0 = time.perf_counter()
-    seeds = list(lattice_cfg.get("seeds") or [int(lattice_cfg.get("seed", 0))])
+    seeds = list(lattice_cfg.get("seeds")
+                 or [int(lattice_cfg.get("seed", DEFAULTS["lattice"]["seed"]))])
     report = ExperimentReport(
         "quantization",
         _echo(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
               experiment={"seeds": seeds}),
     )
-    basis = _periodic_basis(lattice_cfg)
 
     def one_seed(seed: int):
         sites = build_lattice({**lattice_cfg, "seed": seed})
         try:
-            base = _base_pipeline(sites, model_cfg, index_cfg, periodic_basis=basis)
+            base = _base_pipeline(sites, model_cfg, index_cfg,
+                                  periodic_basis=_periodic_basis(sites))
         except GapUndefined as err:
             return seed, None, [{"seed": seed, "status": "gap_closed",
                                  "error": str(err)}], None
@@ -366,8 +397,10 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
 
 
 def run_robustness(lattice_cfg: dict, model_cfg: dict,
-                   index_cfg: dict | None = None, n_trials: int = 30,
-                   perturbation: dict | None = None, master_seed: int = 0,
+                   index_cfg: dict | None = None,
+                   n_trials: int = EXPERIMENT_DEFAULTS["robustness"]["n_trials"],
+                   perturbation: dict | None = None,
+                   master_seed: int = EXPERIMENT_DEFAULTS["robustness"]["master_seed"],
                    workers: int = 1) -> ExperimentReport:
     """Gap-preserving random perturbations must reproduce the base integer.
 
@@ -388,9 +421,10 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     sites = build_lattice(lattice_cfg)
     base = _base_pipeline(sites, model_cfg, index_cfg)
     base_int = base.results[0].index if base.plateau else None
-    report.records.append(_result_record(base.results[0], trial="base",
-                                         seed=int(lattice_cfg.get("seed", 0)),
-                                         gap=base.gap.width))
+    report.records.append(_result_record(
+        base.results[0], trial="base",
+        seed=int(lattice_cfg.get("seed", DEFAULTS["lattice"]["seed"])),
+        gap=base.gap.width))
     if base_int is None:
         report.summary = {"base_index": None, "note": "base run unreliable"}
         report.passed = False
@@ -398,13 +432,13 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         report.timings["total"] = time.perf_counter() - t0
         return report
 
+    defaults = EXPERIMENT_DEFAULTS["robustness"]
     strength = (float(pert["strength"]) if "strength" in pert
-                else float(pert.get("strength_rel", 0.2)) * base.gap.width)
-    prange = float(pert.get("range", 2.0))
-    symmetry = pert.get("symmetry", "none")
+                else float(pert.get("strength_rel", defaults["strength_rel"]))
+                * base.gap.width)
+    prange = float(pert.get("range", defaults["range"]))
+    symmetry = pert.get("symmetry", defaults["symmetry"])
     grading = _CHIRAL_GRADING if symmetry == "chiral" else None
-    kappa = base.kappas[0]
-    dirac = position_dirac(sites, base.x0, base.model.N)
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
     Hd = base.H.to_dense()
 
@@ -417,21 +451,15 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         Hp = Hd + V.to_dense()
         evs = scipy.linalg.eigvalsh(Hp)
         try:
-            if base.mode == "odd":
-                gap, _ = symmetric_gap(evs)
-            else:
-                gap = spectral_gap(evs, base.mu)
+            _, gap = _mu_gap(evs, base.mu, base.mode)
         except GapUndefined:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": 0.0, "status": "gap_closed"}
         if gap.width < gap_floor:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": gap.width, "status": "gap_closed"}
-        if base.mode == "even":
-            res = localizer_index_even(Hp, base.mu, dirac, kappa, hdata=evs)
-        else:
-            res = localizer_index_odd(Hp, dirac, kappa, _CHIRAL_GRADING,
-                                      mu=base.mu, hdata=evs)
+        (res,), _ = _localize(Hp, base.mu, base.dirac, base.kappas[:1],
+                              base.mode, index_cfg, evs)
         return _result_record(res, trial=t, seed=seed, gap=gap.width)
 
     trials = _pmap(one_trial, range(int(n_trials)), workers)
@@ -469,8 +497,9 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     for contrast (its nonzero index is reported, not required).
     """
     index_cfg = dict(index_cfg or {})
-    stack_cfg = dict(stack_cfg or {"generator": "periodic", "dim": 1,
-                                   "window": [0.0, 8.0]})
+    defaults = EXPERIMENT_DEFAULTS["stacking"]
+    stack_cfg = dict(stack_cfg or {"generator": defaults["stack_generator"], "dim": 1,
+                                   "window": defaults["stack_window"]})
     t0 = time.perf_counter()
     report = ExperimentReport(
         "stacking",
@@ -481,16 +510,15 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
     chain = build_lattice(chain_lattice_cfg)
     base = _base_pipeline(chain, model_cfg, index_cfg,
-                          periodic_basis=_periodic_basis(chain_lattice_cfg))
+                          periodic_basis=_periodic_basis(chain))
     if base.mode != "odd":
         raise InvalidInput("stacking needs a chiral 1D model")
     winding = base.results[0].index if base.plateau else None
     # periodic reference winding for aperiodic chains
     ref_oracle = base.oracles.get("bloch")
     if ref_oracle is None:
-        f_ref, _, _ = _model_from_cfg(model_cfg)
         ref_oracle = bloch_winding(chiral_bloch_block(
-            bloch_hamiltonian(f_ref, np.eye(1)), _CHIRAL_GRADING),
+            bloch_hamiltonian(base.model, np.eye(1)), _CHIRAL_GRADING),
             int(index_cfg.get("winding_samples", WINDING_SAMPLES)))
     for res in base.results:
         report.records.append(_result_record(res, stage="chain", gap=base.gap.width))
@@ -515,10 +543,10 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
     control_summary = None
     if control_cfg:
-        control = run_quantization(control_cfg.get("lattice", {"window": [0.0, 12.0]}),
-                                   control_cfg.get("model", {"name": "chern_2band_2d"}),
-                                   control_cfg.get("index", {}),
-                                   workers=workers)
+        control = run_quantization(
+            control_cfg.get("lattice", {"window": defaults["control_window"]}),
+            control_cfg.get("model", {}), control_cfg.get("index", {}),
+            workers=workers)
         control_summary = control.summary
         report.records.append({"stage": "control",
                                "verdict": "pass" if control.passed else "fail",
@@ -543,7 +571,8 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
 
 def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
-                           index_cfg: dict | None = None, base_sites=5,
+                           index_cfg: dict | None = None,
+                           base_sites=EXPERIMENT_DEFAULTS["omega"]["base_sites"],
                            workers: int = 1,
                            collect_artifacts: bool = False) -> ExperimentReport:
     """The index must not depend on the transversal point.
@@ -579,32 +608,17 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
             if i not in set(interior.tolist()):
                 raise InvalidInput(f"base site {i} is too close to the window boundary")
 
-    grading = _CHIRAL_GRADING if mode == "odd" else None
-
     def one_site(i: int) -> dict:
         omega = translate(sites, sites.points[i])
         H = represent(f, omega).to_dense()
         evs = scipy.linalg.eigvalsh(H)
         try:
-            if mode == "odd":
-                mu = 0.0 if isinstance(mu_policy, str) else float(mu_policy)
-                gap, _ = symmetric_gap(evs)
-            else:
-                mu = _resolve_mu(evs, mu_policy)
-                gap = spectral_gap(evs, mu)
+            mu, gap = _mu_gap(evs, mu_policy, mode)
         except GapUndefined as err:
             return {"site": i, "status": "gap_closed", "error": str(err)}
-        kappa = _kappa_list(index_cfg, gap, omega, evs)[0]
-        x0 = np.zeros(sites.dim)
-        dirac = position_dirac(omega, x0, f.N)
-        if mode == "even":
-            res = localizer_index_even(H, mu, dirac, kappa,
-                                       margin_min=index_cfg.get("margin_min"),
-                                       hdata=evs)
-        else:
-            res = localizer_index_odd(H, dirac, kappa, grading, mu=mu,
-                                      margin_min=index_cfg.get("margin_min"),
-                                      hdata=evs)
+        kappas = _kappa_list(index_cfg, gap, omega, evs)[:1]
+        dirac = position_dirac(omega, np.zeros(sites.dim), f.N)
+        (res,), _ = _localize(H, mu, dirac, kappas, mode, index_cfg, evs)
         return _result_record(res, site=i, gap=gap.width)
 
     records = _pmap(one_site, chosen, workers)

@@ -38,7 +38,7 @@ from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
 from .geometry import DeloneSet
 from .groupoid import BlockOperator
-from .spectral import SpectralData
+from .spectral import SpectralData, spectral_gap
 
 __all__ = [
     "PositionDirac",
@@ -53,8 +53,6 @@ __all__ = [
     "bloch_winding",
     "chiral_bloch_block",
 ]
-
-_COLLISION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,11 +141,6 @@ def _h_eigenvalues(Hd: np.ndarray, hdata) -> np.ndarray:
     if isinstance(hdata, SpectralData):
         return hdata.eigenvalues
     return np.asarray(hdata, dtype=float)
-
-
-def _check_gap(evs: np.ndarray, mu: float) -> None:
-    if evs.size and float(np.abs(evs - mu).min()) <= _COLLISION_TOL:
-        raise GapUndefined(f"no spectral gap at mu = {mu!r}")
 
 
 def _index_result(half_sig: float, margin: float, kappa: float, x0, mu: float,
@@ -254,7 +247,7 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
         raise InvalidInput("H dimension is not a multiple of the site count")
     N = m // n if n else 0
     evs = _h_eigenvalues(Hd, hdata)
-    _check_gap(evs, mu)
+    spectral_gap(evs, mu)  # raises GapUndefined when mu hits the spectrum
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
     if m == 0:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from delonetop.cli import SchemaError, load_config, main
+from delonetop.experiments import run_robustness
+from delonetop.serialize import dumps17
 
 QUANT_INI = """\
 # two-band model on a small periodic window
@@ -31,6 +33,23 @@ QUANT_JSON = {
     "model": {"name": "chern_2band_2d", "M": 1.0, "mu": 0.0},
     "index": {"kappa_list": [0.15]},
 }
+
+
+# An open SSH chain (t1 = 0.5, t2 = 1): chiral, so mu is pinned to 0.
+SSH_INI = """\
+[lattice]
+generator = periodic
+dim = 1
+window = [0.0, 34.0]
+
+[index]
+kappa_list = [0.1]
+
+[model]
+name = chiral_ssh_1d
+t1 = 0.5
+t2 = 1.0
+"""
 
 
 def write(tmp_path, name, text):
@@ -183,6 +202,20 @@ def test_spectrum_command_reports_gap(tmp_path):
     assert (out / "spectrum.csv").exists()
 
 
+def test_spectrum_command_pins_chiral_mu_to_zero(tmp_path):
+    # The spectrum of a chiral model resolves mu and its gap like the
+    # localizer runs do: mu = 0 and the bulk gap around it, not the centre
+    # of the widest gap (which lies between the bulk and the edge modes).
+    cfg = write(tmp_path, "run.ini", SSH_INI)
+    for command in ("spectrum", "quantization"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    spectrum = json.loads((tmp_path / "spectrum" / "report.json").read_text())
+    quant = json.loads((tmp_path / "quantization" / "report.json").read_text())
+    assert spectrum["summary"] == {"mu": 0.0, "gap": quant["records"][0]["gap"]}
+    assert quant["records"][0]["gap"] == pytest.approx(1.0084913628628982, rel=1e-9)
+    assert quant["records"][0]["mu"] == 0.0
+
+
 def test_omega_command(tmp_path):
     cfg = write(tmp_path, "run.ini", QUANT_INI + """
 [experiment]
@@ -239,6 +272,90 @@ control_window = [0.0, 10.0]
 
 
 # ---------------------------------------------------------------------------
+# the inputs echo: every effective default, CLI and library alike
+# ---------------------------------------------------------------------------
+
+# No [experiment] section: every robustness default applies.
+ROBUSTNESS_MIN_INI = """\
+[lattice]
+window = [0.0, 6.0]
+
+[model]
+M = 1.0
+mu = 0.0
+
+[index]
+kappa_list = [0.1]
+"""
+
+QUANT_LATTICE = {"dim": 2, "generator": "periodic", "seed": 0, "window": [0, 10]}
+CHERN_MODEL = {"M": 1, "mu": 0, "name": "chern_2band_2d"}
+QUANT_INDEX = {"kappa_list": [0.15], "x0": "center"}
+STACKING_EXPERIMENT = {"control": True, "control_window": [0, 12],
+                       "stack_generator": "periodic", "stack_seed": 0,
+                       "stack_window": [0, 8]}
+
+
+@pytest.mark.parametrize("command, text, code, inputs", [
+    ("quantization", QUANT_INI, 0, {
+        "experiment": {"seeds": [0]}, "index": QUANT_INDEX,
+        "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
+    ("robustness", ROBUSTNESS_MIN_INI, 0, {
+        "experiment": {"master_seed": 0, "n_trials": 30,
+                       "perturbation": {"range": 2, "strength_rel": 0.2,
+                                        "symmetry": "none"}},
+        "index": {"kappa_list": [0.1], "x0": "center"},
+        "lattice": {"generator": "periodic", "seed": 0, "window": [0, 6]},
+        "model": CHERN_MODEL}),
+    ("stacking", SSH_INI, 0, {
+        "experiment": {
+            "control": {"index": {"kappa_list": [0.1]},
+                        "lattice": {"dim": 2, "generator": "periodic",
+                                    "window": [0, 12]},
+                        "model": {"mu": 0, "name": "chern_2band_2d"}},
+            "stack": {"dim": 1, "generator": "periodic", "seed": 0,
+                      "window": [0, 8]}},
+        "index": {"kappa_list": [0.1], "x0": "center"},
+        "lattice": {"dim": 1, "generator": "periodic", "seed": 0, "window": [0, 34]},
+        "model": {"mu": "largest-gap", "name": "chiral_ssh_1d", "t1": 0.5, "t2": 1}}),
+    ("omega", QUANT_INI, 0, {
+        "experiment": {"base_sites": 5}, "index": QUANT_INDEX,
+        "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
+    ("spectrum", QUANT_INI, 0, {
+        "experiment": {}, "index": QUANT_INDEX,
+        "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
+    ("generate", "[lattice]\nwindow = [0.0, 4.0]\n", 0, {
+        "experiment": {}, "index": {"kappa_list": [], "x0": "center"},
+        "lattice": {"generator": "periodic", "seed": 0, "window": [0, 4]},
+        "model": {"mu": "largest-gap", "name": "chern_2band_2d"}}),
+    # a failure report echoes the materialized config, experiment defaults too
+    ("stacking", QUANT_INI, 1, {
+        "experiment": STACKING_EXPERIMENT, "index": QUANT_INDEX,
+        "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
+], ids=["quantization", "robustness", "stacking", "omega", "spectrum", "generate",
+        "stacking-failure"])
+def test_inputs_echo_shows_every_default(tmp_path, command, text, code, inputs):
+    cfg = write(tmp_path, "run.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--format", "json"]) == code
+    assert json.loads((out / "report.json").read_text())["inputs"] == inputs
+
+
+def test_cli_and_library_robustness_defaults_agree(tmp_path):
+    cfg = write(tmp_path, "run.ini", ROBUSTNESS_MIN_INI)
+    out = tmp_path / "out"
+    assert main(["robustness", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"]) == 0
+    cli_report = json.loads((out / "report.json").read_text())
+    lib_report = json.loads(dumps17(run_robustness(
+        {"window": [0.0, 6.0]}, {"M": 1.0, "mu": 0.0}, {"kappa_list": [0.1]}).as_dict()))
+    assert lib_report["records"] == cli_report["records"]
+    assert lib_report["summary"] == cli_report["summary"]
+    assert len(cli_report["records"]) == 31
+
+
+# ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------
 
@@ -275,9 +392,15 @@ mu = 0.0
     assert report["summary"]["status"] == "gap_closed"
 
 
-@pytest.mark.parametrize("command", ["spectrum", "quantization"])
-def test_unknown_mu_policy_exits_1(tmp_path, capsys, command):
-    cfg = write(tmp_path, "run.ini", QUANT_INI.replace("mu = 0.0", "mu = widest"))
+@pytest.mark.parametrize("command, text", [
+    pytest.param("spectrum", QUANT_INI.replace("mu = 0.0", "mu = widest"), id="spectrum"),
+    pytest.param("quantization", QUANT_INI.replace("mu = 0.0", "mu = widest"),
+                 id="quantization"),
+    # [model] is the last section of SSH_INI
+    pytest.param("quantization", SSH_INI + "mu = widest\n", id="ssh"),
+])
+def test_unknown_mu_policy_exits_1(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "run.ini", text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert "mu must be a number or 'largest-gap'" in capsys.readouterr().err

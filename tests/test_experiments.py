@@ -165,6 +165,25 @@ def test_robustness_master_seed_determinism():
     assert [r["seed"] for r in c["records"]] != [r["seed"] for r in a["records"]]
 
 
+def test_robustness_trials_honour_margin_min():
+    # A margin_min between the smallest trial margin and the base margin
+    # must leave the base reliable and mark the trials below it unreliable.
+    kw = dict(n_trials=3, perturbation={"strength_rel": 0.2})
+    free = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]}, **kw)
+    base_margin = free.records[0]["margin"]
+    trial_margins = [r["margin"] for r in free.records[1:]]
+    assert min(trial_margins) < base_margin
+    margin_min = 0.5 * (min(trial_margins) + base_margin)
+
+    rep = run_robustness({"window": [0.0, 6.0]}, CHERN,
+                         {"kappa_list": [0.1], "margin_min": margin_min}, **kw)
+    assert rep.records[0]["status"] == "ok"
+    assert [r["margin"] for r in rep.records[1:]] == trial_margins
+    assert [r["status"] for r in rep.records[1:]] == [
+        "ok" if m > margin_min else "unreliable" for m in trial_margins]
+    assert not rep.passed
+
+
 # ---------------------------------------------------------------------------
 # stacking driver
 # ---------------------------------------------------------------------------
