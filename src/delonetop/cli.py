@@ -346,7 +346,8 @@ def _cmd_spectrum(cfg: dict, workers: int) -> ExperimentReport:
     return report
 
 
-def _dispatch(command: str, cfg: dict, workers: int) -> ExperimentReport:
+def _dispatch(command: str, cfg: dict, workers: int,
+              formats) -> ExperimentReport:
     lattice, model, index = cfg["lattice"], cfg["model"], cfg["index"]
     exp = cfg["experiment"]
     if command == "generate":
@@ -386,9 +387,11 @@ def _dispatch(command: str, cfg: dict, workers: int) -> ExperimentReport:
         return run_stacking(lattice, model, stack_cfg, index,
                             control_cfg=control_cfg, workers=workers)
     if command == "omega":
-        return run_omega_independence(lattice, model, index,
-                                      base_sites=exp["base_sites"],
-                                      workers=workers, collect_artifacts=True)
+        # The window spectrum and site map feed only spectrum.csv and
+        # lattice.svg.
+        return run_omega_independence(
+            lattice, model, index, base_sites=exp["base_sites"], workers=workers,
+            collect_artifacts=bool({"csv", "svg"} & set(formats)))
     raise SchemaError(f"unknown command {command!r}")
 
 
@@ -438,7 +441,7 @@ def main(argv=None) -> int:
     }
 
     try:
-        report = _dispatch(args.command, cfg, max(1, args.workers))
+        report = _dispatch(args.command, cfg, max(1, args.workers), formats)
     except ToolkitError as err:
         status = "gap_closed" if isinstance(err, GapUndefined) else (
             "unreliable" if isinstance(err, LocalizerUnreliable) else "error")

@@ -10,7 +10,8 @@ count.
 The base window, every perturbed trial and every recentred window pair H
 with the position spectral triple through the same two steps: _mu_gap
 resolves mu and the gap (a trial passes the base mu as its policy), and
-_localize runs index.kappa_stability with the configured margin_min.  Every
+_localize runs index.kappa_stability with the configured margin_min, which
+also judges the stacked window of run_stacking.  Every
 default of the drivers and of the CLI lives in DEFAULTS (config sections)
 and EXPERIMENT_DEFAULTS (the [experiment] keys of each subcommand); the CLI
 merges them into the echoed inputs.
@@ -248,7 +249,7 @@ class _BaseRun:
     sites: DeloneSet
     model: HoppingFunction
     H: BlockOperator
-    hdata: object
+    evs: np.ndarray
     mu: float
     gap: GapInfo
     mode: str
@@ -262,24 +263,33 @@ class _BaseRun:
 
 def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
                    periodic_basis=None) -> _BaseRun:
-    """Represent, locate the gap, sweep the localizer, attach oracles."""
+    """Represent, locate the gap, attach the oracles, sweep the localizer.
+
+    H is densified once.  The three-sector oracle, the only reader of
+    eigenvectors, runs straight after the eigensolve; from then on only the
+    eigenvalues are kept, so no eigenvector matrix is alive during the
+    kappa sweep.
+    """
     f, mu_policy, mode = _model_from_cfg(model_cfg)
     H = represent(f, sites)
-    hdata = eig_hermitian(H.to_dense())
-    mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, mode)
+    Hd = H.to_dense()
+    hdata = eig_hermitian(Hd)
+    evs = hdata.eigenvalues
+    mu, gap = _mu_gap(evs, mu_policy, mode)
     x0 = _resolve_x0(index_cfg, sites)
-    dirac = position_dirac(sites, x0, f.N)
-    kappas = _kappa_list(index_cfg, gap, sites, hdata.eigenvalues)
-    results, plateau = _localize(H, mu, dirac, kappas, mode, index_cfg, hdata)
 
     oracles: dict = {}
     if mode == "even" and sites.dim == 2:
-        P = fermi_projection(hdata, mu)
         radius = float(index_cfg.get("sector_radius",
                                      SECTOR_RADIUS_FRAC * _min_half_extent(sites)))
         sectors = angular_sectors(sites, x0, radius, f.N,
                                   theta0=float(index_cfg.get("sector_theta0", 0.0)))
-        oracles["kitaev"] = kitaev_chern(P, sectors)
+        oracles["kitaev"] = kitaev_chern(fermi_projection(hdata, mu), sectors)
+    del hdata
+
+    dirac = position_dirac(sites, x0, f.N)
+    kappas = _kappa_list(index_cfg, gap, sites, evs)
+    results, plateau = _localize(Hd, mu, dirac, kappas, mode, index_cfg, evs)
     if periodic_basis is not None:
         hk = bloch_hamiltonian(f, periodic_basis)
         if mode == "even":
@@ -288,7 +298,7 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
             ak = chiral_bloch_block(hk, _CHIRAL_GRADING)
             oracles["bloch"] = bloch_winding(ak, int(index_cfg.get("winding_samples",
                                                                    WINDING_SAMPLES)))
-    return _BaseRun(sites, f, H, hdata, mu, gap, mode, x0, dirac, kappas,
+    return _BaseRun(sites, f, H, evs, mu, gap, mode, x0, dirac, kappas,
                     results, plateau, oracles)
 
 
@@ -317,7 +327,7 @@ def _onsite_potential(H: BlockOperator) -> np.ndarray:
 def _stash_artifacts(report: ExperimentReport, base: _BaseRun) -> None:
     report.artifacts["sites"] = base.sites
     report.artifacts["onsite"] = _onsite_potential(base.H)
-    report.artifacts["spectrum"] = np.asarray(base.hdata.eigenvalues)
+    report.artifacts["spectrum"] = np.asarray(base.evs)
 
 
 def _echo(**sections) -> dict:
@@ -527,14 +537,13 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     stacked = stack_operator(base.H, L)
     Sd = stacked.to_dense()
     evs_stacked = scipy.linalg.eigvalsh(Sd)
-    expected = np.sort(np.repeat(base.hdata.eigenvalues, len(L)))
+    expected = np.sort(np.repeat(base.evs, len(L)))
     mult_resid = float(np.abs(evs_stacked - expected).max()) if evs_stacked.size else 0.0
 
     x0_2d = stacked.sites.window_center
     dirac2 = position_dirac(stacked.sites, x0_2d, stacked.block_dim)
-    stacked_results, _ = kappa_stability(Sd, base.mu, dirac2, base.kappas,
-                                         hdata=evs_stacked,
-                                         even=localizer_index_even)
+    stacked_results, _ = _localize(Sd, base.mu, dirac2, base.kappas, "even",
+                                   index_cfg, evs_stacked)
     for res in stacked_results:
         report.records.append(_result_record(res, stage="stacked"))
     stacked_valid = [r.index for r in stacked_results if r.status == "ok"]

@@ -38,7 +38,7 @@ from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
 from .geometry import DeloneSet
 from .groupoid import BlockOperator
-from .spectral import SpectralData, spectral_gap
+from .spectral import FermiProjection, SpectralData, spectral_gap
 
 __all__ = [
     "PositionDirac",
@@ -163,43 +163,46 @@ def _signature(vals: np.ndarray) -> int:
     return int((vals > 0).sum() - (vals < 0).sum())
 
 
-def _schur_eigenvalues(A: np.ndarray, kd: np.ndarray) -> np.ndarray:
+def _schur_eigenvalues(A: np.ndarray, kd: np.ndarray, nz, a) -> np.ndarray:
     """Spectrum of the Schur complement L/A = -A - (k D-)^dag A^-1 (k D-).
 
+    A must be Fortran-ordered: LAPACK LU-factors it in place, so nz, a (its
+    nonzero positions and values) supply A to the complement afterwards.
     np.diag(kd).T is the same diagonal matrix in Fortran order, so LAPACK
-    solves into it in place; the complement is then formed in that buffer
-    and handed to eigvalsh to overwrite, so no m x m copy is made beyond
-    the LU factors.  (SciPy returns the solution as a read-only view.)
+    also solves into it in place; the complement is then formed in that
+    buffer and handed to eigvalsh to overwrite, so no m x m array is made
+    beyond A and that buffer.  (SciPy returns the solution as a read-only
+    view.)
     """
     S = np.diag(kd).T
-    X = scipy.linalg.solve(A, S, overwrite_b=True, assume_a="gen")
+    X = scipy.linalg.solve(A, S, overwrite_a=True, overwrite_b=True,
+                           assume_a="gen")
     np.multiply(kd.conj()[:, None], X, out=S)
-    S += A
+    S[nz] += a
     np.negative(S, out=S)
     return scipy.linalg.eigvalsh(S, overwrite_a=True)
 
 
-def _even_margin(A: np.ndarray, kd: np.ndarray) -> float:
+def _even_margin(m: int, nz, a: np.ndarray, kd: np.ndarray) -> float:
     """Smallest |eigenvalue| of L = [[A, k D-], [k D-^dag, -A]] by ARPACK
-    shift-invert around 0 on the sparse L (one sparse LU, then solves).
+    shift-invert around 0 on the sparse L (one sparse LU, then solves);
+    nz, a are the nonzero positions and values of the m x m A.
 
     The start vector is a fixed-seed random one: a constant vector can be
     orthogonal to the wanted eigenvector on a symmetric window.  For m = 1
     the localizer is 2 x 2, below ARPACK's k < n - 1, and its spectrum is
-    +-sqrt(a^2 + |k d|^2).
+    +-sqrt(a^2 + |k d|^2) (a is empty when A = 0).
     """
-    m = A.shape[0]
     if m == 1:
-        return float(np.hypot(A[0, 0].real, abs(kd[0])))
+        return float(np.hypot(a.sum().real, abs(kd[0])))
     # Imported here: scipy.sparse.linalg adds ~35 modules to CLI start-up.
     from scipy import sparse
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    rows, cols = np.nonzero(A)
-    vals = A[rows, cols]
+    rows, cols = nz
     diag = np.arange(m)
     L = sparse.csc_matrix(
-        (np.concatenate([vals, -vals, kd, kd.conj()]),
+        (np.concatenate([a, -a, kd, kd.conj()]),
          (np.concatenate([rows, rows + m, diag, diag + m]),
           np.concatenate([cols, cols + m, diag + m, diag]))),
         shape=(2 * m, 2 * m))
@@ -255,9 +258,13 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
 
     rel = dirac.sites.points - dirac.x0
     kd = kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
-    A = Hd - mu * np.eye(m)
-    schur = _schur_eigenvalues(A, kd)
-    margin = _even_margin(A, kd)
+    A = np.array(Hd, order="F")
+    diag = np.arange(m)
+    A[diag, diag] -= mu
+    nz = np.nonzero(A)
+    a = A[nz]
+    schur = _schur_eigenvalues(A, kd, nz, a)
+    margin = _even_margin(m, nz, a, kd)
     schur_min = float(np.abs(schur).min())
     assert schur_min >= margin * (1.0 - 1e-9), (
         f"Schur complement eigenvalue {schur_min:.17g} below the margin {margin:.17g}")
@@ -412,14 +419,23 @@ def kitaev_chern(P, sectors) -> float:
         C = 12 pi i * sum_{j in A, k in B, l in C}
                 (P_jk P_kl P_lj - P_jl P_lk P_kj).
 
-    Exactly antisymmetric under swapping two sectors; approaches the integer
-    index when the sector disk sits deep in the bulk.
+    Antisymmetric under swapping two sectors; approaches the integer index
+    when the sector disk sits deep in the bulk.  P is a FermiProjection or
+    a dense matrix.  From a FermiProjection only the three blocks the sum
+    reads are formed, P_ST = V_S V_T^dag on the sector rows of the occupied
+    frame V; the m x m P never is.
     """
-    M = P.matrix if hasattr(P, "matrix") else np.asarray(P, dtype=complex)
     A, B, C = sectors
-    PAB = M[np.ix_(A, B)]
-    PBC = M[np.ix_(B, C)]
-    PCA = M[np.ix_(C, A)]
+    if isinstance(P, FermiProjection):
+        VA, VB, VC = P.frame[A], P.frame[B], P.frame[C]
+        PAB = VA @ VB.conj().T
+        PBC = VB @ VC.conj().T
+        PCA = VC @ VA.conj().T
+    else:
+        M = np.asarray(P, dtype=complex)
+        PAB = M[np.ix_(A, B)]
+        PBC = M[np.ix_(B, C)]
+        PCA = M[np.ix_(C, A)]
     t1 = np.trace(PAB @ PBC @ PCA)
     t2 = np.trace(PAB.conj().T @ PCA.conj().T @ PBC.conj().T)
     val = 12.0 * np.pi * 1.0j * (t1 - t2)

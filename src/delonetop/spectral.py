@@ -7,18 +7,29 @@ eigenvectors, which is exact at finite dimension.  From _MRRR_MIN_DIM rows
 up, eigenvectors come from LAPACK's MRRR driver (Dhillon & Parlett, SIMAX
 2004), ``scipy.linalg.eigh(driver="evr")``; smaller matrices use numpy.
 
+Only the m x m arrays an output reads are allocated.  eig_hermitian
+symmetrizes into one Fortran-ordered buffer that LAPACK overwrites, and
+checks every column's residual against a CSR copy of H (Hamiltonians are
+finite-range) and its orthonormality in column blocks.  A FermiProjection
+holds the occupied frame V, a view of the eigenvectors: P = V V^dag is
+formed only when .matrix is read, and the three-sector Chern oracle forms
+just the sector blocks of P from the frame.
+
 The rest of the package sends window-sized LAPACK work (eigenvalue-only
 solves, the localizer's LU solve) through scipy.linalg: NumPy and SciPy
 each bundle an OpenBLAS, and alternating the two at 2 BLAS threads slowed
-each call ~2x.  eig_hermitian is the measured exception below.
+each call ~2x.  eig_hermitian's numpy eigh below _MRRR_MIN_DIM rows is the
+measured exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import GapUndefined, InvalidInput
 from .serialize import format_float
@@ -41,6 +52,9 @@ _COLLISION_TOL = 1e-12
 # gain in benchmark pairs (2-core host), and SciPy's evd below 1000 rows is
 # byte-identical to numpy's and was neutral over 4 + 3 pairs.
 _MRRR_MIN_DIM = 1000
+# Columns per block of eig_hermitian's checks: each block needs m x _BLOCK
+# temporaries instead of m x m ones.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -76,18 +90,36 @@ class GapInfo:
 
 @dataclass(frozen=True)
 class FermiProjection:
-    matrix: np.ndarray
+    """Spectral projection P = V V^dag onto the eigenvalues below mu.
+
+    frame is the occupied frame V = eigenvectors[:, :rank]: a read-only
+    view of the eigendecomposition, not a copy.  matrix forms the m x m P
+    on first access (read-only); consumers that need only some blocks of P,
+    such as index.kitaev_chern, read them off the frame.
+    """
+
+    frame: np.ndarray
     mu: float
     gap: tuple[float, float]
     rank: int
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        P = self.frame @ self.frame.conj().T
+        P.setflags(write=False)
+        return P
 
 
 def eig_hermitian(H: np.ndarray) -> SpectralData:
     """Eigendecomposition with asserted residual and orthonormality bounds.
 
     MRRR solves from _MRRR_MIN_DIM rows up.  Input must be Hermitian within
-    1e-10 elementwise; it is symmetrized exactly before the solve so the
-    result is deterministic in the input bytes.
+    1e-10 elementwise; it is symmetrized exactly, into one Fortran-ordered
+    buffer the solver overwrites, so the result is deterministic in the
+    input bytes and H itself is left unchanged.  Every column is checked,
+    one block of columns at a time: its residual |H v - lambda v| against a
+    CSR copy of the symmetrized H (<= 1e-9 max(|lambda|, 1)), and its inner
+    products with all columns on SciPy's BLAS (|V^dag V - 1| <= 1e-9).
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -95,18 +127,32 @@ def eig_hermitian(H: np.ndarray) -> SpectralData:
     n = H.shape[0]
     if n == 0:
         return SpectralData(np.zeros(0), np.zeros((0, 0)), 0)
-    herm_res = float(np.abs(H - H.conj().T).max())
+    blocks = [slice(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
+    Hs = np.empty((n, n), dtype=np.result_type(H, 0.5), order="F")
+    np.conjugate(H.T, out=Hs)
+    herm_res = max(float(np.abs(H[:, j] - Hs[:, j]).max()) for j in blocks)
     if herm_res > 1e-10:
         raise InvalidInput(f"matrix is not Hermitian: max |H - H^dag| = {herm_res:.3e}")
-    Hs = 0.5 * (H + H.conj().T)
+    Hs += H
+    Hs *= 0.5
+    Hsp = scipy.sparse.csr_array(Hs)
     if n >= _MRRR_MIN_DIM:
-        vals, vecs = scipy.linalg.eigh(Hs, driver="evr")
+        vals, vecs = scipy.linalg.eigh(Hs, driver="evr", overwrite_a=True)
     else:
         vals, vecs = np.linalg.eigh(Hs)
+    del Hs
 
     scale = max(float(np.abs(vals).max()), 1.0)
-    resid = float(np.linalg.norm(Hs @ vecs - vecs * vals[None, :], axis=0).max())
-    ortho = float(np.abs(vecs.conj().T @ vecs - np.eye(n)).max())
+    gemm = scipy.linalg.get_blas_funcs("gemm", (vecs,))
+    resid = ortho = 0.0
+    for j in blocks:
+        R = Hsp @ vecs[:, j]
+        R -= vecs[:, j] * vals[j]
+        resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
+        # V^dag V is Hermitian: its upper triangle covers every pair.
+        G = gemm(1.0, vecs[:, :j.stop], vecs[:, j], trans_a=2)
+        G[j] -= np.eye(j.stop - j.start)
+        ortho = max(ortho, float(np.abs(G).max()))
     assert resid <= 1e-9 * scale, f"eigen residual {resid:.3e} exceeds tolerance"
     assert ortho <= 1e-9, f"orthonormality defect {ortho:.3e} exceeds tolerance"
 
@@ -158,19 +204,24 @@ def symmetric_gap(eigenvalues, zero_tol: float = 1e-6) -> tuple[GapInfo, int]:
 
 
 def fermi_projection(spec: SpectralData, mu: float) -> FermiProjection:
-    """Spectral projection onto eigenvalues strictly below mu."""
-    gap = spectral_gap(spec, mu)
-    occ = spec.eigenvalues < mu
-    V = spec.eigenvectors[:, occ]
-    P = V @ V.conj().T
-    rank = int(occ.sum())
+    """Spectral projection onto eigenvalues strictly below mu, held as its
+    occupied frame V (eigenvalues ascend, so V is a leading column slice).
 
-    idem = float(np.abs(P @ P - P).max()) if P.size else 0.0
-    herm = float(np.abs(P - P.conj().T).max()) if P.size else 0.0
-    assert idem <= 1e-9, f"projection idempotency defect {idem:.3e}"
-    assert herm <= 1e-9, f"projection hermiticity defect {herm:.3e}"
-    P.setflags(write=False)
-    return FermiProjection(P, float(mu), (gap.below, gap.above), rank)
+    P = V V^dag is Hermitian by construction.  Idempotency is asserted on
+    the rank x rank frame Gram matrix instead of on P @ P: with
+    E = V^dag V - 1, P^2 - P = V E V^dag, so
+    max|P^2 - P| <= ||V||^2 ||E|| <= ||E||_F (1 + ||E||_F), and the assert
+    ||E||_F (1 + ||E||_F) <= 1e-9 bounds max|P^2 - P| by 1e-9.
+    """
+    gap = spectral_gap(spec, mu)
+    rank = int((spec.eigenvalues < mu).sum())
+    V = spec.eigenvectors[:, :rank].view()
+    V.setflags(write=False)
+    E = scipy.linalg.get_blas_funcs("gemm", (V,))(1.0, V, V, trans_a=2)
+    E[np.diag_indices(rank)] -= 1.0
+    e = float(np.linalg.norm(E))
+    assert e * (1.0 + e) <= 1e-9, f"projection idempotency bound {e * (1.0 + e):.3e}"
+    return FermiProjection(V, float(mu), (gap.below, gap.above), rank)
 
 
 def write_spectrum_csv(path, eigenvalues) -> None:

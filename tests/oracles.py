@@ -188,6 +188,24 @@ def winding_unwrap(ak, n=4096):
     return nearest
 
 
+def reference_fermi_projection(eigenvalues, eigenvectors, mu):
+    """The full m x m Fermi projection P = V V^dag, V the eigenvectors with
+    eigenvalue below mu, with elementwise idempotency and hermiticity
+    asserts.
+
+    Oracle of the frame-backed spectral.fermi_projection, and through
+    kitaev_chern's dense-matrix input, of the sector blocks it forms from
+    the frame.
+    """
+    occ = np.asarray(eigenvalues) < mu
+    V = np.asarray(eigenvectors)[:, occ]
+    P = V @ V.conj().T
+    if P.size:
+        assert np.abs(P @ P - P).max() <= 1e-9, "projection idempotency defect"
+        assert np.abs(P - P.conj().T).max() <= 1e-9, "projection hermiticity defect"
+    return P
+
+
 def reference_localizer_even(H, mu, points, x0, block_dim, kappa):
     """Even localizer index from the full spectrum of the dense 2m x 2m matrix
 

@@ -228,6 +228,36 @@ base_sites = 2
     assert report["summary"]["indices"] == [1, 1]
 
 
+def test_omega_collects_window_artifacts_only_for_csv_or_svg(tmp_path, monkeypatch):
+    # The whole window is represented once more, and diagonalized, only for
+    # spectrum.csv and lattice.svg; a json-only run represents just the
+    # recentred windows and writes the same report.
+    import delonetop.experiments as experiments
+
+    represented = []
+    real = experiments.represent
+
+    def spy(f, sites):
+        represented.append(len(sites))
+        return real(f, sites)
+
+    monkeypatch.setattr(experiments, "represent", spy)
+    cfg = write(tmp_path, "run.ini", QUANT_INI + """
+[experiment]
+base_sites = 2
+""")
+    assert main(["omega", "--config", str(cfg), "--out", str(tmp_path / "json"),
+                 "--format", "json"]) == 0
+    assert len(represented) == 2
+    assert not (tmp_path / "json" / "spectrum.csv").exists()
+    assert main(["omega", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
+    assert len(represented) == 5
+    assert (tmp_path / "all" / "spectrum.csv").exists()
+    assert (tmp_path / "all" / "lattice.svg").exists()
+    assert ((tmp_path / "json" / "report.json").read_bytes()
+            == (tmp_path / "all" / "report.json").read_bytes())
+
+
 def test_robustness_command(tmp_path):
     cfg = write(tmp_path, "run.ini", QUANT_INI + """
 [experiment]

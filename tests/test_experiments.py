@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from delonetop.errors import InvalidInput
 from delonetop.experiments import (build_lattice, run_omega_independence,
@@ -9,6 +10,7 @@ from delonetop.geometry import gen_periodic
 from delonetop.groupoid import builtin_model, represent
 from delonetop.index import (localizer_index_even, localizer_index_odd,
                              position_dirac)
+from delonetop.spectral import eig_hermitian
 
 CHERN = {"name": "chern_2band_2d", "M": 1.0, "mu": 0.0}
 SSH = {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}
@@ -188,6 +190,23 @@ def test_robustness_trials_honour_margin_min():
 # stacking driver
 # ---------------------------------------------------------------------------
 
+def test_stacked_sweep_honours_margin_min():
+    # margin_min = 0.48 lies above both kappa = 0.1 margins on this chain
+    # (chain 0.4707, stacked 0.4733): both records must be unreliable.
+    chain = {"generator": "periodic", "dim": 1, "window": [0.0, 30.0]}
+    stack = {"generator": "periodic", "dim": 1, "window": [0.0, 5.0]}
+    free = run_stacking(chain, SSH, stack_cfg=stack, index_cfg={"kappa_list": [0.1]})
+    rep = run_stacking(chain, SSH, stack_cfg=stack,
+                       index_cfg={"kappa_list": [0.1], "margin_min": 0.48})
+    assert [r["stage"] for r in rep.records] == ["chain", "stacked"]
+    assert [r["status"] for r in free.records] == ["ok", "ok"]
+    assert [r["margin"] for r in rep.records] == [r["margin"] for r in free.records]
+    assert all(r["margin"] < 0.48 for r in rep.records)
+    assert [r["status"] for r in rep.records] == ["unreliable", "unreliable"]
+    assert rep.summary["stacked_indices"] == [None]
+    assert not rep.passed
+
+
 def test_stacking_kills_the_winding():
     rep = run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 34.0]},
                        SSH,
@@ -308,3 +327,31 @@ def test_window_sized_lapack_goes_through_scipy(monkeypatch):
                          n_trials=3, perturbation={"strength_rel": 0.2})
     assert rep.passed
     assert rep.summary["included"] == 3
+
+
+def test_window_sized_lapack_overwrites_fortran_buffers(monkeypatch):
+    # eig_hermitian (MRRR, from 1000 rows) and the Schur LU solve of the even
+    # localizer must hand LAPACK a Fortran-ordered buffer it may overwrite;
+    # a C-ordered one, or overwrite_a=False, costs an m x m copy.
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a.shape[0], a.flags.f_contiguous,
+                          kwargs.get("overwrite_a", False)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "solve", spy("solve", scipy.linalg.solve))
+
+    n = 1000
+    H = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    eig_hermitian(H)
+    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [6.0, 6.0]))
+    Hc = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    assert localizer_index_even(Hc, 0.0, dirac, 0.1).index == 1
+
+    assert [c[:2] for c in calls] == [("eigh", n), ("solve", 98)]
+    assert all(f_contiguous and overwrite for _, _, f_contiguous, overwrite in calls)

@@ -11,7 +11,8 @@ from delonetop.index import (_chirality_residual, angular_sectors,
                              localizer_index_odd, position_dirac)
 from delonetop.roe import random_perturbation
 from delonetop.spectral import eig_hermitian, fermi_projection
-from oracles import dvector_chern_lower, reference_localizer_even, winding_unwrap
+from oracles import (dvector_chern_lower, reference_fermi_projection,
+                     reference_localizer_even, winding_unwrap)
 
 GRADING = np.diag([1.0, -1.0])
 
@@ -113,6 +114,18 @@ def test_even_localizer_chern_window_frozen_margins(z2_12, chern_12):
         assert r.index == 1
         assert r.margin == pytest.approx(margin, abs=1e-9)
         assert r.half_signature == 1.0
+
+
+def test_even_localizer_leaves_input_unchanged(z2_12, chern_12):
+    # A = H - mu is LU-factored in place, so it must be a copy; mu != 0
+    # also exercises the diagonal shift against the dense oracle.
+    _, H = chern_12
+    Hd = H.to_dense()
+    before = Hd.tobytes()
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    r = _matches_dense_reference(Hd, 0.1, dirac, 0.1)
+    assert Hd.tobytes() == before
+    assert r.index == 1
 
 
 def test_even_localizer_matches_bloch_oracle_both_phases(z2_12):
@@ -382,16 +395,40 @@ def test_kitaev_zero_projection_gives_zero(z2_12):
     assert kitaev_chern(P, sectors) == 0.0
 
 
+def _frame_matches_reference_projection(H, sites, x0, radius, block_dim):
+    """kitaev_chern from the frame-backed projection against the full
+    reference P, for every order of the three sectors."""
+    spec = eig_hermitian(H)
+    P = fermi_projection(spec, 0.0)
+    ref = reference_fermi_projection(spec.eigenvalues, spec.eigenvectors, 0.0)
+    A, B, C = angular_sectors(sites, x0, radius, block_dim)
+    values = []
+    for order in ((A, B, C), (B, A, C), (A, C, B), (C, A, B)):
+        c, c_ref = kitaev_chern(P, order), kitaev_chern(ref, order)
+        assert abs(c - c_ref) <= 1e-12 * max(1.0, abs(c_ref))
+        values.append(c)
+    assert values[1] == pytest.approx(-values[0], abs=1e-12)
+    assert values[2] == pytest.approx(-values[0], abs=1e-12)
+    assert values[3] == pytest.approx(values[0], abs=1e-12)
+    return values[0]
+
+
 def test_kitaev_chern_window_frozen_value(z2_12, chern_12):
     _, H = chern_12
-    P = fermi_projection(eig_hermitian(H.to_dense()), 0.0)
-    sectors = angular_sectors(z2_12, z2_12.window_center, 5.5, block_dim=2)
-    c = kitaev_chern(P, sectors)
+    c = _frame_matches_reference_projection(H.to_dense(), z2_12, z2_12.window_center,
+                                            5.5, 2)
     assert c == pytest.approx(0.9999795346429747, abs=1e-9)
     assert abs(c - 1.0) <= 0.1
-    A, B, C = sectors
-    assert kitaev_chern(P, (B, A, C)) == pytest.approx(-c, abs=1e-12)
-    assert kitaev_chern(P, (A, C, B)) == pytest.approx(-c, abs=1e-12)
+
+
+def test_kitaev_frame_matches_reference_projection_amorphous():
+    # The 27^2 hard-core acceptance window (seed 1, m = 1552, MRRR path)
+    # with the drivers' sector radius, 0.45 of the half-width.
+    sites = gen_hardcore_random(([0.0, 0.0], [27.0, 27.0]), 0.8, 1.2, 1)
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites).to_dense()
+    c = _frame_matches_reference_projection(H, sites, sites.window_center,
+                                            0.45 * 13.5, 2)
+    assert abs(c - 1.0) <= 0.1
 
 
 # ---------------------------------------------------------------------------

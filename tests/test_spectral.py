@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from delonetop.errors import GapUndefined, InvalidInput
 from delonetop.geometry import gen_periodic
 from delonetop.groupoid import builtin_model, represent
-from delonetop.spectral import (_MRRR_MIN_DIM, eig_hermitian, fermi_projection,
-                                largest_gap, spectral_gap, symmetric_gap,
-                                write_spectrum_csv)
-from oracles import path_graph_eigenvalues
+from delonetop.spectral import (_MRRR_MIN_DIM, SpectralData, eig_hermitian,
+                                fermi_projection, largest_gap, spectral_gap,
+                                symmetric_gap, write_spectrum_csv)
+from oracles import path_graph_eigenvalues, reference_fermi_projection
 
 
 def z1(n):
@@ -62,6 +65,68 @@ def test_outputs_are_readonly():
         spec.eigenvalues[0] = 5.0
     with pytest.raises(ValueError):
         spec.eigenvectors[0, 0] = 5.0
+
+
+def _phased_path(n):
+    """Open path graph with complex hoppings e^{0.3 i k}: Hermitian, not real."""
+    hop = np.exp(0.3j * np.arange(n - 1))
+    return np.diag(hop, 1) + np.diag(hop.conj(), -1)
+
+
+@pytest.mark.parametrize("n", [50, _MRRR_MIN_DIM], ids=["numpy", "evr"])
+def test_eig_hermitian_leaves_input_unchanged(n):
+    H = _phased_path(n)
+    before = H.tobytes()
+    spec = eig_hermitian(H)
+    assert H.tobytes() == before
+    assert np.abs(spec.eigenvalues - path_graph_eigenvalues(n)).max() <= 1e-9
+
+
+def _corrupting(solver, kind):
+    """solver with the last eigenvector column corrupted: rotated into the
+    first one (still orthonormal, wrong residual) or scaled by 1 + 1e-6
+    (right direction, not normalized)."""
+    def corrupted(*args, **kwargs):
+        vals, vecs = solver(*args, **kwargs)
+        vecs = np.array(vecs)
+        if kind == "rotate":
+            c, s = np.cos(0.1), np.sin(0.1)
+            vecs[:, [0, -1]] = vecs[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+        else:
+            vecs[:, -1] *= 1.0 + 1e-6
+        return vals, vecs
+    return corrupted
+
+
+@pytest.mark.parametrize("kind,message", [("rotate", "eigen residual"),
+                                          ("scale", "orthonormality")])
+@pytest.mark.parametrize("n", [50, _MRRR_MIN_DIM], ids=["numpy", "evr"])
+def test_corrupted_eigenvector_column_raises(monkeypatch, n, kind, message):
+    module = scipy.linalg if n >= _MRRR_MIN_DIM else np.linalg
+    monkeypatch.setattr(module, "eigh", _corrupting(module.eigh, kind))
+    with pytest.raises(AssertionError, match=message):
+        eig_hermitian(_phased_path(n))
+
+
+def test_eig_hermitian_allocation_bound():
+    # The 23^2 periodic Chern window, m = 1152 (MRRR path): beyond its
+    # input, eig_hermitian may hold the symmetrized copy LAPACK overwrites,
+    # the eigenvectors and block-sized temporaries, 2.5 m x m complex arrays
+    # at most.  The full-size residual and Gram products need ~4.
+    omega = gen_periodic(np.eye(2), ([0.0, 0.0], [23.0, 23.0]))
+    H = represent(builtin_model("chern_2band_2d", M=1.0), omega).to_dense()
+    m = H.shape[0]
+    assert m == 1152 and H.dtype == complex
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        spec = eig_hermitian(H)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert spec.eigenvectors.shape == (m, m)
+    assert peak <= 2.5 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +227,33 @@ def test_fermi_projection_commutes_with_h():
     P = fermi_projection(spec, 0.0).matrix
     assert np.abs(P @ H - H @ P).max() <= 1e-9
     assert np.abs(P @ P - P).max() <= 1e-9
+
+
+def test_fermi_projection_matches_full_reference(chern_12):
+    _, H = chern_12
+    spec = eig_hermitian(H.to_dense())
+    P = fermi_projection(spec, 0.0)
+    ref = reference_fermi_projection(spec.eigenvalues, spec.eigenvectors, 0.0)
+    assert P.rank == int((spec.eigenvalues < 0.0).sum())
+    assert P.frame.shape == (H.dense_dim, P.rank)
+    assert np.shares_memory(P.frame, spec.eigenvectors)
+    assert np.abs(P.matrix - ref).max() <= 1e-12
+    assert P.matrix is P.matrix
+    for arr in (P.frame, P.matrix):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7.0
+
+
+def test_fermi_projection_non_orthonormal_frame_trips_idempotency():
+    spec = eig_hermitian(np.diag([-2.0, -1.0, 1.0, 2.0]))
+    vecs = np.array(spec.eigenvectors)
+    vecs[:, 1] *= 1.0 + 1e-6
+    with pytest.raises(AssertionError, match="idempotency"):
+        fermi_projection(SpectralData(spec.eigenvalues, vecs, 4), 0.0)
+    # An unoccupied column is outside the frame and does not count.
+    vecs = np.array(spec.eigenvectors)
+    vecs[:, 2] *= 1.0 + 1e-6
+    assert fermi_projection(SpectralData(spec.eigenvalues, vecs, 4), 0.0).rank == 2
 
 
 def test_fermi_projection_collision_raises():
