@@ -529,3 +529,19 @@ master_seed = 0
     same(one, two, "report")
     assert one["verdict"] == "pass"
     assert [(r["index"], r["status"]) for r in one["records"]] == [(1, "ok")] * 4
+
+
+def test_cli_import_leaves_sparse_solvers_unloaded():
+    # The even localizer imports scipy.sparse.csgraph (component labels) and
+    # scipy.sparse.linalg (ARPACK margin) at call time, so that starting the
+    # CLI does not pay for them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, delonetop.cli; "
+            "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

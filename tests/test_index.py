@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from delonetop.errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                               SymmetryViolation)
+from delonetop.experiments import build_lattice
 from delonetop.geometry import gen_cut_and_project, gen_hardcore_random, gen_periodic
-from delonetop.groupoid import bloch_hamiltonian, builtin_model, represent
+from delonetop.groupoid import (bloch_hamiltonian, builtin_model, represent,
+                                stack_operator)
 from delonetop.index import (_chirality_residual, angular_sectors,
                              bloch_chern_fhs, bloch_winding, chiral_bloch_block,
                              kappa_stability, kitaev_chern, localizer_index_even,
@@ -213,6 +220,124 @@ def test_even_localizer_matches_dense_reference_site_at_x0():
     assert not np.any(dirac.sites.points[k] - dirac.x0)  # D- vanishes on site k
     H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
     _matches_dense_reference(H, 0.0, dirac, 0.1)
+
+
+SSH = builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0)
+STACK_CHAINS = {
+    "periodic": {"generator": "periodic", "dim": 1, "window": [0.0, 34.0]},
+    "fibonacci": {"generator": "fibonacci_1d", "length": 48.0},
+}
+
+
+def _stacked_ssh(chain_cfg):
+    """The SSH chain stacked along the periodic layers [0, 7] as run_stacking
+    builds it: 8 layers, each a connected component of H."""
+    layers = build_lattice({"generator": "periodic", "dim": 1, "window": [0.0, 7.0]})
+    S = stack_operator(represent(SSH, build_lattice(chain_cfg)), layers)
+    Sd = S.to_dense()
+    dirac = position_dirac(S.sites, S.sites.window_center, S.block_dim)
+    return Sd, dirac, scipy.linalg.eigvalsh(Sd)
+
+
+@pytest.mark.parametrize("chain", sorted(STACK_CHAINS))
+def test_even_localizer_matches_dense_reference_stacked_ssh(chain):
+    Sd, dirac, evs = _stacked_ssh(STACK_CHAINS[chain])
+    for kappa in (0.05, 0.1, 0.2):
+        r = _matches_dense_reference(Sd, 0.0, dirac, kappa, hdata=evs)
+        assert (r.status, r.index) == ("ok", 0)
+
+
+def _component_sizes(Hd):
+    _, labels = connected_components(sparse.csr_matrix(Hd != 0), directed=False)
+    return sorted(np.bincount(labels).tolist(), reverse=True)
+
+
+def test_even_localizer_unequal_components_match_dense_reference(z2_12, chern_12):
+    # The 12^2 Chern window cut into groups no hopping crosses: x <= 7 holds
+    # x0 and contributes index 1, x >= 8 lies away from x0 and contributes
+    # 0, and the site (12, 12) keeps only its diagonal on-site term, so its
+    # two orbitals are 1 x 1 components contributing 0.
+    pts = z2_12.points
+    group = np.where(pts[:, 0] <= 7.0, 0, 1)
+    group[np.flatnonzero((pts == 12.0).all(axis=1))] = 2
+    g = np.repeat(group, 2)
+    Hd = chern_12[1].to_dense() * (g[:, None] == g[None, :])
+    assert _component_sizes(Hd) == [208, 128, 1, 1]
+    x0 = np.array([3.5, 6.0])
+    dirac = position_dirac(z2_12, x0, block_dim=2)
+    for kappa in (0.1, 0.2):
+        r = _matches_dense_reference(Hd, 0.0, dirac, kappa)
+        assert (r.status, r.index) == ("ok", 1)
+        parts = [reference_localizer_even(Hd[np.ix_(g == k, g == k)], 0.0,
+                                          pts[group == k], x0, 2, kappa)
+                 for k in range(3)]
+        assert [p["half_signature"] for p in parts] == [1.0, 0.0, 0.0]
+        assert r.half_signature == sum(p["half_signature"] for p in parts)
+
+
+def test_schur_solves_run_per_component(monkeypatch, z2_12, chern_12):
+    # A stacked window makes one Schur solve and one eigvalsh per layer, of
+    # the chain's 70 rows; a connected window makes exactly one of each, of
+    # all m rows (A itself, factored in place).
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a.shape[0]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    Sd, dirac, evs = _stacked_ssh(STACK_CHAINS["periodic"])
+    Hd = chern_12[1].to_dense()
+    evs_h = scipy.linalg.eigvalsh(Hd)
+    monkeypatch.setattr(scipy.linalg, "solve", spy("solve", scipy.linalg.solve))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", spy("eigvalsh", scipy.linalg.eigvalsh))
+    assert len(Sd) == 560
+    assert localizer_index_even(Sd, 0.0, dirac, 0.1, hdata=evs).index == 0
+    assert sorted(calls) == [("eigvalsh", 70)] * 8 + [("solve", 70)] * 8
+    calls.clear()
+    dirac_h = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    assert localizer_index_even(Hd, 0.0, dirac_h, 0.1, hdata=evs_h).index == 1
+    assert calls == [("solve", len(Hd)), ("eigvalsh", len(Hd))]
+
+
+def test_even_localizer_allocation_bound():
+    # The connected 22^2 Chern window, m = 1058: beyond its input the
+    # localizer holds the Fortran copy of A that LAPACK factors in place,
+    # the Schur buffer and O(m) vectors, ~2.1 m x m complex arrays; a
+    # gathered copy of A per component would push it past 2.5.
+    omega = gen_periodic(np.eye(2), ([0.0, 0.0], [22.0, 22.0]))
+    Hd = represent(builtin_model("chern_2band_2d", M=1.0), omega).to_dense()
+    m = Hd.shape[0]
+    assert m == 1058 and Hd.dtype == complex
+    evs = scipy.linalg.eigvalsh(Hd)
+    dirac = position_dirac(omega, omega.window_center, block_dim=2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        r = localizer_index_even(Hd, 0.0, dirac, 0.1, hdata=evs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.index) == ("ok", 1)
+    assert peak <= 2.5 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.1, 1.0, 10.0])
+def test_even_localizer_chiral_operator_has_zero_signature(kappa):
+    # For chiral A at mu = 0, U = diag(G, -G) gives U L U^dag = -L, so the
+    # 2D even localizer of any chiral operator has signature 0; this is why
+    # a stacked chain (criterion 6) always reads index 0.
+    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [6.0, 6.0]))
+    m = 2 * len(sites)
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((m, m)) + 1.0j * rng.standard_normal((m, m))
+    g = np.tile([1.0, -1.0], len(sites))
+    H = (M + M.conj().T) * (g[:, None] != g[None, :])
+    assert np.array_equal(g[:, None] * H * g[None, :], -H)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    assert localizer_index_even(H, 0.0, dirac, kappa).half_signature == 0.0
 
 
 def _failing_eigsh(*args, **kwargs):
