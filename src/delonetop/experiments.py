@@ -315,12 +315,9 @@ def _result_record(res: IndexResult, **extra) -> dict:
 
 
 def _onsite_potential(H: BlockOperator) -> np.ndarray:
-    n = len(H.sites)
-    out = np.zeros(n)
-    for i in range(n):
-        b = H.entries.get((i, i))
-        if b is not None:
-            out[i] = float(np.trace(b).real) / H.block_dim
+    out = np.zeros(len(H.sites))
+    diag = H.rows == H.cols
+    out[H.rows[diag]] = np.trace(H.blocks[diag], axis1=1, axis2=2).real / H.block_dim
     return out
 
 

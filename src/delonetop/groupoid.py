@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -69,65 +70,81 @@ class HoppingFunction:
 class BlockOperator:
     """Sparse site-indexed block matrix on l^2(sites) (x) C^N.
 
-    entries maps (row site, column site) to a nonzero N x N complex block;
-    dense index p = site * N + orbital.
+    Block k, a nonzero blocks[k], sits at site pair (rows[k], cols[k]), no
+    pair twice: integer arrays of length nnz and a read-only complex array
+    of shape (nnz, N, N).  Dense index p = site * N + orbital.  .entries,
+    (row, col) -> block in array order, and .block(i, j) are lazy views.
     """
 
     sites: DeloneSet
     block_dim: int
-    entries: Mapping[tuple[int, int], np.ndarray]
+    rows: np.ndarray
+    cols: np.ndarray
+    blocks: np.ndarray
     hermitian: bool = False
 
     def __post_init__(self):
-        frozen = {}
-        for key, block in self.entries.items():
-            b = np.asarray(block, dtype=complex)
-            if b.shape != (self.block_dim, self.block_dim):
-                raise InvalidInput(f"block {key} has wrong shape {b.shape}")
-            if not np.abs(b).max() > 0:
-                raise InvalidInput(f"stored block {key} is zero")
-            b = b.copy()
-            b.setflags(write=False)
-            frozen[key] = b
-        object.__setattr__(self, "entries", MappingProxyType(frozen))
+        n, N = len(self.sites), self.block_dim
+        rows, cols = np.array(self.rows, dtype=np.intp), np.array(self.cols, dtype=np.intp)
+        blocks = np.array(self.blocks, dtype=complex)
+        if (blocks.shape[1:] != (N, N) or not rows.shape == cols.shape == blocks.shape[:1]
+                or not np.all(_nonzero(blocks))):
+            raise InvalidInput(f"need (nnz,) rows and cols and nonzero (nnz, {N}, {N}) blocks")
+        if (not (np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols))
+                or np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))
+                or np.unique(rows * n + cols).size != rows.size):
+            raise InvalidInput(f"site pairs must be distinct integers in range({n})")
+        for name, a in (("rows", rows), ("cols", cols), ("blocks", blocks)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dense_dim(self) -> int:
         return len(self.sites) * self.block_dim
 
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int], np.ndarray]:
+        return MappingProxyType(dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.blocks)))
+
     def block(self, i: int, j: int) -> np.ndarray:
         """Entry (i, j), a zero block if absent."""
-        hit = self.entries.get((i, j))
-        if hit is None:
-            return np.zeros((self.block_dim, self.block_dim), dtype=complex)
-        return hit
+        if not (0 <= i < len(self.sites) and 0 <= j < len(self.sites)):
+            raise InvalidInput(f"site pair {(i, j)} is out of range")
+        return self.entries.get((i, j), np.zeros((self.block_dim, self.block_dim), dtype=complex))
 
     def to_dense(self) -> np.ndarray:
-        N = self.block_dim
-        out = np.zeros((self.dense_dim, self.dense_dim), dtype=complex)
-        for (i, j), b in self.entries.items():
-            out[i * N:(i + 1) * N, j * N:(j + 1) * N] = b
-        return out
+        n, N = len(self.sites), self.block_dim
+        out = np.zeros((n, N, n, N), dtype=complex)
+        out[self.rows, :, self.cols, :] = self.blocks
+        return out.reshape(n * N, n * N)
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         if other.block_dim != self.block_dim or len(other.sites) != len(self.sites):
             raise InvalidInput("operator shapes do not match")
         if not np.array_equal(other.sites.points, self.sites.points):
             raise InvalidInput("operators live on different site lists")
-        keys = sorted(set(self.entries) | set(other.entries))
-        entries = {}
-        for key in keys:
-            b = self.block(*key) + other.block(*key)
-            if np.abs(b).max() > 0:
-                entries[key] = b
-        return BlockOperator(self.sites, self.block_dim, entries,
+        # Both operators on the union of their pairs, zero where they store none.
+        n, N = len(self.sites), self.block_dim
+        keys, at = np.unique(np.concatenate([self.rows * n + self.cols,
+                                             other.rows * n + other.cols]), return_inverse=True)
+        mine, theirs = np.zeros((2, keys.size, N, N), dtype=complex)
+        mine[at[:self.rows.size]] = self.blocks
+        theirs[at[self.rows.size:]] = other.blocks
+        total = mine + theirs
+        keep = _nonzero(total)
+        return BlockOperator(self.sites, N, *np.divmod(keys[keep], n), total[keep],
                              hermitian=self.hermitian and other.hermitian)
 
     @staticmethod
     def identity(sites: DeloneSet, block_dim: int) -> "BlockOperator":
-        eye = np.eye(block_dim, dtype=complex)
-        entries = {(i, i): eye for i in range(len(sites))}
-        return BlockOperator(sites, block_dim, entries, hermitian=True)
+        n = len(sites)
+        eye = np.broadcast_to(np.eye(block_dim, dtype=complex), (n, block_dim, block_dim))
+        return BlockOperator(sites, block_dim, np.arange(n), np.arange(n), eye, hermitian=True)
+
+
+def _nonzero(blocks: np.ndarray) -> np.ndarray:
+    """Mask of the blocks (along axis 0) with an entry of nonzero modulus."""
+    return np.abs(blocks).max(axis=tuple(range(1, blocks.ndim))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,36 +266,38 @@ def represent(f: HoppingFunction, omega: DeloneSet) -> BlockOperator:
 
     Raises KernelNotSelfAdjoint when the involution identity fails on any
     stored pair (tolerance 1e-12); on success the result carries
-    hermitian=True.
+    hermitian=True.  Raises InvalidInput when a block is not N x N.
     """
     if f.dim != omega.dim:
         raise InvalidInput("kernel dimension does not match the point set")
     n = len(omega)
+    if n == 0:
+        return BlockOperator(omega, f.N, [], [], np.zeros((0, f.N, f.N)), hermitian=True)
     pts = omega.points
     hops = neighbor_lists(pts, pts, max(f.R_f, 1e-9))
     pats = neighbor_lists(pts, pts, f.rho_f) if f.rho_f > 0 else [[i] for i in range(n)]
 
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(n):
-        pattern = LocalPattern(omega.dim, f.rho_f, pts[pats[i]] - pts[i])
-        for j in hops[i]:
-            block = np.asarray(f.kernel(pattern, pts[j] - pts[i]), dtype=complex)
-            if np.abs(block).max() > 0:
-                entries[(i, int(j))] = block
-
-    worst = 0.0
-    worst_pair = None
-    for (i, j), b in entries.items():
-        partner = entries.get((j, i))
-        other = partner.conj().T if partner is not None else np.zeros_like(b)
-        res = float(np.abs(b - other).max())
-        if res > worst:
-            worst, worst_pair = res, (i, j)
-    if worst > 1e-12:
-        raise KernelNotSelfAdjoint(
-            f"involution identity fails at site pair {worst_pair}: residual {worst:.3e}"
-        )
-    return BlockOperator(omega, f.N, entries, hermitian=True)
+    rows = np.repeat(np.arange(n), [h.size for h in hops])
+    cols = np.concatenate(hops)
+    patterns = [LocalPattern(omega.dim, f.rho_f, pts[p] - x) for p, x in zip(pats, pts)]
+    raw = [f.kernel(patterns[i], pts[j] - pts[i]) for i, j in zip(rows.tolist(), cols.tolist())]
+    try:
+        blocks = np.array(raw, dtype=complex)
+    except ValueError as err:
+        raise InvalidInput(f"kernel {f.tag!r} returned blocks of different shapes") from err
+    keep = _nonzero(blocks)
+    H = BlockOperator(omega, f.N, rows[keep], cols[keep], blocks[keep], hermitian=True)
+    # Each stored (i, j) against the adjoint of (j, i), zero if not stored.
+    keys, at = np.unique(np.concatenate([H.rows * n + H.cols, H.cols * n + H.rows]),
+                         return_inverse=True)
+    adjoint = np.zeros((keys.size, f.N, f.N), dtype=complex)
+    adjoint[at[H.rows.size:]] = H.blocks.conj().transpose(0, 2, 1)
+    res = np.abs(H.blocks - adjoint[at[:H.rows.size]]).max(axis=(1, 2))
+    if res.max(initial=0.0) > 1e-12:
+        k = int(np.argmax(res))
+        raise KernelNotSelfAdjoint(f"involution identity fails at site pair "
+                                   f"{(int(H.rows[k]), int(H.cols[k]))}: residual {res[k]:.3e}")
+    return H
 
 
 def covariance_check(f: HoppingFunction, omega: DeloneSet, v) -> float:
@@ -294,13 +313,9 @@ def covariance_check(f: HoppingFunction, omega: DeloneSet, v) -> float:
     lo, hi = omega.window
     margin = f.R_f + f.rho_f
     interior = np.all((omega.points - lo >= margin) & (hi - omega.points >= margin), axis=1)
-
-    res = 0.0
-    for key in set(h1.entries) | set(h2.entries):
-        i, j = key
-        if interior[i] and interior[j]:
-            res = max(res, float(np.abs(h1.block(i, j) - h2.block(i, j)).max()))
-    return res
+    diff = h1.add(BlockOperator(omega, f.N, h2.rows, h2.cols, -h2.blocks))
+    inside = interior[diff.rows] & interior[diff.cols]
+    return float(np.abs(diff.blocks[inside]).max(initial=0.0))
 
 
 def stack_operator(T: BlockOperator, L: DeloneSet) -> BlockOperator:
@@ -312,11 +327,10 @@ def stack_operator(T: BlockOperator, L: DeloneSet) -> BlockOperator:
     """
     prod = product_delone(T.sites, L)
     nb = len(L)
-    entries = {}
-    for (i, j), b in T.entries.items():
-        for a in range(nb):
-            entries[(i * nb + a, j * nb + a)] = b
-    return BlockOperator(prod, T.block_dim, entries, hermitian=T.hermitian)
+    layers = np.arange(nb)
+    return BlockOperator(prod, T.block_dim, (T.rows[:, None] * nb + layers).ravel(),
+                         (T.cols[:, None] * nb + layers).ravel(),
+                         np.repeat(T.blocks, nb, axis=0), hermitian=T.hermitian)
 
 
 def bloch_hamiltonian(f: HoppingFunction, basis) -> Callable[[np.ndarray], np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .geometry import DeloneSet, neighbor_lists
-from .groupoid import BlockOperator
+from .groupoid import BlockOperator, _nonzero
 
 __all__ = [
     "SupportStats",
@@ -45,25 +45,16 @@ class SupportStats:
     schur_col: float
 
 
-def _block_norm(b: np.ndarray) -> float:
-    return float(np.linalg.svd(b, compute_uv=False)[0])
-
-
 def support_stats(T: BlockOperator) -> SupportStats:
-    pts = T.sites.points
     n = len(T.sites)
-    row = np.zeros(n)
-    col = np.zeros(n)
-    prop = 0.0
-    for (i, j), b in T.entries.items():
-        nrm = _block_norm(b)
-        row[i] += nrm
-        col[j] += nrm
-        if i != j:
-            prop = max(prop, float(np.linalg.norm(pts[i] - pts[j])))
-    schur_row = float(row.max()) if n else 0.0
-    schur_col = float(col.max()) if n else 0.0
-    return SupportStats(prop, len(T.entries), schur_row, schur_col)
+    nrm = np.linalg.svd(T.blocks, compute_uv=False)[:, 0]
+    row = np.bincount(T.rows, weights=nrm, minlength=n)
+    col = np.bincount(T.cols, weights=nrm, minlength=n)
+    d = T.sites.points[T.rows] - T.sites.points[T.cols]
+    # d @ d per pair: the dot np.linalg.norm takes of one vector, bit for bit.
+    prop = float(np.sqrt((d[:, None, :] @ d[:, :, None]).max(initial=0.0)))
+    return SupportStats(prop, T.rows.size, float(row.max(initial=0.0)),
+                        float(col.max(initial=0.0)))
 
 
 def is_controlled(T: BlockOperator, R: float) -> bool:
@@ -81,12 +72,10 @@ def position_commutator(T: BlockOperator, axis: int) -> BlockOperator:
     if not 0 <= axis < T.sites.dim:
         raise InvalidInput(f"axis {axis} out of range for dim {T.sites.dim}")
     coords = T.sites.points[:, axis]
-    entries = {}
-    for (i, j), b in T.entries.items():
-        w = coords[j] - coords[i]
-        if w != 0.0:
-            entries[(i, j)] = w * b
-    return BlockOperator(T.sites, T.block_dim, entries, hermitian=False)
+    w = coords[T.cols] - coords[T.rows]
+    keep = w != 0.0
+    return BlockOperator(T.sites, T.block_dim, T.rows[keep], T.cols[keep],
+                         w[keep, None, None] * T.blocks[keep], hermitian=False)
 
 
 def subset_injection(X: DeloneSet, Y: DeloneSet) -> np.ndarray:
@@ -124,9 +113,8 @@ def covering_embed(T: BlockOperator, Y: DeloneSet, injection: np.ndarray) -> Blo
     d = np.linalg.norm(Y.points[injection] - T.sites.points, axis=1)
     if d.size and d.max() > 1e-12:
         raise InvalidInput("injection moves a site; only distance-0 embeddings are allowed")
-    entries = {(int(injection[i]), int(injection[j])): b
-               for (i, j), b in T.entries.items()}
-    return BlockOperator(Y, T.block_dim, entries, hermitian=T.hermitian)
+    return BlockOperator(Y, T.block_dim, injection[T.rows], injection[T.cols], T.blocks,
+                         hermitian=T.hermitian)
 
 
 def random_perturbation(sites: DeloneSet, R: float, strength: float,
@@ -162,7 +150,8 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
             raise InvalidInput("grading must be a diagonal +-1 matrix")
 
     if strength == 0.0 or len(sites) == 0:
-        return BlockOperator(sites, block_dim, {}, hermitian=True)
+        return BlockOperator(sites, block_dim, [], [], np.zeros((0, block_dim, block_dim)),
+                             hermitian=True)
 
     pts = sites.points
     hits = neighbor_lists(pts, pts, R)
@@ -182,14 +171,13 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
     nrm = np.linalg.svd(B, compute_uv=False)[:, 0]
     clip = nrm > strength
     B[clip] = B[clip] * (strength / nrm[clip])[:, None, None]
-    keep = np.abs(B).max(axis=(1, 2)) > 0
-
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    for i, j, b in zip(rows[keep].tolist(), cols[keep].tolist(), B[keep]):
-        entries[(i, j)] = b
-        if j != i:
-            entries[(j, i)] = b.conj().T
-    return BlockOperator(sites, block_dim, entries, hermitian=True)
+    # Each kept pair (i, j), then its adjoint at (j, i) unless i == j.
+    keep = _nonzero(B)
+    slots = np.column_stack([keep, keep & ~diag]).ravel()
+    B = np.stack([B, B.conj().transpose(0, 2, 1)], axis=1).reshape(-1, block_dim, block_dim)
+    return BlockOperator(sites, block_dim, np.column_stack([rows, cols]).ravel()[slots],
+                         np.column_stack([cols, rows]).ravel()[slots], B[slots],
+                         hermitian=True)
 
 
 def summability_profile(sites: DeloneSet, s: float, radii,

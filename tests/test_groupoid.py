@@ -127,6 +127,19 @@ def test_non_selfadjoint_kernel_reports_worst_pair():
     with pytest.raises(KernelNotSelfAdjoint) as exc:
         represent(f, z1(6))
     assert "pair" in str(exc.value)
+    assert "(0, 1)" in str(exc.value)
+    assert "residual 1.000e+00" in str(exc.value)
+
+
+def test_misshaped_kernel_block_on_some_pairs_is_invalid_input():
+    # 3 x 3 on-site blocks at the two chain ends only (their pattern holds
+    # one neighbour), 2 x 2 everywhere else.
+    f = HoppingFunction(
+        dim=1, R_f=1e-6, rho_f=1.5, N=2,
+        kernel=lambda pat, a: np.eye(3 if len(pat.points) < 3 else 2),
+        tag="ragged")
+    with pytest.raises(InvalidInput):
+        represent(f, z1(6))
 
 
 def test_dimension_mismatch_rejected():
@@ -226,15 +239,27 @@ def test_bloch_is_hermitian_for_all_models():
 def test_block_operator_rejects_zero_and_misshaped_blocks():
     omega = z1(3)
     with pytest.raises(InvalidInput):
-        BlockOperator(omega, 1, {(0, 0): np.zeros((1, 1))})
+        BlockOperator(omega, 1, [0], [0], np.zeros((1, 1, 1)))
     with pytest.raises(InvalidInput):
-        BlockOperator(omega, 1, {(0, 0): np.ones((2, 2))})
+        BlockOperator(omega, 1, [0], [0], np.ones((1, 2, 2)))
+
+
+def test_block_operator_rejects_out_of_range_and_repeated_pairs():
+    omega = z1(3)
+    for rows, cols in (([5], [5]), ([-1], [0]), ([0], [3]), ([0, 0], [1, 1]),
+                       ([0.5], [0])):
+        with pytest.raises(InvalidInput):
+            BlockOperator(omega, 1, rows, cols, np.ones((len(rows), 1, 1)))
+    A = BlockOperator.identity(omega, 1)
+    for i, j in ((-1, 0), (7, 7), (0, 3)):
+        with pytest.raises(InvalidInput):
+            A.block(i, j)
 
 
 def test_block_operator_add_and_blocks_are_readonly():
     omega = z1(3)
     A = BlockOperator.identity(omega, 1)
-    B = BlockOperator(omega, 1, {(0, 1): np.array([[2.0]])})
+    B = BlockOperator(omega, 1, [0], [1], np.array([[[2.0]]]))
     C = A.add(B)
     assert np.array_equal(C.block(0, 1), np.array([[2.0]]))
     assert np.array_equal(C.block(0, 0), np.array([[1.0]]))
@@ -245,7 +270,7 @@ def test_block_operator_add_and_blocks_are_readonly():
 
 def test_block_operator_add_cancellation_drops_block():
     omega = z1(2)
-    A = BlockOperator(omega, 1, {(0, 1): np.array([[1.0]])})
-    B = BlockOperator(omega, 1, {(0, 1): np.array([[-1.0]])})
+    A = BlockOperator(omega, 1, [0], [1], np.array([[[1.0]]]))
+    B = BlockOperator(omega, 1, [0], [1], np.array([[[-1.0]]]))
     C = A.add(B)
     assert (0, 1) not in C.entries

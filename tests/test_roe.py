@@ -39,7 +39,7 @@ def test_nn_laplacian_stats():
 
 
 def test_zero_operator_stats():
-    s = support_stats(BlockOperator(z2(3), 1, {}))
+    s = support_stats(BlockOperator(z2(3), 1, [], [], np.zeros((0, 1, 1))))
     assert (s.propagation, s.nnz_blocks, s.schur_row, s.schur_col) == (0.0, 0, 0.0, 0.0)
 
 
@@ -77,8 +77,8 @@ def test_commutator_entry_law_on_random_probes():
 
 def test_commutator_of_unit_shift_has_norm_one():
     omega = gen_periodic(np.eye(1), ([0.0], [20.0]))
-    shift = BlockOperator(omega, 1, {(i, i + 1): np.array([[1.0]])
-                                     for i in range(20)}, hermitian=False)
+    shift = BlockOperator(omega, 1, np.arange(20), np.arange(1, 21), np.ones((20, 1, 1)),
+                          hermitian=False)
     C = position_commutator(shift, 0)
     dense = C.to_dense()
     assert np.linalg.norm(dense, 2) == pytest.approx(1.0, abs=1e-12)
