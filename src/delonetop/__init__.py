@@ -4,7 +4,7 @@ triples, and quantized topological indices with independent oracles.
 The package is organized bottom-up:
 
 * geometry   -- Delone windows (periodic, perturbed, hard-core random,
-                cut-and-project), validation, cKDTree neighbor search, products.
+                cut-and-project), validation, the neighbor_pairs engine, products.
 * clifford   -- exact real Clifford representations Cl_{p,q} on the exterior
                 algebra.
 * groupoid   -- pattern-equivariant hopping kernels, their localized block

@@ -324,7 +324,6 @@ def _cmd_generate(cfg: dict, workers: int) -> ExperimentReport:
     report.summary = {"n_sites": len(sites), "validated": val.passed}
     report.artifacts["sites"] = sites
     report.artifacts["onsite"] = np.zeros(len(sites))
-    report.artifacts["points"] = sites
     return report
 
 
@@ -378,12 +377,7 @@ def _dispatch(command: str, cfg: dict, workers: int,
             stack_cfg["target_R"] = exp["stack_target_R"]
         control_cfg = None
         if exp["control"]:
-            control_cfg = {
-                "lattice": {"generator": "periodic", "dim": 2,
-                            "window": exp["control_window"]},
-                "model": {"name": DEFAULTS["model"]["name"], "mu": 0.0},
-                "index": {"kappa_list": index.get("kappa_list") or [0.1]},
-            }
+            control_cfg = {"lattice": {"window": exp["control_window"]}}
         return run_stacking(lattice, model, stack_cfg, index,
                             control_cfg=control_cfg, workers=workers)
     if command == "omega":

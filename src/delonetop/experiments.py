@@ -501,12 +501,22 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     the periodic reference), the stacked index is exactly 0 across the kappa
     plateau, and the stacked spectrum is the chain spectrum repeated |L|
     times to 1e-9.  An optional control config runs a genuine 2D Chern model
-    for contrast (its nonzero index is reported, not required).
+    for contrast (its nonzero index is reported, not required).  Each key it
+    leaves out of its lattice, model and index sections takes the control
+    default: the default model at mu = 0 on a periodic 2D window, with the
+    chain's kappas (0.1 when it has none).
     """
     index_cfg = dict(index_cfg or {})
     defaults = EXPERIMENT_DEFAULTS["stacking"]
     stack_cfg = dict(stack_cfg or {"generator": defaults["stack_generator"], "dim": 1,
                                    "window": defaults["stack_window"]})
+    if control_cfg:
+        control_defaults = {
+            "lattice": {"generator": "periodic", "dim": 2, "window": defaults["control_window"]},
+            "model": {"name": DEFAULTS["model"]["name"], "mu": 0.0},
+            "index": {"kappa_list": index_cfg.get("kappa_list") or [0.1]},
+        }
+        control_cfg = {k: {**v, **control_cfg.get(k, {})} for k, v in control_defaults.items()}
     t0 = time.perf_counter()
     report = ExperimentReport(
         "stacking",
@@ -549,10 +559,8 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
     control_summary = None
     if control_cfg:
-        control = run_quantization(
-            control_cfg.get("lattice", {"window": defaults["control_window"]}),
-            control_cfg.get("model", {}), control_cfg.get("index", {}),
-            workers=workers)
+        control = run_quantization(control_cfg["lattice"], control_cfg["model"],
+                                   control_cfg["index"], workers=workers)
         control_summary = control.summary
         report.records.append({"stage": "control",
                                "verdict": "pass" if control.passed else "fail",

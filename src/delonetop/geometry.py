@@ -7,6 +7,9 @@ toolkit works with finite rectangular windows cut from such patterns; the
 covering condition is only meaningful away from the window boundary, so it is
 validated on the R-eroded window.
 
+Every fixed-radius query goes through neighbor_pairs, whose closed-ball rule
+is per-vector ``np.linalg.norm(a - b) <= radius``.
+
 Point identity is by list index throughout -- coordinates are never used as
 dictionary keys.  All containers are immutable after construction and safe to
 share across workers.
@@ -37,7 +40,7 @@ __all__ = [
     "gen_cut_and_project",
     "product_delone",
     "neighbors",
-    "neighbor_lists",
+    "neighbor_pairs",
     "local_pattern",
     "translate",
     "union_pointsets",
@@ -146,18 +149,24 @@ class ValidationReport:
 _PAD = 1e-9
 
 
-def neighbor_lists(points: np.ndarray, centers: np.ndarray, radius: float) -> list[np.ndarray]:
-    """For each center c, the ascending indices of the points with
-    ``np.linalg.norm(p - c, axis=1) <= radius``: the package's one
-    fixed-radius neighbor engine."""
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float).reshape(-1, points.shape[1])
-    cand = cKDTree(points).query_ball_point(centers, radius + _PAD, return_sorted=True)
-    out = []
-    for c, idx in zip(centers, cand):
-        idx = np.asarray(idx, dtype=np.int64)
-        out.append(idx[np.linalg.norm(points[idx] - c, axis=1) <= radius])
-    return out
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Length of each row of d by its own dot product: per-vector
+    ``np.linalg.norm`` bit for bit, which the axis=1 form is not."""
+    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
+def neighbor_pairs(A: np.ndarray, B: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with ``np.linalg.norm(A[i] - B[j]) <= radius``,
+    sorted lexicographically: the package's one fixed-radius neighbor
+    engine."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    pairs = cKDTree(A).sparse_distance_matrix(cKDTree(B), radius + _PAD, output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    hit = _norms(A[i] - B[j]) <= radius
+    i, j = i[hit], j[hit]
+    order = np.argsort(i * len(B) + j)
+    return i[order], j[order]
 
 
 def validate_delone(ds: DeloneSet, grid_step: float) -> ValidationReport:
@@ -284,28 +293,14 @@ def gen_perturbed_lattice(basis, window, max_disp: float, seed: int) -> DeloneSe
     return DeloneSet(d, pts, base.r_pack - max_disp, base.R_cov + max_disp, (lo, hi), meta)
 
 
-def _conflicts(A: np.ndarray, B: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with ``np.linalg.norm(A[i] - B[j]) <= r``; only
-    pairs within _PAD of r, where the vectorised distance may differ from
-    that expression in the last bit, are decided by the expression itself."""
-    pairs = cKDTree(A).sparse_distance_matrix(cKDTree(B), r + _PAD, output_type="ndarray")
-    i, j = pairs["i"], pairs["j"]
-    diff = A[i] - B[j]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    hits = dist <= r
-    for k in np.flatnonzero(np.abs(dist - r) <= _PAD):
-        hits[k] = np.linalg.norm(diff[k]) <= r
-    return i[hits], j[hits]
-
-
 def _adsorb(placed: np.ndarray, chunks, r: float) -> np.ndarray:
     """`placed` followed by the chunks' rows that sequential adsorption
     accepts: those with no earlier point within the closed radius-r ball.
     Rows near a placed point are dropped at once; conflicts among a chunk's
     survivors are resolved greedily in row order."""
     for X in chunks:
-        S = np.delete(X, _conflicts(placed, X, r)[1], axis=0)
-        i, j = _conflicts(S, S, r)
+        S = np.delete(X, neighbor_pairs(placed, X, r)[1], axis=0)
+        i, j = neighbor_pairs(S, S, r)
         i, j = i[i < j], j[i < j]
         order = np.argsort(j, kind="stable")
         later, starts = np.unique(j[order], return_index=True)
@@ -493,7 +488,7 @@ def neighbors(ds: DeloneSet, x, radius: float) -> np.ndarray:
     """Ascending indices of all sites within the closed `radius` ball around x."""
     if radius <= 0:
         raise InvalidInput("radius must be positive")
-    return neighbor_lists(ds.points, x, radius)[0]
+    return neighbor_pairs(np.reshape(x, (1, -1)), ds.points, radius)[1]
 
 
 def local_pattern(ds: DeloneSet, i: int, rho: float) -> LocalPattern:

@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InvalidInput, KernelNotSelfAdjoint
-from .geometry import DeloneSet, LocalPattern, neighbor_lists, product_delone, translate
+from .geometry import DeloneSet, LocalPattern, neighbor_pairs, product_delone, translate
 
 __all__ = [
     "HoppingFunction",
@@ -274,11 +274,10 @@ def represent(f: HoppingFunction, omega: DeloneSet) -> BlockOperator:
     if n == 0:
         return BlockOperator(omega, f.N, [], [], np.zeros((0, f.N, f.N)), hermitian=True)
     pts = omega.points
-    hops = neighbor_lists(pts, pts, max(f.R_f, 1e-9))
-    pats = neighbor_lists(pts, pts, f.rho_f) if f.rho_f > 0 else [[i] for i in range(n)]
-
-    rows = np.repeat(np.arange(n), [h.size for h in hops])
-    cols = np.concatenate(hops)
+    rows, cols = neighbor_pairs(pts, pts, max(f.R_f, 1e-9))
+    # Every site is in its own ball, so the rho_f pairs split into n patterns.
+    at, nbr = neighbor_pairs(pts, pts, f.rho_f) if f.rho_f > 0 else (np.arange(n),) * 2
+    pats = np.split(nbr, np.searchsorted(at, np.arange(1, n)))
     patterns = [LocalPattern(omega.dim, f.rho_f, pts[p] - x) for p, x in zip(pats, pts)]
     raw = [f.kernel(patterns[i], pts[j] - pts[i]) for i, j in zip(rows.tolist(), cols.tolist())]
     try:
@@ -350,18 +349,17 @@ def bloch_hamiltonian(f: HoppingFunction, basis) -> Callable[[np.ndarray], np.nd
     rng = np.arange(-kmax, kmax + 1)
     ns = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
     vecs = ns @ basis.T
-    norms = np.linalg.norm(vecs, axis=1)
+    origin = np.zeros((1, d))
 
-    pat_pts = vecs[norms <= f.rho_f + 1e-12]
+    pat_pts = vecs[neighbor_pairs(vecs, origin, f.rho_f + 1e-12)[0]]
     pat_pts = pat_pts[np.lexsort(pat_pts.T[::-1])]
     pattern = LocalPattern(d, max(f.rho_f, 1e-9), pat_pts)
 
     hops: list[tuple[np.ndarray, np.ndarray]] = []
-    for a, r in zip(vecs, norms):
-        if r <= f.R_f + 1e-12:
-            block = np.asarray(f.kernel(pattern, a), dtype=complex)
-            if np.abs(block).max() > 0:
-                hops.append((a.copy(), block))
+    for a in vecs[neighbor_pairs(vecs, origin, f.R_f + 1e-12)[0]]:
+        block = np.asarray(f.kernel(pattern, a), dtype=complex)
+        if np.abs(block).max() > 0:
+            hops.append((a, block))
 
     def hk(k) -> np.ndarray:
         k = np.atleast_1d(np.asarray(k, dtype=float))

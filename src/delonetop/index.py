@@ -40,7 +40,7 @@ import scipy.linalg
 from .clifford import CliffordRep, build_rep, verify_relations
 from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
-from .geometry import DeloneSet
+from .geometry import DeloneSet, neighbor_pairs
 from .groupoid import BlockOperator
 from .spectral import FermiProjection, SpectralData, spectral_gap
 
@@ -150,7 +150,7 @@ def _h_eigenvalues(Hd: np.ndarray, hdata) -> np.ndarray:
 
 
 def _index_result(half_sig: float, margin: float, kappa: float, x0, mu: float,
-                  margin_min: float, oracles: dict | None) -> IndexResult:
+                  margin_min: float) -> IndexResult:
     nearest = round(half_sig)
     ok = margin > margin_min and abs(half_sig - nearest) <= 0.01
     return IndexResult(
@@ -161,7 +161,6 @@ def _index_result(half_sig: float, margin: float, kappa: float, x0, mu: float,
         x0=tuple(float(v) for v in np.atleast_1d(x0)),
         mu=float(mu),
         status="ok" if ok else "unreliable",
-        oracles=dict(oracles or {}),
     )
 
 
@@ -271,8 +270,7 @@ def _even_margin(m: int, nz, a: np.ndarray, kd: np.ndarray) -> float:
 
 
 def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
-                         margin_min: float | None = None, hdata=None,
-                         oracles: dict | None = None) -> IndexResult:
+                         margin_min: float | None = None, hdata=None) -> IndexResult:
     """Half-signature index of L = [[H - mu, k D-], [k D-^dag, -(H - mu)]].
 
     D- = (X1 - x01) - i (X2 - x02) acts site-diagonally on the internal
@@ -312,7 +310,7 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
     if m == 0:
-        return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min, oracles)
+        return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min)
 
     rel = dirac.sites.points - dirac.x0
     kd = kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
@@ -327,7 +325,7 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     assert schur_min >= margin * (1.0 - 1e-9), (
         f"Schur complement eigenvalue {schur_min:.17g} below the margin {margin:.17g}")
     half_sig = 0.5 * (_signature(evs - mu) + _signature(schur))
-    return _index_result(half_sig, margin, kappa, dirac.x0, mu, margin_min, oracles)
+    return _index_result(half_sig, margin, kappa, dirac.x0, mu, margin_min)
 
 
 def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,
@@ -361,8 +359,7 @@ def _chiral_split(grading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
                         grading: np.ndarray, mu: float = 0.0,
-                        margin_min: float | None = None, hdata=None,
-                        oracles: dict | None = None) -> IndexResult:
+                        margin_min: float | None = None, hdata=None) -> IndexResult:
     """Winding index of a chiral 1D Hamiltonian via the odd localizer.
 
     In the chiral basis H = [[0, A], [A^dag, 0]] the localizer is
@@ -406,7 +403,7 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     evl = scipy.linalg.eigvalsh(L, overwrite_a=True)
     margin = float(np.abs(evl).min()) if evl.size else np.inf
     return _index_result(0.5 * _signature(evl), margin, kappa, dirac.x0, mu,
-                         margin_min, oracles)
+                         margin_min)
 
 
 def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
@@ -459,13 +456,13 @@ def angular_sectors(sites: DeloneSet, x0, radius: float,
         raise InvalidInput("angular sectors are defined on planar sets")
     if radius <= 0:
         raise InvalidInput("radius must be positive")
-    rel = sites.points - np.asarray(x0, dtype=float)
-    r = np.linalg.norm(rel, axis=1)
+    disk = neighbor_pairs(sites.points, np.reshape(x0, (1, -1)), radius)[0]
+    rel = sites.points[disk] - np.asarray(x0, dtype=float)
     ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - theta0, 2.0 * np.pi)
     sector = np.minimum((ang / (2.0 * np.pi / 3.0)).astype(int), 2)
     out = []
     for s in range(3):
-        sel = np.flatnonzero((r <= radius) & (sector == s))
+        sel = disk[sector == s]
         dense = (sel[:, None] * block_dim + np.arange(block_dim)[None, :]).ravel()
         out.append(dense)
     return tuple(out)

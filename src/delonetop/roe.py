@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import DeloneSet, neighbor_lists
+from .geometry import DeloneSet, _norms, neighbor_pairs
 from .groupoid import BlockOperator, _nonzero
 
 __all__ = [
@@ -50,9 +50,7 @@ def support_stats(T: BlockOperator) -> SupportStats:
     nrm = np.linalg.svd(T.blocks, compute_uv=False)[:, 0]
     row = np.bincount(T.rows, weights=nrm, minlength=n)
     col = np.bincount(T.cols, weights=nrm, minlength=n)
-    d = T.sites.points[T.rows] - T.sites.points[T.cols]
-    # d @ d per pair: the dot np.linalg.norm takes of one vector, bit for bit.
-    prop = float(np.sqrt((d[:, None, :] @ d[:, :, None]).max(initial=0.0)))
+    prop = float(_norms(T.sites.points[T.rows] - T.sites.points[T.cols]).max(initial=0.0))
     return SupportStats(prop, T.rows.size, float(row.max(initial=0.0)),
                         float(col.max(initial=0.0)))
 
@@ -86,11 +84,11 @@ def subset_injection(X: DeloneSet, Y: DeloneSet) -> np.ndarray:
     """
     if X.dim != Y.dim:
         raise InvalidInput("point sets have different dimensions")
-    out = np.empty(len(X), dtype=int)
-    for i, hits in enumerate(neighbor_lists(Y.points, X.points, 1e-12)):
-        if hits.size != 1:
-            raise InvalidInput(f"X point {i} has {hits.size} matches in Y")
-        out[i] = hits[0]
+    at, out = neighbor_pairs(X.points, Y.points, 1e-12)
+    matches = np.bincount(at, minlength=len(X))
+    if np.any(matches != 1):
+        i = int(np.argmax(matches != 1))
+        raise InvalidInput(f"X point {i} has {matches[i]} matches in Y")
     if np.unique(out).size != out.size:
         raise InvalidInput("injection is not injective")
     return out
@@ -110,8 +108,7 @@ def covering_embed(T: BlockOperator, Y: DeloneSet, injection: np.ndarray) -> Blo
         raise InvalidInput("injection is not injective")
     if injection.min(initial=0) < 0 or injection.max(initial=-1) >= len(Y):
         raise InvalidInput("injection runs out of the codomain index range")
-    d = np.linalg.norm(Y.points[injection] - T.sites.points, axis=1)
-    if d.size and d.max() > 1e-12:
+    if _norms(Y.points[injection] - T.sites.points).max(initial=0.0) > 1e-12:
         raise InvalidInput("injection moves a site; only distance-0 embeddings are allowed")
     return BlockOperator(Y, T.block_dim, injection[T.rows], injection[T.cols], T.blocks,
                          hermitian=T.hermitian)
@@ -153,10 +150,7 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
         return BlockOperator(sites, block_dim, [], [], np.zeros((0, block_dim, block_dim)),
                              hermitian=True)
 
-    pts = sites.points
-    hits = neighbor_lists(pts, pts, R)
-    rows = np.repeat(np.arange(len(hits)), [h.size for h in hits])
-    cols = np.concatenate(hits)
+    rows, cols = neighbor_pairs(sites.points, sites.points, R)
     upper = cols >= rows
     rows, cols = rows[upper], cols[upper]
 
@@ -193,5 +187,6 @@ def summability_profile(sites: DeloneSet, s: float, radii,
     c = sites.window_center if center is None else np.asarray(center, dtype=float)
     r2 = np.sum((sites.points - c) ** 2, axis=1)
     weight = (1.0 + r2) ** (-0.5 * s)
+    r = _norms(sites.points - c)
     factor = 2.0 ** sites.dim
-    return np.array([factor * float(weight[r2 <= rho * rho].sum()) for rho in radii])
+    return np.array([factor * float(weight[r <= rho].sum()) for rho in radii])

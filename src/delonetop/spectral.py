@@ -3,9 +3,10 @@ Fermi projections.
 
 Window sizes stay at desk scale (matrices up to a few thousand), so
 everything is a full dense eigensolve; projections are built from
-eigenvectors, which is exact at finite dimension.  From _MRRR_MIN_DIM rows
-up, eigenvectors come from LAPACK's MRRR driver (Dhillon & Parlett, SIMAX
-2004), ``scipy.linalg.eigh(driver="evr")``; smaller matrices use numpy.
+eigenvectors, which is exact at finite dimension.  Every eigendecomposition
+is ``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR
+driver (Dhillon & Parlett, SIMAX 2004), ``driver="evr"``, below it with
+divide and conquer, ``driver="evd"``.
 
 Only the m x m arrays an output reads are allocated.  eig_hermitian
 symmetrizes into one Fortran-ordered buffer that LAPACK overwrites, and
@@ -16,10 +17,9 @@ formed only when .matrix is read, and the three-sector Chern oracle forms
 just the sector blocks of P from the frame.
 
 The rest of the package sends window-sized LAPACK work (eigenvalue-only
-solves, the localizer's LU solve) through scipy.linalg: NumPy and SciPy
+solves, the localizer's LU solve) through scipy.linalg too: NumPy and SciPy
 each bundle an OpenBLAS, and alternating the two at 2 BLAS threads slowed
-each call ~2x.  eig_hermitian's numpy eigh below _MRRR_MIN_DIM rows is the
-measured exception.
+each call ~2x.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
-# MRRR halves the 1552-row solve against numpy's divide and conquer.  Below
-# this size numpy's eigh stays: evr at every size gave no resolved wall-time
-# gain in benchmark pairs (2-core host), and SciPy's evd below 1000 rows is
-# byte-identical to numpy's and was neutral over 4 + 3 pairs.
+# MRRR halves the 1552-row solve against divide and conquer.  Below this
+# size the driver is evd: evr at every size gave no resolved wall-time gain
+# in benchmark pairs (2-core host), and SciPy's evd gave eigenvalues and
+# eigenvectors byte-identical to numpy's eigh at 70, 338 and 578 rows.
 _MRRR_MIN_DIM = 1000
 # Columns per block of eig_hermitian's checks: each block needs m x _BLOCK
 # temporaries instead of m x m ones.
@@ -113,10 +113,11 @@ class FermiProjection:
 def eig_hermitian(H: np.ndarray) -> SpectralData:
     """Eigendecomposition with asserted residual and orthonormality bounds.
 
-    MRRR solves from _MRRR_MIN_DIM rows up.  Input must be Hermitian within
-    1e-10 elementwise; it is symmetrized exactly, into one Fortran-ordered
-    buffer the solver overwrites, so the result is deterministic in the
-    input bytes and H itself is left unchanged.  Every column is checked,
+    MRRR solves from _MRRR_MIN_DIM rows up, divide and conquer below.
+    Input must be Hermitian within 1e-10 elementwise; it is symmetrized
+    exactly, into one Fortran-ordered buffer the solver overwrites, so the
+    result is deterministic in the input bytes and H itself is left
+    unchanged.  Every column is checked,
     one block of columns at a time: its residual |H v - lambda v| against a
     CSR copy of the symmetrized H (<= 1e-9 max(|lambda|, 1)), and its inner
     products with all columns on SciPy's BLAS (|V^dag V - 1| <= 1e-9).
@@ -136,10 +137,8 @@ def eig_hermitian(H: np.ndarray) -> SpectralData:
     Hs += H
     Hs *= 0.5
     Hsp = scipy.sparse.csr_array(Hs)
-    if n >= _MRRR_MIN_DIM:
-        vals, vecs = scipy.linalg.eigh(Hs, driver="evr", overwrite_a=True)
-    else:
-        vals, vecs = np.linalg.eigh(Hs)
+    driver = "evr" if n >= _MRRR_MIN_DIM else "evd"
+    vals, vecs = scipy.linalg.eigh(Hs, driver=driver, overwrite_a=True)
     del Hs
 
     scale = max(float(np.abs(vals).max()), 1.0)

@@ -303,18 +303,18 @@ def test_omega_independence_worker_determinism():
 
 def test_window_sized_lapack_goes_through_scipy(monkeypatch):
     # NumPy and SciPy each bundle an OpenBLAS; alternating the two slows the
-    # next solve, so window-sized eigvalsh/solve calls must all be SciPy's.
-    # np.linalg.eigh stays: eig_hermitian keeps it below 1000 rows.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("window-sized LAPACK call on NumPy's OpenBLAS")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(np.linalg, "solve", forbidden)
-
+    # next solve, so window-sized eigh/eigvalsh/solve calls must all be SciPy's.
     sites = gen_periodic(np.eye(2), ([0.0, 0.0], [6.0, 6.0]))
     H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
     dirac = position_dirac(sites, sites.window_center, block_dim=2)
     evs = np.linalg.eigh(H.to_dense())[0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("window-sized LAPACK call on NumPy's OpenBLAS")
+
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+
     for hdata in (None, evs):
         assert localizer_index_even(H, 0.0, dirac, 0.1, hdata=hdata).index == 1
 

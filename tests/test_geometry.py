@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delonetop.errors import GenerationFailed, InvalidInput
-from delonetop.geometry import (DeloneSet, box, gen_cut_and_project,
+from delonetop.geometry import (DeloneSet, _norms, box, gen_cut_and_project,
                                 gen_hardcore_random, gen_periodic,
                                 gen_perturbed_lattice, local_pattern, neighbors,
                                 product_delone, read_pointset, translate,
@@ -271,11 +271,24 @@ def test_neighbors_negative_radius():
 def test_neighbors_match_brute_scan_on_random_queries():
     ds = gen_hardcore_random(([0.0, 0.0], [12.0, 12.0]), 0.8, 1.4, seed=9)
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        x = rng.uniform(0.0, 12.0, size=2)
-        r = rng.uniform(0.3, 2.5)
+    queries = [(ds, rng.uniform(0.0, 12.0, size=2), rng.uniform(0.3, 2.5))
+               for _ in range(100)]
+    # A site exactly on the sphere |p - x| = r, where the axis=1 norm of
+    # p - x exceeds r in the last bit while the per-vector norm does not.
+    p = np.array([2.6414215220820934, 0.9822090689727103])
+    x = np.array([3.0740679955850174, 0.846698970430042])
+    tie = DeloneSet(2, p[None], 0.5, 1.0, box([0.0, 0.0], [4.0, 4.0]))
+    queries.append((tie, x, 0.4533717655981237))
+    for ds, x, r in queries:
         assert np.array_equal(neighbors(ds, x, r),
                               brute_neighbors(ds.points, x, r))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_engine_distance_is_per_vector_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    diff = rng.uniform(0.0, 12.0, size=(20_000, d)) - rng.uniform(0.0, 12.0, size=(20_000, d))
+    assert np.array_equal(_norms(diff), [np.linalg.norm(v) for v in diff])
 
 
 def test_local_pattern_z2_cross():

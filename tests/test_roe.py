@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delonetop.errors import InvalidInput
-from delonetop.geometry import (DeloneSet, gen_hardcore_random, gen_periodic,
+from delonetop.geometry import (DeloneSet, box, gen_hardcore_random, gen_periodic,
                                 union_pointsets)
 from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.roe import (covering_embed, is_controlled, position_commutator,
@@ -298,6 +298,15 @@ def test_summability_profile_matches_direct_sum():
     for got, rho in zip(prof, radii):
         expected = 4.0 * np.sum((1.0 + r2[r2 <= rho * rho]) ** -1.5)
         assert got == pytest.approx(expected, rel=1e-13)
+
+
+def test_summability_ball_is_closed_at_the_norm_rule():
+    # |p - x| = rho exactly, yet |p - x|^2 > rho^2 in floating point.
+    p = np.array([2.6414215220820934, 0.9822090689727103])
+    x = np.array([3.0740679955850174, 0.846698970430042])
+    one = DeloneSet(2, p[None], 0.5, 1.0, box([0.0, 0.0], [4.0, 4.0]))
+    rho = float(np.linalg.norm(p - x))
+    assert summability_profile(one, 3.0, [rho], center=x)[0] > 0.0
 
 
 def test_summability_increments_shrink_when_s_exceeds_dim():
