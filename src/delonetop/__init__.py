@@ -28,7 +28,7 @@ from .geometry import (DeloneSet, LocalPattern, ValidationReport,
                        gen_perturbed_lattice, local_pattern, neighbors,
                        product_delone, read_pointset, translate,
                        union_pointsets, validate_delone, write_pointset)
-from .clifford import CliffordRep, build_rep, grading_operator, spanning_rank, verify_relations
+from .clifford import CliffordRep, build_rep, spanning_rank, verify_relations
 from .groupoid import (BlockOperator, HoppingFunction, bloch_hamiltonian,
                        builtin_model, covariance_check, represent,
                        stack_operator)

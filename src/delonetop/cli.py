@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import inspect
 import json
 import sys
 import time
@@ -27,7 +28,7 @@ from .experiments import (DEFAULTS, EXPERIMENT_DEFAULTS, ExperimentReport,
                           run_omega_independence, run_quantization,
                           run_robustness, run_stacking)
 from .geometry import validate_delone, write_pointset
-from .groupoid import represent
+from .groupoid import BUILTIN_MODELS, represent
 from .serialize import dumps17, format_float, to_plain
 from .spectral import eig_hermitian, write_spectrum_csv
 
@@ -66,11 +67,7 @@ _SCHEMA = {
         "max_disp": "float", "max_attempts": "int", "length": "float",
         "radius": "float",
     },
-    "model": {
-        "name": "str", "mu": "num-or-str", "M": "float", "t": "float",
-        "range_cut": "float", "t1": "float", "t2": "float", "max_gap": "float",
-        "distance": "float", "dim": "int",
-    },
+    "model": {"name": "str", "mu": "num-or-str"},
     "index": {
         "kappa_list": "list", "x0": "str-or-list", "margin_min": "float",
         "sector_radius": "float", "sector_theta0": "float", "fhs_grid": "int",
@@ -87,12 +84,13 @@ _SCHEMA = {
     "output": {"dir": "str", "formats": "str-or-list"},
 }
 
-_MODEL_KEYS = {
-    "chern_2band_2d": {"M", "t", "range_cut"},
-    "chiral_ssh_1d": {"t1", "t2", "max_gap"},
-    "dimer_chain_1d": {"t1"},
-    "nn_laplacian": {"t", "distance", "dim"},
+# A model's keys and kinds: its factory's parameters and their annotations.
+_MODEL_PARAMS = {
+    name: {p.name: p.annotation.__name__
+           for p in inspect.signature(factory, eval_str=True).parameters.values()}
+    for name, factory in BUILTIN_MODELS.items()
 }
+_SCHEMA["model"].update(kv for params in _MODEL_PARAMS.values() for kv in params.items())
 
 
 def _parse_scalar(text: str):
@@ -138,19 +136,24 @@ def _read_json_config(path: Path) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}:1: top level must be an object of sections")
 
+    lines = text.splitlines()
+    at = 1
+
     def line_of(name: str) -> int:
+        # Sections and keys come in file order, so searching on from the
+        # last anchor finds a key in its own section.
+        nonlocal at
         needle = f'"{name}"'
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            if needle in raw:
-                return lineno
-        return 1
+        at = next((n for n in range(at, len(lines) + 1) if needle in lines[n - 1]), at)
+        return at
 
     sections = {}
     for sec, body in doc.items():
+        lineno = line_of(sec)
         if sec not in _SCHEMA:
-            raise SchemaError(f"{path}:{line_of(sec)}: unknown section [{sec}]")
+            raise SchemaError(f"{path}:{lineno}: unknown section [{sec}]")
         if not isinstance(body, dict):
-            raise SchemaError(f"{path}:{line_of(sec)}: section [{sec}] must be an object")
+            raise SchemaError(f"{path}:{lineno}: section [{sec}] must be an object")
         sections[sec] = {k: (v, line_of(k)) for k, v in body.items()}
     return sections
 
@@ -176,11 +179,12 @@ def load_config(path) -> dict:
             out[sec][key] = value
     model = out.get("model", {})
     name = model.get("name")
-    if name is not None and name in _MODEL_KEYS:
+    params = _MODEL_PARAMS.get(name)
+    if params is not None:
         for key in model:
             if key in ("name", "mu"):
                 continue
-            if key not in _MODEL_KEYS[name]:
+            if key not in params:
                 lineno = raw["model"][key][1]
                 raise SchemaError(
                     f"{path}:{lineno}: key {key!r} does not apply to model {name!r}")
@@ -329,9 +333,9 @@ def _cmd_generate(cfg: dict, workers: int) -> ExperimentReport:
 
 def _cmd_spectrum(cfg: dict, workers: int) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
-    f, mu_policy, mode = _model_from_cfg(cfg["model"])
+    f, mu_policy = _model_from_cfg(cfg["model"])
     hdata = eig_hermitian(represent(f, sites).to_dense())
-    mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, mode)
+    mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, f.grading)
     report = ExperimentReport("spectrum", cfg)
     report.records.append({
         "n_sites": len(sites), "mu": mu, "gap_below": gap.below,

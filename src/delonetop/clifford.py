@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["CliffordRep", "build_rep", "verify_relations", "grading_operator", "spanning_rank"]
+__all__ = ["CliffordRep", "build_rep", "verify_relations", "spanning_rank"]
 
 
 def _subset_basis(n: int) -> list[tuple[int, ...]]:
@@ -114,11 +114,6 @@ def verify_relations(rep: CliffordRep) -> RelationReport:
     for g in gens:
         upd(rep.grading @ g + g @ rep.grading)
     return RelationReport(res)
-
-
-def grading_operator(rep: CliffordRep) -> np.ndarray:
-    """diag((-1)^{|S|}) in basis order; squares to 1, odd generators flip it."""
-    return rep.grading
 
 
 def spanning_rank(rep: CliffordRep) -> int:

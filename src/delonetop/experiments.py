@@ -11,7 +11,12 @@ The base window, every perturbed trial and every recentred window pair H
 with the position spectral triple through the same two steps: _mu_gap
 resolves mu and the gap (a trial passes the base mu as its policy), and
 _localize runs index.kappa_stability with the configured margin_min, which
-also judges the stacked window of run_stacking.  Every
+also judges the stacked window of run_stacking.  The dimension d of the
+point set picks the pairing: even d the even pairing (class A: Chern
+localizer, Kitaev and FHS oracles), odd d the odd pairing, which needs the
+model's chiral grading (class AIII: winding localizer and oracle).  A model
+is chiral iff it carries a grading; its mu is pinned to 0 and its gap is
+the symmetric one around 0.  Every
 default of the drivers and of the CLI lives in DEFAULTS (config sections)
 and EXPERIMENT_DEFAULTS (the [experiment] keys of each subcommand); the CLI
 merges them into the echoed inputs.
@@ -47,15 +52,6 @@ __all__ = [
     "run_stacking",
     "run_omega_independence",
 ]
-
-MODEL_MODE = {
-    "nn_laplacian": "even",
-    "chern_2band_2d": "even",
-    "dimer_chain_1d": "odd",
-    "chiral_ssh_1d": "odd",
-}
-
-_CHIRAL_GRADING = np.diag([1.0, -1.0])
 
 _LARGEST_GAP = "largest-gap"
 
@@ -167,43 +163,40 @@ def build_lattice(cfg: dict) -> DeloneSet:
     return gen_perturbed_lattice(basis, window, float(cfg.get("max_disp", 0.1)), seed)
 
 
-def _model_from_cfg(model_cfg: dict) -> tuple[HoppingFunction, object, str]:
+def _model_from_cfg(model_cfg: dict) -> tuple[HoppingFunction, object]:
     cfg = {**DEFAULTS["model"], **model_cfg}
     name = cfg.pop("name")
     mu_policy = cfg.pop("mu")
-    if name not in MODEL_MODE:
-        raise InvalidInput(f"unknown model {name!r}")
-    return builtin_model(name, **cfg), mu_policy, MODEL_MODE[name]
+    return builtin_model(name, **cfg), mu_policy
 
 
-def _resolve_mu(evs: np.ndarray, mu_policy, mode: str) -> float:
+def _resolve_mu(evs: np.ndarray, mu_policy, grading) -> float:
     """The number a mu policy names.  The one string policy, 'largest-gap',
-    is the centre of the widest gap, or for odd (chiral) models the
-    symmetry point 0 the pairing is pinned to."""
+    is the centre of the widest gap, or for a chiral model (grading not
+    None) the symmetry point 0 the pairing is pinned to."""
     if not isinstance(mu_policy, str):
         return float(mu_policy)
     if mu_policy != _LARGEST_GAP:
         raise InvalidInput(f"mu must be a number or {_LARGEST_GAP!r}, got {mu_policy!r}")
-    return 0.0 if mode == "odd" else largest_gap(evs).center
+    return 0.0 if grading is not None else largest_gap(evs).center
 
 
-def _mu_gap(evs: np.ndarray, mu_policy, mode: str) -> tuple[float, GapInfo]:
-    """mu and the spectral gap around it.  An odd model's gap is measured
-    around 0 after filtering machine-zero boundary modes; GapUndefined
-    propagates."""
-    mu = _resolve_mu(evs, mu_policy, mode)
-    if mode == "odd":
+def _mu_gap(evs: np.ndarray, mu_policy, grading) -> tuple[float, GapInfo]:
+    """mu and the spectral gap around it, for a model with this chiral
+    grading.  A chiral model's gap is measured around 0 after filtering
+    machine-zero boundary modes; GapUndefined propagates."""
+    mu = _resolve_mu(evs, mu_policy, grading)
+    if grading is not None:
         return mu, symmetric_gap(evs)[0]
     return mu, spectral_gap(evs, mu)
 
 
-def _localize(H, mu: float, dirac, kappas, mode: str, index_cfg: dict, evs):
+def _localize(H, mu: float, dirac, kappas, grading, index_cfg: dict, evs):
     """The kappa sweep of one window: kappa_stability with the configured
     margin_min.  The localizer names imported here are passed in, so
     instrumentation that rebinds them (perfbench/tracer.py) sees every call."""
     return kappa_stability(
-        H, mu, dirac, kappas, mode, _CHIRAL_GRADING if mode == "odd" else None,
-        index_cfg.get("margin_min"), evs,
+        H, mu, dirac, kappas, grading, index_cfg.get("margin_min"), evs,
         even=localizer_index_even, odd=localizer_index_odd)
 
 
@@ -252,7 +245,6 @@ class _BaseRun:
     evs: np.ndarray
     mu: float
     gap: GapInfo
-    mode: str
     x0: np.ndarray
     dirac: PositionDirac
     kappas: list
@@ -270,16 +262,16 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
     eigenvalues are kept, so no eigenvector matrix is alive during the
     kappa sweep.
     """
-    f, mu_policy, mode = _model_from_cfg(model_cfg)
+    f, mu_policy = _model_from_cfg(model_cfg)
     H = represent(f, sites)
     Hd = H.to_dense()
     hdata = eig_hermitian(Hd)
     evs = hdata.eigenvalues
-    mu, gap = _mu_gap(evs, mu_policy, mode)
+    mu, gap = _mu_gap(evs, mu_policy, f.grading)
     x0 = _resolve_x0(index_cfg, sites)
 
     oracles: dict = {}
-    if mode == "even" and sites.dim == 2:
+    if sites.dim == 2:
         radius = float(index_cfg.get("sector_radius",
                                      SECTOR_RADIUS_FRAC * _min_half_extent(sites)))
         sectors = angular_sectors(sites, x0, radius, f.N,
@@ -289,16 +281,16 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
 
     dirac = position_dirac(sites, x0, f.N)
     kappas = _kappa_list(index_cfg, gap, sites, evs)
-    results, plateau = _localize(Hd, mu, dirac, kappas, mode, index_cfg, evs)
+    results, plateau = _localize(Hd, mu, dirac, kappas, f.grading, index_cfg, evs)
     if periodic_basis is not None:
         hk = bloch_hamiltonian(f, periodic_basis)
-        if mode == "even":
+        if sites.dim == 2:
             oracles["bloch"] = bloch_chern_fhs(hk, mu, int(index_cfg.get("fhs_grid", FHS_GRID)))
         else:
-            ak = chiral_bloch_block(hk, _CHIRAL_GRADING)
+            ak = chiral_bloch_block(hk, f.grading)
             oracles["bloch"] = bloch_winding(ak, int(index_cfg.get("winding_samples",
                                                                    WINDING_SAMPLES)))
-    return _BaseRun(sites, f, H, evs, mu, gap, mode, x0, dirac, kappas,
+    return _BaseRun(sites, f, H, evs, mu, gap, x0, dirac, kappas,
                     results, plateau, oracles)
 
 
@@ -445,20 +437,19 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
                 * base.gap.width)
     prange = float(pert.get("range", defaults["range"]))
     symmetry = pert.get("symmetry", defaults["symmetry"])
-    grading = _CHIRAL_GRADING if symmetry == "chiral" else None
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
     Hd = base.H.to_dense()
 
     def one_trial(t: int) -> dict:
         seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
         V = random_perturbation(sites, prange, strength, base.model.N,
-                                symmetry=symmetry, grading=grading, seed=seed)
+                                symmetry=symmetry, grading=base.model.grading, seed=seed)
         # Equal bit for bit to base.H.add(V).to_dense().  Not overwritten by
         # eigvalsh: the localizer reads Hp afterwards.
         Hp = Hd + V.to_dense()
         evs = scipy.linalg.eigvalsh(Hp)
         try:
-            _, gap = _mu_gap(evs, base.mu, base.mode)
+            _, gap = _mu_gap(evs, base.mu, base.model.grading)
         except GapUndefined:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": 0.0, "status": "gap_closed"}
@@ -466,7 +457,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": gap.width, "status": "gap_closed"}
         (res,), _ = _localize(Hp, base.mu, base.dirac, base.kappas[:1],
-                              base.mode, index_cfg, evs)
+                              base.model.grading, index_cfg, evs)
         return _result_record(res, trial=t, seed=seed, gap=gap.width)
 
     trials = _pmap(one_trial, range(int(n_trials)), workers)
@@ -528,14 +519,14 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     chain = build_lattice(chain_lattice_cfg)
     base = _base_pipeline(chain, model_cfg, index_cfg,
                           periodic_basis=_periodic_basis(chain))
-    if base.mode != "odd":
+    if base.model.grading is None:
         raise InvalidInput("stacking needs a chiral 1D model")
     winding = base.results[0].index if base.plateau else None
     # periodic reference winding for aperiodic chains
     ref_oracle = base.oracles.get("bloch")
     if ref_oracle is None:
         ref_oracle = bloch_winding(chiral_bloch_block(
-            bloch_hamiltonian(base.model, np.eye(1)), _CHIRAL_GRADING),
+            bloch_hamiltonian(base.model, np.eye(1)), base.model.grading),
             int(index_cfg.get("winding_samples", WINDING_SAMPLES)))
     for res in base.results:
         report.records.append(_result_record(res, stage="chain", gap=base.gap.width))
@@ -549,8 +540,8 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
     x0_2d = stacked.sites.window_center
     dirac2 = position_dirac(stacked.sites, x0_2d, stacked.block_dim)
-    stacked_results, _ = _localize(Sd, base.mu, dirac2, base.kappas, "even",
-                                   index_cfg, evs_stacked)
+    stacked_results, _ = _localize(Sd, base.mu, dirac2, base.kappas,
+                                   base.model.grading, index_cfg, evs_stacked)
     for res in stacked_results:
         report.records.append(_result_record(res, stage="stacked"))
     stacked_valid = [r.index for r in stacked_results if r.status == "ok"]
@@ -605,7 +596,7 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
               experiment={"base_sites": base_sites}),
     )
     sites = build_lattice(lattice_cfg)
-    f, mu_policy, mode = _model_from_cfg(model_cfg)
+    f, mu_policy = _model_from_cfg(model_cfg)
     margin = f.R_f + BOUNDARY_MARGIN_FRAC * sites.window_radius
     interior = np.flatnonzero(_interior_mask(sites, margin))
     if isinstance(base_sites, int):
@@ -627,12 +618,12 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
         H = represent(f, omega).to_dense()
         evs = scipy.linalg.eigvalsh(H)
         try:
-            mu, gap = _mu_gap(evs, mu_policy, mode)
+            mu, gap = _mu_gap(evs, mu_policy, f.grading)
         except GapUndefined as err:
             return {"site": i, "status": "gap_closed", "error": str(err)}
         kappas = _kappa_list(index_cfg, gap, omega, evs)[:1]
         dirac = position_dirac(omega, np.zeros(sites.dim), f.N)
-        (res,), _ = _localize(H, mu, dirac, kappas, mode, index_cfg, evs)
+        (res,), _ = _localize(H, mu, dirac, kappas, f.grading, index_cfg, evs)
         return _result_record(res, site=i, gap=gap.width)
 
     records = _pmap(one_site, chosen, workers)

@@ -19,7 +19,7 @@ identically along every layer of L, with no hopping between layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -32,6 +32,7 @@ from .geometry import DeloneSet, LocalPattern, neighbor_pairs, product_delone, t
 __all__ = [
     "HoppingFunction",
     "BlockOperator",
+    "BUILTIN_MODELS",
     "builtin_model",
     "represent",
     "covariance_check",
@@ -48,13 +49,18 @@ PAULI = {
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
+_SIGMA_Z = np.diag([1.0, -1.0])
+_SIGMA_Z.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class HoppingFunction:
     """A finite-range groupoid kernel: (LocalPattern, displacement) -> block.
 
     The kernel must vanish for |a| > R_f and may inspect the pattern only
-    within rho_f.  It must be a pure function of its arguments.
+    within rho_f.  It must be a pure function of its arguments.  grading is
+    the read-only on-site chiral grading (an N x N diagonal +-1 matrix with
+    G f G = -f) of a chiral model, None for a model without chiral symmetry.
     """
 
     dim: int
@@ -63,7 +69,7 @@ class HoppingFunction:
     N: int
     kernel: Callable[[LocalPattern, np.ndarray], np.ndarray]
     tag: str
-    params: Mapping = field(default_factory=dict)
+    grading: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,7 @@ def _nn_laplacian(dim: int, t: float = 1.0, distance: float = 1.0) -> HoppingFun
             return np.array([[t]], dtype=complex)
         return np.zeros((1, 1), dtype=complex)
 
-    return HoppingFunction(dim, distance + _TOL, distance + _TOL, 1, kernel,
-                           "nn_laplacian", {"t": t, "distance": distance, "dim": dim})
+    return HoppingFunction(dim, distance + _TOL, distance + _TOL, 1, kernel, "nn_laplacian")
 
 
 def _dimer_chain_1d(t1: float = 1.0) -> HoppingFunction:
@@ -170,7 +175,7 @@ def _dimer_chain_1d(t1: float = 1.0) -> HoppingFunction:
             return onsite.copy()
         return np.zeros((2, 2), dtype=complex)
 
-    return HoppingFunction(1, 1e-6, 1e-6, 2, kernel, "dimer_chain_1d", {"t1": t1})
+    return HoppingFunction(1, 1e-6, 1e-6, 2, kernel, "dimer_chain_1d", _SIGMA_Z)
 
 
 def _chiral_ssh_1d(t1: float = 0.5, t2: float = 1.0, max_gap: float = 2.0) -> HoppingFunction:
@@ -204,8 +209,7 @@ def _chiral_ssh_1d(t1: float = 0.5, t2: float = 1.0, max_gap: float = 2.0) -> Ho
                 return upper.copy()
         return np.zeros((2, 2), dtype=complex)
 
-    return HoppingFunction(1, max_gap, max_gap, 2, kernel, "chiral_ssh_1d",
-                           {"t1": t1, "t2": t2, "max_gap": max_gap})
+    return HoppingFunction(1, max_gap, max_gap, 2, kernel, "chiral_ssh_1d", _SIGMA_Z)
 
 
 def _chern_2band_2d(M: float = 1.0, t: float = 1.0, range_cut: float = 2.2) -> HoppingFunction:
@@ -233,24 +237,24 @@ def _chern_2band_2d(M: float = 1.0, t: float = 1.0, range_cut: float = 2.2) -> H
         phi = math.atan2(float(a[1]), float(a[0]))
         return -0.5 * amp * (sz + 1.0j * (math.cos(phi) * sx + math.sin(phi) * sy))
 
-    return HoppingFunction(2, range_cut, 0.1, 2, kernel, "chern_2band_2d",
-                           {"M": M, "t": t, "range_cut": range_cut})
+    return HoppingFunction(2, range_cut, 0.1, 2, kernel, "chern_2band_2d")
 
 
-_BUILTINS = {
+# name -> factory; a factory's int/float-annotated parameters are its config keys.
+BUILTIN_MODELS = MappingProxyType({
     "nn_laplacian": _nn_laplacian,
     "dimer_chain_1d": _dimer_chain_1d,
     "chiral_ssh_1d": _chiral_ssh_1d,
     "chern_2band_2d": _chern_2band_2d,
-}
+})
 
 
 def builtin_model(name: str, **params) -> HoppingFunction:
     """Construct one of the built-in hopping functions by name."""
     try:
-        factory = _BUILTINS[name]
+        factory = BUILTIN_MODELS[name]
     except KeyError:
-        raise InvalidInput(f"unknown model {name!r}; choices: {sorted(_BUILTINS)}")
+        raise InvalidInput(f"unknown model {name!r}; choices: {sorted(BUILTIN_MODELS)}")
     try:
         return factory(**params)
     except TypeError as err:

@@ -26,7 +26,8 @@ eigvalsh 0.19-0.20 s inside a robustness trial against 0.076 s alone),
 apparently because the pool that just ran keeps its threads spinning.
 
 Complex symmetry classes only: class A in even dimension d = 2 and class
-AIII in odd dimension d = 1.
+AIII in odd dimension d = 1: the parity of d picks the pairing
+(kappa_stability), the odd one needing the chiral grading and mu = 0.
 """
 
 from __future__ import annotations
@@ -358,19 +359,17 @@ def _chiral_split(grading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
-                        grading: np.ndarray, mu: float = 0.0,
+                        grading: np.ndarray,
                         margin_min: float | None = None, hdata=None) -> IndexResult:
     """Winding index of a chiral 1D Hamiltonian via the odd localizer.
 
     In the chiral basis H = [[0, A], [A^dag, 0]] the localizer is
     [[k (X - x0), A], [A^dag, -k (X - x0)]] and the index is the rounded
     half-signature.  The grading is the on-site +-1 diagonal; GHG = -H must
-    hold exactly.
+    hold exactly.  The pairing is at mu = 0.
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")
-    if mu != 0.0:
-        raise InvalidInput("the chiral pairing is pinned to mu = 0")
     Hd = _dense(H)
     m = Hd.shape[0]
     n = len(dirac.sites)
@@ -388,7 +387,7 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     # is delegated to the margin test below.
     evs = _h_eigenvalues(Hd, hdata)
     if margin_min is None:
-        margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
+        margin_min = 1e-3 * _localizer_scale(evs, 0.0, dirac, kappa)
 
     plus_idx = (np.arange(n)[:, None] * N + plus[None, :]).ravel()
     minus_idx = (np.arange(n)[:, None] * N + minus[None, :]).ravel()
@@ -402,40 +401,42 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     L[h:, :h] = A.conj().T
     evl = scipy.linalg.eigvalsh(L, overwrite_a=True)
     margin = float(np.abs(evl).min()) if evl.size else np.inf
-    return _index_result(0.5 * _signature(evl), margin, kappa, dirac.x0, mu,
+    return _index_result(0.5 * _signature(evl), margin, kappa, dirac.x0, 0.0,
                          margin_min)
 
 
 def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
-                    mode: str = "even", grading: np.ndarray | None = None,
+                    grading: np.ndarray | None = None,
                     margin_min: float | None = None,
                     hdata=None, *, even=None,
                     odd=None) -> tuple[list[IndexResult], bool]:
     """One localizer run per kappa; plateau iff all reliable runs agree.
 
-    H is densified and its spectrum resolved once for the whole sweep.
-    even and odd stand in for localizer_index_even and localizer_index_odd
-    (same signatures); the experiment drivers pass the names they import,
-    so instrumentation that rebinds those names (perfbench/tracer.py) sees
-    every evaluation.
+    Even d = dirac.sites.dim runs the even localizer, odd d the odd one with
+    the grading.  H is densified and its spectrum resolved once for the
+    whole sweep.  even and odd stand in for localizer_index_even and
+    localizer_index_odd (same signatures); the experiment drivers pass the
+    names they import, so instrumentation that rebinds those names
+    (perfbench/tracer.py) sees every evaluation.
     """
     kappa_list = list(kappa_list)
     if not kappa_list:
         raise InvalidInput("kappa_list must be nonempty")
+    odd_d = dirac.sites.dim % 2
+    if odd_d and grading is None:
+        raise InvalidInput("the odd pairing needs the on-site chiral grading")
+    if odd_d and mu != 0.0:
+        raise InvalidInput("the chiral pairing is pinned to mu = 0")
     even = even or localizer_index_even
     odd = odd or localizer_index_odd
     Hd = _dense(H)
     evs = _h_eigenvalues(Hd, hdata)
-    results = []
-    for kappa in kappa_list:
-        if mode == "even":
-            r = even(Hd, mu, dirac, kappa, margin_min=margin_min, hdata=evs)
-        elif mode == "odd":
-            r = odd(Hd, dirac, kappa, grading, mu=mu, margin_min=margin_min,
-                    hdata=evs)
-        else:
-            raise InvalidInput(f"unknown localizer mode {mode!r}")
-        results.append(r)
+    if odd_d:
+        results = [odd(Hd, dirac, kappa, grading, margin_min=margin_min, hdata=evs)
+                   for kappa in kappa_list]
+    else:
+        results = [even(Hd, mu, dirac, kappa, margin_min=margin_min, hdata=evs)
+                   for kappa in kappa_list]
     valid = [r.index for r in results if r.status == "ok"]
     plateau = bool(valid) and len(set(valid)) == 1
     return results, plateau

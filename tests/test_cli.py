@@ -90,10 +90,13 @@ def test_wrong_value_type_rejected(tmp_path):
         load_config(p)
 
 
-def test_model_key_misuse_rejected(tmp_path):
-    p = write(tmp_path, "run.ini",
-              "[model]\nname = chern_2band_2d\nt1 = 0.5\n")
-    with pytest.raises(SchemaError, match=r":3:.*'t1'.*chern_2band_2d"):
+@pytest.mark.parametrize("name, key", [("chern_2band_2d", "t1"), ("chiral_ssh_1d", "M"),
+                                       ("dimer_chain_1d", "t2"),
+                                       ("nn_laplacian", "range_cut")])
+def test_model_key_misuse_rejected(tmp_path, name, key):
+    # Each builtin model with a key that only another model takes.
+    p = write(tmp_path, "run.ini", f"[model]\nname = {name}\n{key} = 0.5\n")
+    with pytest.raises(SchemaError, match=rf":3:.*'{key}'.*{name}"):
         load_config(p)
 
 
@@ -113,6 +116,15 @@ def test_json_config_errors(tmp_path):
         load_config(write(tmp_path, "b.json", "[1, 2]"))
     with pytest.raises(SchemaError, match=r"unknown section \[paint\]"):
         load_config(write(tmp_path, "c.json", '{"paint": {"color": "red"}}'))
+    # A key anchors to its own section, not to the first line naming it.
+    twice = ('{\n "lattice": {"dim": 2},\n "model": {"name": "chern_2band_2d",\n'
+             '  "dim": 2}\n}\n')
+    with pytest.raises(SchemaError, match=r"d\.json:4: key 'dim' does not apply"):
+        load_config(write(tmp_path, "d.json", twice))
+    seeds = ('{\n "lattice": {"seed": 1},\n "experiment": {"n_trials": 3,\n'
+             '  "seed": 2}\n}\n')
+    with pytest.raises(SchemaError, match=r"e\.json:4: unknown key 'seed' in section \[experiment\]"):
+        load_config(write(tmp_path, "e.json", seeds))
 
 
 # ---------------------------------------------------------------------------

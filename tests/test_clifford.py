@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delonetop.clifford import (build_rep, grading_operator, spanning_rank,
-                                verify_relations)
+from delonetop.clifford import build_rep, spanning_rank, verify_relations
 from delonetop.errors import InvalidInput
 
 
@@ -42,9 +41,8 @@ def test_pairwise_anticommutation():
 
 
 def test_grading_d1_and_d2():
-    assert np.array_equal(grading_operator(build_rep(1, 0)), np.diag([1.0, -1.0]))
-    assert np.array_equal(grading_operator(build_rep(2, 0)),
-                          np.diag([1.0, -1.0, -1.0, 1.0]))
+    assert np.array_equal(build_rep(1, 0).grading, np.diag([1.0, -1.0]))
+    assert np.array_equal(build_rep(2, 0).grading, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_grading_anticommutes_with_generators():

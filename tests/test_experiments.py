@@ -157,6 +157,13 @@ def test_robustness_chiral_class_perturbations():
     assert rep.summary["agreeing"] == 5
 
 
+def test_robustness_chiral_noise_needs_a_chiral_model():
+    # chern_2band_2d carries no chiral grading to draw anticommuting noise for.
+    with pytest.raises(InvalidInput, match="grading"):
+        run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, n_trials=2,
+                       perturbation={"symmetry": "chiral"})
+
+
 def test_robustness_master_seed_determinism():
     kw = dict(n_trials=4, perturbation={"strength_rel": 0.2}, master_seed=7)
     a = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, **kw).as_dict()

@@ -38,6 +38,20 @@ def test_unknown_model_rejected():
         builtin_model("kagome_flatband")
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_WINDOWS))
+def test_model_grading_anticommutes_with_its_operator(name):
+    # Exactly the chiral models carry a read-only grading G, with GHG = -H.
+    f, omega = MODEL_WINDOWS[name]()
+    if name in ("chern_2band_2d", "nn_laplacian"):
+        assert f.grading is None
+        return
+    assert np.array_equal(f.grading, np.diag([1.0, -1.0]))
+    assert not f.grading.flags.writeable
+    G = np.kron(np.eye(len(omega)), f.grading)
+    H = represent(f, omega).to_dense()
+    assert np.array_equal(G @ H @ G, -H)
+
+
 def test_kernel_vanishes_beyond_range():
     for name, make in MODEL_WINDOWS.items():
         f, omega = make()

@@ -448,8 +448,10 @@ def test_odd_localizer_rejects_bad_arguments(z2_12):
     omega = z1(40)
     H = represent(builtin_model("chiral_ssh_1d"), omega)
     dirac = position_dirac(omega, omega.window_center, block_dim=2)
-    with pytest.raises(InvalidInput):
-        localizer_index_odd(H, dirac, 0.1, GRADING, mu=0.1)
+    with pytest.raises(InvalidInput, match="pinned to mu = 0"):
+        kappa_stability(H, 0.1, dirac, [0.1], grading=GRADING)
+    with pytest.raises(InvalidInput, match="needs the on-site chiral grading"):
+        kappa_stability(H, 0.0, dirac, [0.1])
     with pytest.raises(InvalidInput):
         localizer_index_odd(H, dirac, 0.1, np.diag([1.0, 1.0]))
     with pytest.raises(InvalidInput):
@@ -477,7 +479,7 @@ def test_kappa_plateau_odd_mode():
     H = represent(builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), omega)
     dirac = position_dirac(omega, omega.window_center, block_dim=2)
     results, plateau = kappa_stability(H, 0.0, dirac, [0.05, 0.1, 0.2],
-                                       mode="odd", grading=GRADING)
+                                       grading=GRADING)
     assert plateau
     assert [r.index for r in results] == [-1, -1, -1]
 
@@ -487,8 +489,6 @@ def test_kappa_plateau_rejects_bad_arguments(z2_12, chern_12):
     dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
     with pytest.raises(InvalidInput):
         kappa_stability(H, 0.0, dirac, [])
-    with pytest.raises(InvalidInput):
-        kappa_stability(H, 0.0, dirac, [0.1], mode="sideways")
 
 
 # ---------------------------------------------------------------------------
