@@ -240,7 +240,6 @@ def _interior_mask(sites: DeloneSet, margin: float) -> np.ndarray:
 @dataclass
 class _BaseRun:
     sites: DeloneSet
-    model: HoppingFunction
     H: BlockOperator
     evs: np.ndarray
     mu: float
@@ -253,7 +252,7 @@ class _BaseRun:
     oracles: dict
 
 
-def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
+def _base_pipeline(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: dict,
                    periodic_basis=None) -> _BaseRun:
     """Represent, locate the gap, attach the oracles, sweep the localizer.
 
@@ -262,7 +261,6 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
     eigenvalues are kept, so no eigenvector matrix is alive during the
     kappa sweep.
     """
-    f, mu_policy = _model_from_cfg(model_cfg)
     H = represent(f, sites)
     Hd = H.to_dense()
     hdata = eig_hermitian(Hd)
@@ -290,7 +288,7 @@ def _base_pipeline(sites: DeloneSet, model_cfg: dict, index_cfg: dict,
             ak = chiral_bloch_block(hk, f.grading)
             oracles["bloch"] = bloch_winding(ak, int(index_cfg.get("winding_samples",
                                                                    WINDING_SAMPLES)))
-    return _BaseRun(sites, f, H, evs, mu, gap, x0, dirac, kappas,
+    return _BaseRun(sites, H, evs, mu, gap, x0, dirac, kappas,
                     results, plateau, oracles)
 
 
@@ -346,10 +344,12 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
               experiment={"seeds": seeds}),
     )
 
+    f, mu_policy = _model_from_cfg(model_cfg)
+
     def one_seed(seed: int):
         sites = build_lattice({**lattice_cfg, "seed": seed})
         try:
-            base = _base_pipeline(sites, model_cfg, index_cfg,
+            base = _base_pipeline(sites, f, mu_policy, index_cfg,
                                   periodic_basis=_periodic_basis(sites))
         except GapUndefined as err:
             return seed, None, [{"seed": seed, "status": "gap_closed",
@@ -406,7 +406,9 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     Each trial adds a controlled Hermitian block perturbation; trials whose
     gap at mu drops below GAP_FLOOR_FRAC of the base width are recorded as
     gap_closed and excluded.  Passes iff the base run is reliable and every
-    included trial returns exactly the base integer.
+    included trial returns exactly the base integer.  The perturbation's
+    symmetry, "none" or "chiral" (noise anticommuting with the model's
+    grading), is resolved before any solve.
     """
     index_cfg = dict(index_cfg or {})
     pert = dict(perturbation or {})
@@ -417,8 +419,16 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
               experiment={"n_trials": n_trials, "perturbation": pert,
                           "master_seed": master_seed}),
     )
+    defaults = EXPERIMENT_DEFAULTS["robustness"]
     sites = build_lattice(lattice_cfg)
-    base = _base_pipeline(sites, model_cfg, index_cfg)
+    f, mu_policy = _model_from_cfg(model_cfg)
+    symmetry = pert.get("symmetry", defaults["symmetry"])
+    if symmetry not in ("none", "chiral"):
+        raise InvalidInput(f"unknown symmetry {symmetry!r}")
+    if symmetry == "chiral" and f.grading is None:
+        raise InvalidInput("chiral symmetry needs the on-site grading")
+    noise_grading = f.grading if symmetry == "chiral" else None
+    base = _base_pipeline(sites, f, mu_policy, index_cfg)
     base_int = base.results[0].index if base.plateau else None
     report.records.append(_result_record(
         base.results[0], trial="base",
@@ -431,25 +441,23 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         report.timings["total"] = time.perf_counter() - t0
         return report
 
-    defaults = EXPERIMENT_DEFAULTS["robustness"]
     strength = (float(pert["strength"]) if "strength" in pert
                 else float(pert.get("strength_rel", defaults["strength_rel"]))
                 * base.gap.width)
     prange = float(pert.get("range", defaults["range"]))
-    symmetry = pert.get("symmetry", defaults["symmetry"])
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
     Hd = base.H.to_dense()
 
     def one_trial(t: int) -> dict:
         seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
-        V = random_perturbation(sites, prange, strength, base.model.N,
-                                symmetry=symmetry, grading=base.model.grading, seed=seed)
+        V = random_perturbation(sites, prange, strength, f.N, grading=noise_grading,
+                                seed=seed)
         # Equal bit for bit to base.H.add(V).to_dense().  Not overwritten by
         # eigvalsh: the localizer reads Hp afterwards.
         Hp = Hd + V.to_dense()
         evs = scipy.linalg.eigvalsh(Hp)
         try:
-            _, gap = _mu_gap(evs, base.mu, base.model.grading)
+            _, gap = _mu_gap(evs, base.mu, f.grading)
         except GapUndefined:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": 0.0, "status": "gap_closed"}
@@ -457,7 +465,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
                     "gap": gap.width, "status": "gap_closed"}
         (res,), _ = _localize(Hp, base.mu, base.dirac, base.kappas[:1],
-                              base.model.grading, index_cfg, evs)
+                              f.grading, index_cfg, evs)
         return _result_record(res, trial=t, seed=seed, gap=gap.width)
 
     trials = _pmap(one_trial, range(int(n_trials)), workers)
@@ -495,7 +503,8 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     for contrast (its nonzero index is reported, not required).  Each key it
     leaves out of its lattice, model and index sections takes the control
     default: the default model at mu = 0 on a periodic 2D window, with the
-    chain's kappas (0.1 when it has none).
+    chain's kappas (0.1 when it has none).  A chain that is not 1D or a
+    model without a chiral grading is rejected before any solve.
     """
     index_cfg = dict(index_cfg or {})
     defaults = EXPERIMENT_DEFAULTS["stacking"]
@@ -517,17 +526,15 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     )
 
     chain = build_lattice(chain_lattice_cfg)
-    base = _base_pipeline(chain, model_cfg, index_cfg,
-                          periodic_basis=_periodic_basis(chain))
-    if base.model.grading is None:
+    f, mu_policy = _model_from_cfg(model_cfg)
+    if chain.dim != 1 or f.grading is None:
         raise InvalidInput("stacking needs a chiral 1D model")
+    # The winding oracle of an aperiodic chain is that of the unit chain.
+    basis = _periodic_basis(chain)
+    base = _base_pipeline(chain, f, mu_policy, index_cfg,
+                          periodic_basis=np.eye(1) if basis is None else basis)
     winding = base.results[0].index if base.plateau else None
-    # periodic reference winding for aperiodic chains
-    ref_oracle = base.oracles.get("bloch")
-    if ref_oracle is None:
-        ref_oracle = bloch_winding(chiral_bloch_block(
-            bloch_hamiltonian(base.model, np.eye(1)), base.model.grading),
-            int(index_cfg.get("winding_samples", WINDING_SAMPLES)))
+    ref_oracle = base.oracles["bloch"]
     for res in base.results:
         report.records.append(_result_record(res, stage="chain", gap=base.gap.width))
 
@@ -541,7 +548,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     x0_2d = stacked.sites.window_center
     dirac2 = position_dirac(stacked.sites, x0_2d, stacked.block_dim)
     stacked_results, _ = _localize(Sd, base.mu, dirac2, base.kappas,
-                                   base.model.grading, index_cfg, evs_stacked)
+                                   f.grading, index_cfg, evs_stacked)
     for res in stacked_results:
         report.records.append(_result_record(res, stage="stacked"))
     stacked_valid = [r.index for r in stacked_results if r.status == "ok"]

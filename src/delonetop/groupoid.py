@@ -72,6 +72,25 @@ class HoppingFunction:
     grading: np.ndarray | None = None
 
 
+def _chiral_signs(grading, N: int) -> np.ndarray:
+    """The read-only +-1 diagonal of an on-site chiral grading of N orbitals.
+
+    Raises InvalidInput unless grading is an N x N diagonal +-1 matrix with
+    as many +1 as -1 entries.
+    """
+    grading = np.asarray(grading)
+    if grading.shape != (N, N):
+        raise InvalidInput("grading shape does not match block_dim")
+    d = np.diag(grading)
+    if not np.array_equal(grading, np.diag(d)) or not np.all((d == 1) | (d == -1)):
+        raise InvalidInput("grading must be a diagonal +-1 matrix")
+    g = d.real.astype(float)
+    if g.sum() != 0:
+        raise InvalidInput("grading must balance +1 and -1 orbitals")
+    g.setflags(write=False)
+    return g
+
+
 @dataclass(frozen=True)
 class BlockOperator:
     """Sparse site-indexed block matrix on l^2(sites) (x) C^N.
@@ -87,7 +106,6 @@ class BlockOperator:
     rows: np.ndarray
     cols: np.ndarray
     blocks: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         n, N = len(self.sites), self.block_dim
@@ -138,14 +156,13 @@ class BlockOperator:
         theirs[at[self.rows.size:]] = other.blocks
         total = mine + theirs
         keep = _nonzero(total)
-        return BlockOperator(self.sites, N, *np.divmod(keys[keep], n), total[keep],
-                             hermitian=self.hermitian and other.hermitian)
+        return BlockOperator(self.sites, N, *np.divmod(keys[keep], n), total[keep])
 
     @staticmethod
     def identity(sites: DeloneSet, block_dim: int) -> "BlockOperator":
         n = len(sites)
         eye = np.broadcast_to(np.eye(block_dim, dtype=complex), (n, block_dim, block_dim))
-        return BlockOperator(sites, block_dim, np.arange(n), np.arange(n), eye, hermitian=True)
+        return BlockOperator(sites, block_dim, np.arange(n), np.arange(n), eye)
 
 
 def _nonzero(blocks: np.ndarray) -> np.ndarray:
@@ -269,14 +286,14 @@ def represent(f: HoppingFunction, omega: DeloneSet) -> BlockOperator:
     """Materialize pi_omega(f): entry (i, j) = f(pattern at i, x_j - x_i).
 
     Raises KernelNotSelfAdjoint when the involution identity fails on any
-    stored pair (tolerance 1e-12); on success the result carries
-    hermitian=True.  Raises InvalidInput when a block is not N x N.
+    stored pair (tolerance 1e-12).  Raises InvalidInput when a block is not
+    N x N.
     """
     if f.dim != omega.dim:
         raise InvalidInput("kernel dimension does not match the point set")
     n = len(omega)
     if n == 0:
-        return BlockOperator(omega, f.N, [], [], np.zeros((0, f.N, f.N)), hermitian=True)
+        return BlockOperator(omega, f.N, [], [], np.zeros((0, f.N, f.N)))
     pts = omega.points
     rows, cols = neighbor_pairs(pts, pts, max(f.R_f, 1e-9))
     # Every site is in its own ball, so the rho_f pairs split into n patterns.
@@ -289,7 +306,7 @@ def represent(f: HoppingFunction, omega: DeloneSet) -> BlockOperator:
     except ValueError as err:
         raise InvalidInput(f"kernel {f.tag!r} returned blocks of different shapes") from err
     keep = _nonzero(blocks)
-    H = BlockOperator(omega, f.N, rows[keep], cols[keep], blocks[keep], hermitian=True)
+    H = BlockOperator(omega, f.N, rows[keep], cols[keep], blocks[keep])
     # Each stored (i, j) against the adjoint of (j, i), zero if not stored.
     keys, at = np.unique(np.concatenate([H.rows * n + H.cols, H.cols * n + H.rows]),
                          return_inverse=True)
@@ -333,7 +350,7 @@ def stack_operator(T: BlockOperator, L: DeloneSet) -> BlockOperator:
     layers = np.arange(nb)
     return BlockOperator(prod, T.block_dim, (T.rows[:, None] * nb + layers).ravel(),
                          (T.cols[:, None] * nb + layers).ravel(),
-                         np.repeat(T.blocks, nb, axis=0), hermitian=T.hermitian)
+                         np.repeat(T.blocks, nb, axis=0))
 
 
 def bloch_hamiltonian(f: HoppingFunction, basis) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,7 +16,9 @@ localizer.  The position term is site-diagonal, so the complement is the
 direct sum of the complements over the connected components of the nonzero
 graph of H - mu and is formed one component at a time: a stack T (x) 1 along
 |L| layers costs |L| chain-sized solves.  The odd (1D) localizer is small
-and stays a dense eigvalsh.
+and stays a dense eigvalsh of L = H + kappa (X - x0) G, its rows and columns
+in the on-site grading G's +- order (the chiral-basis
+[[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
 
 Every LAPACK call on a matrix whose size grows with the window (eigvalsh,
 the Schur solve) goes through scipy.linalg, the OpenBLAS copy that ARPACK
@@ -42,7 +44,7 @@ from .clifford import CliffordRep, build_rep, verify_relations
 from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
 from .geometry import DeloneSet, neighbor_pairs
-from .groupoid import BlockOperator
+from .groupoid import BlockOperator, _chiral_signs
 from .spectral import FermiProjection, SpectralData, spectral_gap
 
 __all__ = [
@@ -345,28 +347,17 @@ def _chirality_residual(Hd: np.ndarray, g: np.ndarray) -> float:
     return float(np.abs(g[:, None] * Hd * g[None, :] + Hd).max()) if Hd.size else 0.0
 
 
-def _chiral_split(grading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    grading = np.asarray(grading)
-    N = grading.shape[0]
-    diag = np.diag(grading)
-    if not np.array_equal(grading, np.diag(diag)) or not np.all(np.abs(diag) == 1):
-        raise InvalidInput("grading must be a diagonal +-1 matrix")
-    plus = np.flatnonzero(diag > 0)
-    minus = np.flatnonzero(diag < 0)
-    if plus.size != minus.size:
-        raise InvalidInput("grading must balance +1 and -1 orbitals")
-    return plus, minus
-
-
 def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
                         grading: np.ndarray,
                         margin_min: float | None = None, hdata=None) -> IndexResult:
     """Winding index of a chiral 1D Hamiltonian via the odd localizer.
 
-    In the chiral basis H = [[0, A], [A^dag, 0]] the localizer is
-    [[k (X - x0), A], [A^dag, -k (X - x0)]] and the index is the rounded
-    half-signature.  The grading is the on-site +-1 diagonal; GHG = -H must
-    hold exactly.  The pairing is at mu = 0.
+    L = H + k (X - x0) G with G the on-site grading (an N x N diagonal,
+    balanced +-1 matrix), its rows and columns taken in the grading's +-
+    order: the +1 orbitals first, then the -1 ones, each in site-major
+    order.  Since GHG = -H must hold exactly, H = [[0, A], [A^dag, 0]] in
+    that order and L = [[k (X - x0), A], [A^dag, -k (X - x0)]]; the index is
+    its rounded half-signature.  The pairing is at mu = 0.
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")
@@ -376,8 +367,8 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     if n == 0 or m % n:
         raise InvalidInput("H dimension is not a multiple of the site count")
     N = m // n
-    plus, minus = _chiral_split(grading)
-    chir_res = _chirality_residual(Hd, np.tile(np.diag(grading).astype(float), n))
+    g = np.tile(_chiral_signs(grading, N), n)
+    chir_res = _chirality_residual(Hd, g)
     if chir_res > 1e-13:
         raise SymmetryViolation(f"GHG = -H fails: residual {chir_res:.3e}")
 
@@ -389,16 +380,10 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, 0.0, dirac, kappa)
 
-    plus_idx = (np.arange(n)[:, None] * N + plus[None, :]).ravel()
-    minus_idx = (np.arange(n)[:, None] * N + minus[None, :]).ravel()
-    A = Hd[np.ix_(plus_idx, minus_idx)]
-    x = np.repeat(dirac.sites.points[:, 0] - dirac.x0[0], plus.size)
-    h = plus_idx.size
-    L = np.zeros((2 * h, 2 * h), dtype=complex, order="F")
-    L[:h, :h] = kappa * np.diag(x)
-    L[h:, h:] = -kappa * np.diag(x)
-    L[:h, h:] = A
-    L[h:, :h] = A.conj().T
+    order = np.argsort(-g, kind="stable")
+    L = Hd[np.ix_(order, order)]
+    x = kappa * np.repeat(dirac.sites.points[:, 0] - dirac.x0[0], N)
+    L[np.diag_indices(m)] += (g * x)[order]
     evl = scipy.linalg.eigvalsh(L, overwrite_a=True)
     margin = float(np.abs(evl).min()) if evl.size else np.inf
     return _index_result(0.5 * _signature(evl), margin, kappa, dirac.x0, 0.0,
@@ -546,7 +531,8 @@ def bloch_chern_fhs(hk, mu: float, n: int = 16) -> int:
 def chiral_bloch_block(hk, grading: np.ndarray):
     """Extract k -> A(k) from a chiral Bloch family, H(k) = [[0, A], [A^dag, 0]]
     in the grading's +- basis."""
-    plus, minus = _chiral_split(grading)
+    g = _chiral_signs(grading, len(hk(0.0)))
+    plus, minus = np.flatnonzero(g > 0), np.flatnonzero(g < 0)
 
     def ak(k):
         return hk(k)[np.ix_(plus, minus)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .geometry import DeloneSet, _norms, neighbor_pairs
-from .groupoid import BlockOperator, _nonzero
+from .groupoid import BlockOperator, _chiral_signs, _nonzero
 
 __all__ = [
     "SupportStats",
@@ -73,7 +73,7 @@ def position_commutator(T: BlockOperator, axis: int) -> BlockOperator:
     w = coords[T.cols] - coords[T.rows]
     keep = w != 0.0
     return BlockOperator(T.sites, T.block_dim, T.rows[keep], T.cols[keep],
-                         w[keep, None, None] * T.blocks[keep], hermitian=False)
+                         w[keep, None, None] * T.blocks[keep])
 
 
 def subset_injection(X: DeloneSet, Y: DeloneSet) -> np.ndarray:
@@ -110,21 +110,20 @@ def covering_embed(T: BlockOperator, Y: DeloneSet, injection: np.ndarray) -> Blo
         raise InvalidInput("injection runs out of the codomain index range")
     if _norms(Y.points[injection] - T.sites.points).max(initial=0.0) > 1e-12:
         raise InvalidInput("injection moves a site; only distance-0 embeddings are allowed")
-    return BlockOperator(Y, T.block_dim, injection[T.rows], injection[T.cols], T.blocks,
-                         hermitian=T.hermitian)
+    return BlockOperator(Y, T.block_dim, injection[T.rows], injection[T.cols], T.blocks)
 
 
 def random_perturbation(sites: DeloneSet, R: float, strength: float,
-                        block_dim: int, symmetry: str = "none",
-                        grading: np.ndarray | None = None,
+                        block_dim: int, grading: np.ndarray | None = None,
                         seed: int = 0) -> BlockOperator:
     """Seeded Hermitian block noise with propagation <= R and per-block
     operator norm <= strength.
 
     Blocks are complex Gaussian, symmetrized, then clipped to the norm
-    budget.  With symmetry="chiral" each block is projected onto the
-    anticommutant of the supplied on-site grading, (B - G B G)/2, which
-    anti-commutes with G exactly (G has +-1 diagonal).
+    budget.  Given an on-site chiral grading G (block_dim x block_dim,
+    diagonal, balanced +-1), each block is first projected onto its
+    anticommutant, (B - G B G)/2, which anti-commutes with G exactly; with
+    grading None no projection is made.
 
     The pairs i <= j within R are drawn in one batch, in ascending (i, j)
     order; one rng.standard_normal((pairs, 2, N, N)) call is the same
@@ -134,21 +133,10 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
         raise InvalidInput("strength must be nonnegative")
     if R < 0:
         raise InvalidInput("R must be nonnegative")
-    if symmetry not in ("none", "chiral"):
-        raise InvalidInput(f"unknown symmetry {symmetry!r}")
-    if symmetry == "chiral":
-        if grading is None:
-            raise InvalidInput("chiral symmetry needs the on-site grading")
-        grading = np.asarray(grading)
-        if grading.shape != (block_dim, block_dim):
-            raise InvalidInput("grading shape does not match block_dim")
-        if (not np.array_equal(grading, np.diag(np.diag(grading)))
-                or not np.all(np.abs(np.diag(grading)) == 1)):
-            raise InvalidInput("grading must be a diagonal +-1 matrix")
+    g = None if grading is None else _chiral_signs(grading, block_dim)
 
     if strength == 0.0 or len(sites) == 0:
-        return BlockOperator(sites, block_dim, [], [], np.zeros((0, block_dim, block_dim)),
-                             hermitian=True)
+        return BlockOperator(sites, block_dim, [], [], np.zeros((0, block_dim, block_dim)))
 
     rows, cols = neighbor_pairs(sites.points, sites.points, R)
     upper = cols >= rows
@@ -159,8 +147,7 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
     B = z[:, 0] + 1.0j * z[:, 1]
     diag = rows == cols
     B[diag] = 0.5 * (B[diag] + B[diag].conj().transpose(0, 2, 1))
-    if symmetry == "chiral":
-        g = np.diag(grading).astype(float)
+    if g is not None:
         B = 0.5 * (B - g[:, None] * B * g[None, :])
     nrm = np.linalg.svd(B, compute_uv=False)[:, 0]
     clip = nrm > strength
@@ -170,8 +157,7 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
     slots = np.column_stack([keep, keep & ~diag]).ravel()
     B = np.stack([B, B.conj().transpose(0, 2, 1)], axis=1).reshape(-1, block_dim, block_dim)
     return BlockOperator(sites, block_dim, np.column_stack([rows, cols]).ravel()[slots],
-                         np.column_stack([cols, rows]).ravel()[slots], B[slots],
-                         hermitian=True)
+                         np.column_stack([cols, rows]).ravel()[slots], B[slots])
 
 
 def summability_profile(sites: DeloneSet, s: float, radii,

@@ -8,6 +8,7 @@ code with the package, so agreement is meaningful evidence.
 import math
 
 import numpy as np
+import scipy.linalg
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -229,6 +230,49 @@ def reference_localizer_even(H, mu, points, x0, block_dim, kappa):
     L[:m, m:] = kappa * np.diag(dminus)
     L[m:, :m] = kappa * np.diag(dminus.conj())
     evl = np.linalg.eigvalsh(L)
+    margin = float(np.abs(evl).min())
+    half_sig = 0.5 * float((evl > 0).sum() - (evl < 0).sum())
+    nearest = round(half_sig)
+    ok = margin > margin_min and abs(half_sig - nearest) <= 0.01
+    return {"index": int(nearest) if ok else None,
+            "status": "ok" if ok else "unreliable",
+            "half_signature": half_sig,
+            "margin": margin}
+
+
+def reference_localizer_odd(H, points, x0, grading, kappa):
+    """Odd localizer index from the chiral-basis assembly
+
+        L = [[kappa (X - x0), A], [A^dag, -kappa (X - x0)]],  A = H[plus, minus],
+
+    plus (minus) the +1 (-1) orbitals of the on-site grading, site-major.
+    Oracle of localizer_index_odd, which reads L off H + kappa (X - x0) G
+    instead, at its default margin_min = 1e-3 * max(||H||, |kappa| max|x - x0|).
+    Both solve with scipy.linalg.eigvalsh, so they agree bit for bit when H
+    is exactly chiral.  Returns a dict with index, status, half_signature
+    and margin.
+    """
+    H = np.asarray(H, dtype=complex)
+    rel = np.asarray(points, dtype=float)[:, 0] - float(np.asarray(x0)[0])
+    n = rel.size
+    N = H.shape[0] // n
+    diag = np.diag(grading)
+    plus = np.flatnonzero(diag > 0)
+    minus = np.flatnonzero(diag < 0)
+    hscale = np.abs(scipy.linalg.eigvalsh(H)).max()
+    margin_min = 1e-3 * max(hscale, abs(kappa) * np.abs(rel).max())
+
+    plus_idx = (np.arange(n)[:, None] * N + plus[None, :]).ravel()
+    minus_idx = (np.arange(n)[:, None] * N + minus[None, :]).ravel()
+    A = H[np.ix_(plus_idx, minus_idx)]
+    x = np.repeat(rel, plus.size)
+    h = plus_idx.size
+    L = np.zeros((2 * h, 2 * h), dtype=complex, order="F")
+    L[:h, :h] = kappa * np.diag(x)
+    L[h:, h:] = -kappa * np.diag(x)
+    L[:h, h:] = A
+    L[h:, :h] = A.conj().T
+    evl = scipy.linalg.eigvalsh(L, overwrite_a=True)
     margin = float(np.abs(evl).min())
     half_sig = 0.5 * float((evl > 0).sum() - (evl < 0).sum())
     nearest = round(half_sig)

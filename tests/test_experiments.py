@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from delonetop import experiments
 from delonetop.errors import InvalidInput
 from delonetop.experiments import (build_lattice, run_omega_independence,
                                    run_quantization, run_robustness,
@@ -157,10 +158,25 @@ def test_robustness_chiral_class_perturbations():
     assert rep.summary["agreeing"] == 5
 
 
-def test_robustness_chiral_noise_needs_a_chiral_model():
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("an eigensolve ran before the input check")
+
+
+def test_robustness_chiral_noise_needs_a_chiral_model(monkeypatch):
     # chern_2band_2d carries no chiral grading to draw anticommuting noise for.
     with pytest.raises(InvalidInput, match="grading"):
         run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, n_trials=2,
+                       perturbation={"symmetry": "chiral"})
+    # The symmetry string is resolved before the base run: no eigensolve
+    # runs first, and a base run left unreliable by margin_min = 1e6 does
+    # not skip the check.
+    monkeypatch.setattr(experiments, "eig_hermitian", _no_eigensolve)
+    unreliable = {**KAPPAS, "margin_min": 1e6}
+    with pytest.raises(InvalidInput, match="unknown symmetry 'weird'"):
+        run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable, n_trials=2,
+                       perturbation={"symmetry": "weird"})
+    with pytest.raises(InvalidInput, match="chiral symmetry needs the on-site grading"):
+        run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable, n_trials=2,
                        perturbation={"symmetry": "chiral"})
 
 
@@ -241,9 +257,15 @@ def test_stacking_aperiodic_chain_uses_reference_oracle():
     assert rep.summary["stacked_indices"] == [0]
 
 
-def test_stacking_rejects_even_models():
-    with pytest.raises(InvalidInput):
+def test_stacking_rejects_even_models(monkeypatch):
+    # Rejected before the chain's eigensolve: a 2D Chern chain and a 1D
+    # model without a chiral grading.
+    monkeypatch.setattr(experiments, "eig_hermitian", _no_eigensolve)
+    with pytest.raises(InvalidInput, match="stacking needs a chiral 1D model"):
         run_stacking({"window": [0.0, 8.0]}, CHERN)
+    with pytest.raises(InvalidInput, match="stacking needs a chiral 1D model"):
+        run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 8.0]},
+                     {"name": "nn_laplacian", "dim": 1, "mu": 0.5})
 
 
 def test_stacking_control_model_reports_nonzero():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delonetop.errors import InvalidInput, KernelNotSelfAdjoint
 from delonetop.geometry import (LocalPattern, gen_cut_and_project,
@@ -7,6 +9,8 @@ from delonetop.geometry import (LocalPattern, gen_cut_and_project,
 from delonetop.groupoid import (PAULI, BlockOperator, HoppingFunction,
                                 bloch_hamiltonian, builtin_model,
                                 covariance_check, represent, stack_operator)
+from delonetop.index import chiral_bloch_block, localizer_index_odd, position_dirac
+from delonetop.roe import random_perturbation
 from oracles import brute_neighbors, path_graph_eigenvalues
 
 
@@ -50,6 +54,55 @@ def test_model_grading_anticommutes_with_its_operator(name):
     G = np.kron(np.eye(len(omega)), f.grading)
     H = represent(f, omega).to_dense()
     assert np.array_equal(G @ H @ G, -H)
+
+
+GRADING_RULES = {
+    "size": "shape does not match block_dim",
+    "off-diagonal": r"diagonal \+-1 matrix",
+    "not +-1": r"diagonal \+-1 matrix",
+    "unbalanced": r"balance \+1 and -1",
+}
+
+
+@st.composite
+def invalid_gradings(draw):
+    """(rule, G): a grading of a 2-orbital model that breaks one rule."""
+    rule = draw(st.sampled_from(sorted(GRADING_RULES)))
+    if rule == "size":
+        # A balanced +-1 diagonal of the wrong size, the sign vector itself,
+        # or a non-square matrix.
+        k = draw(st.integers(2, 3))
+        return rule, draw(st.sampled_from([
+            np.diag(draw(st.permutations([1.0] * k + [-1.0] * k))),
+            np.array([1.0, -1.0]),
+            np.eye(2, 3)]))
+    if rule == "unbalanced":
+        return rule, draw(st.sampled_from([1.0, -1.0])) * np.eye(2)
+    G = np.diag(draw(st.permutations([1.0, -1.0])))
+    i = draw(st.integers(0, 1))
+    value = draw(st.floats().filter(lambda v: v not in (0.0, 1.0, -1.0)))
+    if rule == "off-diagonal":
+        G[i, 1 - i] = value
+    else:
+        G[i, i] = draw(st.sampled_from([0.0, value]))
+    return rule, G
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=invalid_gradings())
+def test_every_invalid_grading_is_invalid_input(case):
+    # One validator behind the odd localizer, the chiral Bloch block and
+    # chiral noise: a bad grading is an InvalidInput, never a NumPy error.
+    rule, G = case
+    f = builtin_model("chiral_ssh_1d")
+    omega = z1(4)
+    dirac = position_dirac(omega, omega.window_center, block_dim=2)
+    with pytest.raises(InvalidInput, match=GRADING_RULES[rule]):
+        localizer_index_odd(represent(f, omega), dirac, 0.1, G)
+    with pytest.raises(InvalidInput, match=GRADING_RULES[rule]):
+        chiral_bloch_block(bloch_hamiltonian(f, np.eye(1)), G)
+    with pytest.raises(InvalidInput, match=GRADING_RULES[rule]):
+        random_perturbation(omega, 2.0, 0.2, 2, grading=G)
 
 
 def test_kernel_vanishes_beyond_range():
@@ -123,11 +176,10 @@ def test_matrix_element_law_200_probes(name):
         assert np.array_equal(H.block(i, j), expected.reshape(f.N, f.N)), name
 
 
-def test_represent_is_hermitian_flagged_and_exact():
+def test_represent_is_hermitian_and_exact():
     for name, make in MODEL_WINDOWS.items():
         f, omega = make()
         H = represent(f, omega)
-        assert H.hermitian, name
         dense = H.to_dense()
         assert np.abs(dense - dense.conj().T).max() <= 1e-12, name
 
@@ -199,7 +251,8 @@ def test_stack_index_convention_and_spectrum():
     layers = z1(3)
     T = represent(f, omega)
     S = stack_operator(T, layers)
-    assert S.hermitian
+    D = S.to_dense()
+    assert np.abs(D - D.conj().T).max() <= 1e-12
     nb = len(layers)
     for (i, j), b in T.entries.items():
         for a in range(nb):

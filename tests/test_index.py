@@ -19,7 +19,8 @@ from delonetop.index import (_chirality_residual, angular_sectors,
 from delonetop.roe import random_perturbation
 from delonetop.spectral import eig_hermitian, fermi_projection
 from oracles import (dvector_chern_lower, reference_fermi_projection,
-                     reference_localizer_even, winding_unwrap)
+                     reference_localizer_even, reference_localizer_odd,
+                     winding_unwrap)
 
 GRADING = np.diag([1.0, -1.0])
 
@@ -411,6 +412,33 @@ def test_odd_localizer_fibonacci_chain():
     assert (r.status, r.index) == ("ok", -1)
 
 
+ODD_CHAINS = {
+    "periodic_34": lambda: (builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0),
+                            gen_periodic(np.eye(1), ([0.0], [34.0]))),
+    "fibonacci_48": lambda: (builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0),
+                             gen_cut_and_project("fibonacci_1d", ([0.0], [48.0]))),
+    "ssh_200": lambda: (builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), z1(200)),
+    "dimer_120": lambda: (builtin_model("dimer_chain_1d", t1=0.7), z1(120)),
+}
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["clean", "chiral-noise"])
+@pytest.mark.parametrize("chain", sorted(ODD_CHAINS))
+def test_odd_localizer_matches_chiral_basis_reference(chain, noise):
+    # L read off H + k (X - x0) G in the grading's +- order is the
+    # chiral-basis block matrix, entry for entry: the same eigenvalues.
+    f, omega = ODD_CHAINS[chain]()
+    H = represent(f, omega).to_dense()
+    if noise:
+        H = H + random_perturbation(omega, 2.0, 0.2, 2, grading=GRADING, seed=3).to_dense()
+    dirac = position_dirac(omega, omega.window_center, block_dim=2)
+    for kappa in (0.05, 0.1, 0.2):
+        r = localizer_index_odd(H, dirac, kappa, GRADING)
+        want = reference_localizer_odd(H, omega.points, dirac.x0, GRADING, kappa)
+        assert (r.index, r.status, r.half_signature, r.margin) == (
+            want["index"], want["status"], want["half_signature"], want["margin"])
+
+
 def test_odd_localizer_rejects_broken_symmetry():
     omega = z1(40)
     H = represent(builtin_model("chiral_ssh_1d"), omega).to_dense()
@@ -432,8 +460,9 @@ def test_odd_chirality_residual_matches_dense_grading_product(n_sites):
                                                (1, "chiral", 0.2, True),
                                                (2, "none", 1e-14, True),
                                                (3, "none", 1e-3, False)):
-        V = random_perturbation(omega, 2.0, strength, 2, symmetry=symmetry,
-                                grading=GRADING, seed=seed)
+        V = random_perturbation(omega, 2.0, strength, 2,
+                                grading=GRADING if symmetry == "chiral" else None,
+                                seed=seed)
         Hd = H.to_dense() + V.to_dense()
         res = _chirality_residual(Hd, np.diag(G).copy())
         assert res == float(np.abs(G @ Hd @ G + Hd).max())
@@ -456,6 +485,10 @@ def test_odd_localizer_rejects_bad_arguments(z2_12):
         localizer_index_odd(H, dirac, 0.1, np.diag([1.0, 1.0]))
     with pytest.raises(InvalidInput):
         localizer_index_odd(H, dirac, 0.1, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # Four orbitals per site against the 2 x 2 grading.
+    dirac4 = position_dirac(omega, omega.window_center, block_dim=4)
+    with pytest.raises(InvalidInput, match="shape does not match block_dim"):
+        localizer_index_odd(np.kron(H.to_dense(), np.eye(2)), dirac4, 0.1, GRADING)
     dirac2 = position_dirac(z2_12, z2_12.window_center, block_dim=2)
     with pytest.raises(InvalidInput):
         localizer_index_odd(H, dirac2, 0.1, GRADING)

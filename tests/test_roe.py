@@ -77,8 +77,7 @@ def test_commutator_entry_law_on_random_probes():
 
 def test_commutator_of_unit_shift_has_norm_one():
     omega = gen_periodic(np.eye(1), ([0.0], [20.0]))
-    shift = BlockOperator(omega, 1, np.arange(20), np.arange(1, 21), np.ones((20, 1, 1)),
-                          hermitian=False)
+    shift = BlockOperator(omega, 1, np.arange(20), np.arange(1, 21), np.ones((20, 1, 1)))
     C = position_commutator(shift, 0)
     dense = C.to_dense()
     assert np.linalg.norm(dense, 2) == pytest.approx(1.0, abs=1e-12)
@@ -175,7 +174,6 @@ def test_perturbation_zero_strength_is_empty():
 
 def test_perturbation_norm_budget_and_propagation():
     V = random_perturbation(z2(6), 1.5, 0.3, 2, seed=11)
-    assert V.hermitian
     s = support_stats(V)
     assert s.propagation <= 1.5
     for b in V.entries.values():
@@ -186,8 +184,7 @@ def test_perturbation_norm_budget_and_propagation():
 
 def test_perturbation_chiral_blocks_anticommute_with_grading():
     G = np.diag([1.0, -1.0])
-    V = random_perturbation(z2(5), 1.5, 0.3, 2, symmetry="chiral",
-                            grading=G, seed=4)
+    V = random_perturbation(z2(5), 1.5, 0.3, 2, grading=G, seed=4)
     for b in V.entries.values():
         assert np.abs(G @ b + b @ G).max() <= 1e-14
     dense = V.to_dense()
@@ -244,8 +241,7 @@ def test_perturbation_matches_per_pair_reference(window, symmetry, strength):
     G = np.diag([1.0, -1.0])
     grading = G if symmetry == "chiral" else None
     for seed in (0, 5, 123456789):
-        V = random_perturbation(sites, 2.0, strength, 2, symmetry=symmetry,
-                                grading=grading, seed=seed)
+        V = random_perturbation(sites, 2.0, strength, 2, grading=grading, seed=seed)
         want = reference_random_perturbation(sites.points, 2.0, strength, 2,
                                              symmetry=symmetry, grading=G,
                                              seed=seed)
@@ -265,8 +261,9 @@ def test_dense_trial_sum_equals_block_sum():
     for sites, f, symmetry in cases:
         H = represent(f, sites)
         for seed in (0, 1, 2):
-            V = random_perturbation(sites, 2.0, 0.2, f.N, symmetry=symmetry,
-                                    grading=np.diag([1.0, -1.0]), seed=seed)
+            V = random_perturbation(sites, 2.0, 0.2, f.N,
+                                    grading=f.grading if symmetry == "chiral" else None,
+                                    seed=seed)
             dense = H.to_dense() + V.to_dense()
             assert dense.tobytes() == H.add(V).to_dense().tobytes()
 
@@ -276,12 +273,8 @@ def test_perturbation_rejects_bad_arguments():
         random_perturbation(z2(3), 1.0, -0.1, 1)
     with pytest.raises(InvalidInput):
         random_perturbation(z2(3), -1.0, 0.1, 1)
-    with pytest.raises(InvalidInput):
-        random_perturbation(z2(3), 1.0, 0.1, 1, symmetry="weird")
-    with pytest.raises(InvalidInput):
-        random_perturbation(z2(3), 1.0, 0.1, 2, symmetry="chiral")
     with pytest.raises(InvalidInput, match="diagonal"):
-        random_perturbation(z2(3), 1.0, 0.1, 2, symmetry="chiral",
+        random_perturbation(z2(3), 1.0, 0.1, 2,
                             grading=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
