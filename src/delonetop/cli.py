@@ -359,36 +359,15 @@ def _dispatch(command: str, cfg: dict, workers: int,
         return _cmd_spectrum(cfg, workers)
     if command in ("index", "quantization"):
         return run_quantization(lattice, model, index, workers=workers)
-    # _materialize has filled in every default of exp.
     if command == "robustness":
-        pert = {k: exp[k] for k in ("strength", "strength_rel", "range", "symmetry")
-                if k in exp}
-        return run_robustness(lattice, model, index,
-                              n_trials=int(exp["n_trials"]),
-                              perturbation=pert,
-                              master_seed=int(exp["master_seed"]),
-                              workers=workers)
+        return run_robustness(lattice, model, index, exp, workers=workers)
     if command == "stacking":
-        stack_cfg = {
-            "generator": exp["stack_generator"],
-            "dim": 1,
-            "window": exp["stack_window"],
-            "seed": int(exp["stack_seed"]),
-        }
-        if "stack_min_dist" in exp:
-            stack_cfg["min_dist"] = exp["stack_min_dist"]
-        if "stack_target_R" in exp:
-            stack_cfg["target_R"] = exp["stack_target_R"]
-        control_cfg = None
-        if exp["control"]:
-            control_cfg = {"lattice": {"window": exp["control_window"]}}
-        return run_stacking(lattice, model, stack_cfg, index,
-                            control_cfg=control_cfg, workers=workers)
+        return run_stacking(lattice, model, index, exp, workers=workers)
     if command == "omega":
         # The window spectrum and site map feed only spectrum.csv and
         # lattice.svg.
         return run_omega_independence(
-            lattice, model, index, base_sites=exp["base_sites"], workers=workers,
+            lattice, model, index, exp, workers=workers,
             collect_artifacts=bool({"csv", "svg"} & set(formats)))
     raise SchemaError(f"unknown command {command!r}")
 

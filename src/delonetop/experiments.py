@@ -18,8 +18,10 @@ model's chiral grading (class AIII: winding localizer and oracle).  A model
 is chiral iff it carries a grading; its mu is pinned to 0 and its gap is
 the symmetric one around 0.  Every
 default of the drivers and of the CLI lives in DEFAULTS (config sections)
-and EXPERIMENT_DEFAULTS (the [experiment] keys of each subcommand); the CLI
-merges them into the echoed inputs.
+and EXPERIMENT_DEFAULTS (the [experiment] keys of each subcommand).  The
+robustness, stacking and omega drivers take the CLI's [experiment] section
+as one dict, merge it over EXPERIMENT_DEFAULTS of their subcommand and echo
+the run it makes; the CLI passes the section through unchanged.
 """
 
 from __future__ import annotations
@@ -317,10 +319,6 @@ def _stash_artifacts(report: ExperimentReport, base: _BaseRun) -> None:
     report.artifacts["spectrum"] = np.asarray(base.evs)
 
 
-def _echo(**sections) -> dict:
-    return {k: v for k, v in sections.items() if v is not None}
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -340,8 +338,8 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
                  or [int(lattice_cfg.get("seed", DEFAULTS["lattice"]["seed"]))])
     report = ExperimentReport(
         "quantization",
-        _echo(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
-              experiment={"seeds": seeds}),
+        dict(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
+             experiment={"seeds": seeds}),
     )
 
     f, mu_policy = _model_from_cfg(model_cfg)
@@ -396,10 +394,7 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
 
 
 def run_robustness(lattice_cfg: dict, model_cfg: dict,
-                   index_cfg: dict | None = None,
-                   n_trials: int = EXPERIMENT_DEFAULTS["robustness"]["n_trials"],
-                   perturbation: dict | None = None,
-                   master_seed: int = EXPERIMENT_DEFAULTS["robustness"]["master_seed"],
+                   index_cfg: dict | None = None, experiment: dict | None = None,
                    workers: int = 1) -> ExperimentReport:
     """Gap-preserving random perturbations must reproduce the base integer.
 
@@ -408,21 +403,24 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     gap_closed and excluded.  Passes iff the base run is reliable and every
     included trial returns exactly the base integer.  The perturbation's
     symmetry, "none" or "chiral" (noise anticommuting with the model's
-    grading), is resolved before any solve.
+    grading), is resolved before any solve.  An absolute strength overrides
+    strength_rel (a fraction of the base gap).
     """
     index_cfg = dict(index_cfg or {})
-    pert = dict(perturbation or {})
+    exp = {**EXPERIMENT_DEFAULTS["robustness"], **(experiment or {})}
+    n_trials, master_seed = int(exp["n_trials"]), int(exp["master_seed"])
+    pert = {k: exp[k] for k in ("strength", "strength_rel", "range", "symmetry")
+            if k in exp}
     t0 = time.perf_counter()
     report = ExperimentReport(
         "robustness",
-        _echo(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
-              experiment={"n_trials": n_trials, "perturbation": pert,
-                          "master_seed": master_seed}),
+        dict(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
+             experiment={"n_trials": n_trials, "perturbation": pert,
+                         "master_seed": master_seed}),
     )
-    defaults = EXPERIMENT_DEFAULTS["robustness"]
     sites = build_lattice(lattice_cfg)
     f, mu_policy = _model_from_cfg(model_cfg)
-    symmetry = pert.get("symmetry", defaults["symmetry"])
+    symmetry = exp["symmetry"]
     if symmetry not in ("none", "chiral"):
         raise InvalidInput(f"unknown symmetry {symmetry!r}")
     if symmetry == "chiral" and f.grading is None:
@@ -441,10 +439,9 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         report.timings["total"] = time.perf_counter() - t0
         return report
 
-    strength = (float(pert["strength"]) if "strength" in pert
-                else float(pert.get("strength_rel", defaults["strength_rel"]))
-                * base.gap.width)
-    prange = float(pert.get("range", defaults["range"]))
+    strength = (float(exp["strength"]) if "strength" in exp
+                else float(exp["strength_rel"]) * base.gap.width)
+    prange = float(exp["range"])
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
     Hd = base.H.to_dense()
 
@@ -468,7 +465,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
                               f.grading, index_cfg, evs)
         return _result_record(res, trial=t, seed=seed, gap=gap.width)
 
-    trials = _pmap(one_trial, range(int(n_trials)), workers)
+    trials = _pmap(one_trial, range(n_trials), workers)
     report.records.extend(trials)
     included = [r for r in trials if r["status"] != "gap_closed"]
     excluded = len(trials) - len(included)
@@ -489,40 +486,42 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
 
 
 def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
-                 stack_cfg: dict | None = None, index_cfg: dict | None = None,
-                 control_cfg: dict | None = None,
+                 index_cfg: dict | None = None, experiment: dict | None = None,
                  workers: int = 1) -> ExperimentReport:
     """A nonzero 1D winding must die when stacked along a second direction.
 
-    Runs the odd localizer on the chain, stacks the operator over a 1D set L,
-    and computes the 2D even index of the stacked operator at the same mu.
-    Passes iff the chain winding is nonzero (and matches the Bloch oracle of
-    the periodic reference), the stacked index is exactly 0 across the kappa
-    plateau, and the stacked spectrum is the chain spectrum repeated |L|
-    times to 1e-9.  An optional control config runs a genuine 2D Chern model
-    for contrast (its nonzero index is reported, not required).  Each key it
-    leaves out of its lattice, model and index sections takes the control
-    default: the default model at mu = 0 on a periodic 2D window, with the
-    chain's kappas (0.1 when it has none).  A chain that is not 1D or a
-    model without a chiral grading is rejected before any solve.
+    Runs the odd localizer on the chain, stacks the operator over the 1D set
+    L that the stack_* keys describe, and computes the 2D even index of the
+    stacked operator at the same mu.  Passes iff the chain winding is
+    nonzero (and matches the Bloch oracle of the periodic reference), the
+    stacked index is exactly 0 across the kappa plateau, and the stacked
+    spectrum is the chain spectrum repeated |L| times to 1e-9.  With control
+    true, a genuine 2D Chern model runs for contrast (its nonzero index is
+    reported, not required): the default model at mu = 0 on a periodic 2D
+    control_window, with the chain's kappas (0.1 when it has none).  A chain
+    that is not 1D or a model without a chiral grading is rejected before
+    any solve.
     """
     index_cfg = dict(index_cfg or {})
-    defaults = EXPERIMENT_DEFAULTS["stacking"]
-    stack_cfg = dict(stack_cfg or {"generator": defaults["stack_generator"], "dim": 1,
-                                   "window": defaults["stack_window"]})
-    if control_cfg:
-        control_defaults = {
-            "lattice": {"generator": "periodic", "dim": 2, "window": defaults["control_window"]},
+    exp = {**EXPERIMENT_DEFAULTS["stacking"], **(experiment or {})}
+    stack_cfg = {"generator": exp["stack_generator"], "dim": 1,
+                 "window": exp["stack_window"], "seed": int(exp["stack_seed"])}
+    for key in ("min_dist", "target_R"):
+        if f"stack_{key}" in exp:
+            stack_cfg[key] = exp[f"stack_{key}"]
+    control_cfg = None
+    if exp["control"]:
+        control_cfg = {
+            "lattice": {"generator": "periodic", "dim": 2, "window": exp["control_window"]},
             "model": {"name": DEFAULTS["model"]["name"], "mu": 0.0},
             "index": {"kappa_list": index_cfg.get("kappa_list") or [0.1]},
         }
-        control_cfg = {k: {**v, **control_cfg.get(k, {})} for k, v in control_defaults.items()}
     t0 = time.perf_counter()
     report = ExperimentReport(
         "stacking",
-        _echo(lattice=dict(chain_lattice_cfg), model=dict(model_cfg),
-              index=index_cfg,
-              experiment={"stack": stack_cfg, "control": control_cfg}),
+        dict(lattice=dict(chain_lattice_cfg), model=dict(model_cfg),
+             index=index_cfg,
+             experiment={"stack": stack_cfg, "control": control_cfg}),
     )
 
     chain = build_lattice(chain_lattice_cfg)
@@ -584,7 +583,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 
 def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
                            index_cfg: dict | None = None,
-                           base_sites=EXPERIMENT_DEFAULTS["omega"]["base_sites"],
+                           experiment: dict | None = None,
                            workers: int = 1,
                            collect_artifacts: bool = False) -> ExperimentReport:
     """The index must not depend on the transversal point.
@@ -596,11 +595,12 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     indices; indices too close to the boundary raise InvalidInput.
     """
     index_cfg = dict(index_cfg or {})
+    base_sites = {**EXPERIMENT_DEFAULTS["omega"], **(experiment or {})}["base_sites"]
     t0 = time.perf_counter()
     report = ExperimentReport(
         "omega_independence",
-        _echo(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
-              experiment={"base_sites": base_sites}),
+        dict(lattice=dict(lattice_cfg), model=dict(model_cfg), index=index_cfg,
+             experiment={"base_sites": base_sites}),
     )
     sites = build_lattice(lattice_cfg)
     f, mu_policy = _model_from_cfg(model_cfg)

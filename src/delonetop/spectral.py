@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
+# |eigenvalue| at or below this counts as a zero (boundary) mode of a chiral
+# spectrum in symmetric_gap.
+_ZERO_MODE_TOL = 1e-6
 # MRRR halves the 1552-row solve against divide and conquer.  Below this
 # size the driver is evd: evr at every size gave no resolved wall-time gain
 # in benchmark pairs (2-core host), and SciPy's evd gave eigenvalues and
@@ -185,7 +188,7 @@ def largest_gap(spec: SpectralData | np.ndarray) -> GapInfo:
     return GapInfo(float(vals[k]), float(vals[k + 1]), float(diffs[k]))
 
 
-def symmetric_gap(eigenvalues, zero_tol: float = 1e-6) -> tuple[GapInfo, int]:
+def symmetric_gap(eigenvalues) -> tuple[GapInfo, int]:
     """Gap around 0 of a chiral (symmetric) spectrum, tolerating edge modes.
 
     Open chiral chains in a nontrivial phase carry a handful of eigenvalues
@@ -194,7 +197,7 @@ def symmetric_gap(eigenvalues, zero_tol: float = 1e-6) -> tuple[GapInfo, int]:
     number of zero modes ignored.
     """
     vals = np.abs(np.asarray(eigenvalues, dtype=float))
-    zero = vals <= zero_tol
+    zero = vals <= _ZERO_MODE_TOL
     bulk = vals[~zero]
     if bulk.size == 0:
         raise GapUndefined("spectrum consists of zero modes only")

@@ -150,9 +150,9 @@ def test_criterion_4_quantization_periodic_and_amorphous():
 
 def test_criterion_5_robustness_30_perturbations():
     rep = run_robustness({"window": [0.0, 16.0]}, CHERN, {"kappa_list": [0.1]},
-                         n_trials=30,
-                         perturbation={"strength_rel": 0.2, "range": 2.0},
-                         master_seed=0, workers=2)
+                         experiment={"n_trials": 30, "strength_rel": 0.2,
+                                     "range": 2.0, "master_seed": 0},
+                         workers=2)
     s = rep.summary
     ok = (rep.passed and s["base_index"] == 1
           and s["included"] + s["excluded_gap_closed"] == 30
@@ -170,10 +170,8 @@ def test_criterion_6_stacked_phase_is_weak():
                           {"generator": "periodic", "dim": 1, "window": [0.0, 34.0]}),
                          ("fibonacci",
                           {"generator": "fibonacci_1d", "length": 48.0})):
-        rep = run_stacking(lattice, SSH,
-                           stack_cfg={"generator": "periodic", "dim": 1,
-                                      "window": [0.0, 7.0]},
-                           index_cfg={"kappa_list": [0.05, 0.1, 0.2]})
+        rep = run_stacking(lattice, SSH, {"kappa_list": [0.05, 0.1, 0.2]},
+                           experiment={"stack_window": [0.0, 7.0], "control": False})
         s = rep.summary
         ok &= (rep.passed and abs(s["winding"]) == 1
                and s["winding"] == s["winding_oracle"]
@@ -188,11 +186,13 @@ def test_criterion_6_stacked_phase_is_weak():
 
 def test_criterion_7_omega_independence():
     per = run_omega_independence({"window": [0.0, 12.0]}, CHERN,
-                                 index_cfg={"kappa_list": [0.15]}, base_sites=5)
+                                 index_cfg={"kappa_list": [0.15]},
+                                 experiment={"base_sites": 5})
     amo = run_omega_independence({"generator": "hardcore_random",
                                   "window": [0.0, 14.0], "min_dist": 0.8,
                                   "target_R": 1.2, "seed": 1}, CHERN,
-                                 index_cfg={"kappa_list": [0.15]}, base_sites=5)
+                                 index_cfg={"kappa_list": [0.15]},
+                                 experiment={"base_sites": 5})
     ok = True
     for rep in (per, amo):
         idx = rep.summary["indices"]

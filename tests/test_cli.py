@@ -394,6 +394,7 @@ def test_cli_and_library_robustness_defaults_agree(tmp_path):
         {"window": [0.0, 6.0]}, {"M": 1.0, "mu": 0.0}, {"kappa_list": [0.1]}).as_dict()))
     assert lib_report["records"] == cli_report["records"]
     assert lib_report["summary"] == cli_report["summary"]
+    assert lib_report["inputs"]["experiment"] == cli_report["inputs"]["experiment"]
     assert len(cli_report["records"]) == 31
 
 
@@ -405,14 +406,13 @@ def test_cli_and_library_stacking_control_agree(tmp_path):
     cli_report = json.loads((out / "report.json").read_text())
     lib_report = json.loads(dumps17(run_stacking(
         {"generator": "periodic", "dim": 1, "window": [0.0, 34.0]},
-        {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}, index_cfg={"kappa_list": [0.1]},
-        control_cfg={"lattice": {"window": [0, 12]}}).as_dict()))
+        {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0},
+        index_cfg={"kappa_list": [0.1]}).as_dict()))
     control = [r for r in cli_report["records"] if r["stage"] == "control"]
     assert len(control) == 1
     assert [r for r in lib_report["records"] if r["stage"] == "control"] == control
     assert lib_report["summary"]["control"] == cli_report["summary"]["control"]
-    assert lib_report["inputs"]["experiment"]["control"] == \
-        cli_report["inputs"]["experiment"]["control"]
+    assert lib_report["inputs"]["experiment"] == cli_report["inputs"]["experiment"]
 
 
 # ---------------------------------------------------------------------------

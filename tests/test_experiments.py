@@ -120,7 +120,7 @@ def test_quantization_report_is_deterministic_across_workers():
 
 def test_robustness_zero_strength_reproduces_base():
     rep = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
-                         n_trials=3, perturbation={"strength": 0.0})
+                         experiment={"n_trials": 3, "strength": 0.0})
     assert rep.passed
     assert rep.summary == {"base_index": 1, "included": 3,
                            "excluded_gap_closed": 0, "strength": 0.0,
@@ -128,8 +128,9 @@ def test_robustness_zero_strength_reproduces_base():
 
 
 def test_robustness_gap_preserving_perturbations_pass():
-    rep = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, n_trials=6,
-                         perturbation={"strength_rel": 0.2}, master_seed=1)
+    rep = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                         experiment={"n_trials": 6, "strength_rel": 0.2,
+                                     "master_seed": 1})
     assert rep.passed
     assert rep.summary["base_index"] == 1
     assert rep.summary["agreeing"] == rep.summary["included"] == 6
@@ -141,8 +142,9 @@ def test_robustness_gap_preserving_perturbations_pass():
 
 
 def test_robustness_excessive_strength_fails_honestly():
-    rep = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, n_trials=6,
-                         perturbation={"strength_rel": 5.0}, master_seed=3)
+    rep = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                         experiment={"n_trials": 6, "strength_rel": 5.0,
+                                     "master_seed": 3})
     assert not rep.passed
     assert rep.summary["agreeing"] < rep.summary["included"] \
         or rep.summary["excluded_gap_closed"] > 0
@@ -150,9 +152,9 @@ def test_robustness_excessive_strength_fails_honestly():
 
 def test_robustness_chiral_class_perturbations():
     rep = run_robustness({"generator": "periodic", "dim": 1, "window": [0.0, 60.0]},
-                         SSH, {"kappa_list": [0.1]}, n_trials=5,
-                         perturbation={"strength_rel": 0.2, "symmetry": "chiral"},
-                         master_seed=2)
+                         SSH, {"kappa_list": [0.1]},
+                         experiment={"n_trials": 5, "strength_rel": 0.2,
+                                     "symmetry": "chiral", "master_seed": 2})
     assert rep.passed
     assert rep.summary["base_index"] == -1
     assert rep.summary["agreeing"] == 5
@@ -165,35 +167,36 @@ def _no_eigensolve(*args, **kwargs):
 def test_robustness_chiral_noise_needs_a_chiral_model(monkeypatch):
     # chern_2band_2d carries no chiral grading to draw anticommuting noise for.
     with pytest.raises(InvalidInput, match="grading"):
-        run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, n_trials=2,
-                       perturbation={"symmetry": "chiral"})
+        run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                       experiment={"n_trials": 2, "symmetry": "chiral"})
     # The symmetry string is resolved before the base run: no eigensolve
     # runs first, and a base run left unreliable by margin_min = 1e6 does
     # not skip the check.
     monkeypatch.setattr(experiments, "eig_hermitian", _no_eigensolve)
     unreliable = {**KAPPAS, "margin_min": 1e6}
     with pytest.raises(InvalidInput, match="unknown symmetry 'weird'"):
-        run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable, n_trials=2,
-                       perturbation={"symmetry": "weird"})
+        run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable,
+                       experiment={"n_trials": 2, "symmetry": "weird"})
     with pytest.raises(InvalidInput, match="chiral symmetry needs the on-site grading"):
-        run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable, n_trials=2,
-                       perturbation={"symmetry": "chiral"})
+        run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable,
+                       experiment={"n_trials": 2, "symmetry": "chiral"})
 
 
 def test_robustness_master_seed_determinism():
-    kw = dict(n_trials=4, perturbation={"strength_rel": 0.2}, master_seed=7)
+    kw = dict(experiment={"n_trials": 4, "strength_rel": 0.2, "master_seed": 7})
     a = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, **kw).as_dict()
     b = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, **kw, workers=3).as_dict()
     assert a == b
-    c = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS, n_trials=4,
-                       perturbation={"strength_rel": 0.2}, master_seed=8).as_dict()
+    c = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                       experiment={"n_trials": 4, "strength_rel": 0.2,
+                                   "master_seed": 8}).as_dict()
     assert [r["seed"] for r in c["records"]] != [r["seed"] for r in a["records"]]
 
 
 def test_robustness_trials_honour_margin_min():
     # A margin_min between the smallest trial margin and the base margin
     # must leave the base reliable and mark the trials below it unreliable.
-    kw = dict(n_trials=3, perturbation={"strength_rel": 0.2})
+    kw = dict(experiment={"n_trials": 3, "strength_rel": 0.2})
     free = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]}, **kw)
     base_margin = free.records[0]["margin"]
     trial_margins = [r["margin"] for r in free.records[1:]]
@@ -217,10 +220,10 @@ def test_stacked_sweep_honours_margin_min():
     # margin_min = 0.48 lies above both kappa = 0.1 margins on this chain
     # (chain 0.4707, stacked 0.4733): both records must be unreliable.
     chain = {"generator": "periodic", "dim": 1, "window": [0.0, 30.0]}
-    stack = {"generator": "periodic", "dim": 1, "window": [0.0, 5.0]}
-    free = run_stacking(chain, SSH, stack_cfg=stack, index_cfg={"kappa_list": [0.1]})
-    rep = run_stacking(chain, SSH, stack_cfg=stack,
-                       index_cfg={"kappa_list": [0.1], "margin_min": 0.48})
+    stack = {"stack_window": [0.0, 5.0], "control": False}
+    free = run_stacking(chain, SSH, {"kappa_list": [0.1]}, experiment=stack)
+    rep = run_stacking(chain, SSH, {"kappa_list": [0.1], "margin_min": 0.48},
+                       experiment=stack)
     assert [r["stage"] for r in rep.records] == ["chain", "stacked"]
     assert [r["status"] for r in free.records] == ["ok", "ok"]
     assert [r["margin"] for r in rep.records] == [r["margin"] for r in free.records]
@@ -232,10 +235,8 @@ def test_stacked_sweep_honours_margin_min():
 
 def test_stacking_kills_the_winding():
     rep = run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 34.0]},
-                       SSH,
-                       stack_cfg={"generator": "periodic", "dim": 1,
-                                  "window": [0.0, 7.0]},
-                       index_cfg=KAPPAS)
+                       SSH, KAPPAS,
+                       experiment={"stack_window": [0.0, 7.0], "control": False})
     assert rep.passed
     assert rep.summary["winding"] == -1
     assert rep.summary["winding"] == rep.summary["winding_oracle"]
@@ -248,9 +249,8 @@ def test_stacking_kills_the_winding():
 
 def test_stacking_aperiodic_chain_uses_reference_oracle():
     rep = run_stacking({"generator": "fibonacci_1d", "length": 48.0}, SSH,
-                       stack_cfg={"generator": "periodic", "dim": 1,
-                                  "window": [0.0, 5.0]},
-                       index_cfg={"kappa_list": [0.1]})
+                       {"kappa_list": [0.1]},
+                       experiment={"stack_window": [0.0, 5.0], "control": False})
     assert rep.passed
     assert rep.summary["winding"] == -1
     assert rep.summary["winding_oracle"] == -1
@@ -270,13 +270,8 @@ def test_stacking_rejects_even_models(monkeypatch):
 
 def test_stacking_control_model_reports_nonzero():
     rep = run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 20.0]},
-                       SSH,
-                       stack_cfg={"generator": "periodic", "dim": 1,
-                                  "window": [0.0, 4.0]},
-                       index_cfg={"kappa_list": [0.1]},
-                       control_cfg={"lattice": {"window": [0.0, 10.0]},
-                                    "model": CHERN,
-                                    "index": {"kappa_list": [0.15]}})
+                       SSH, {"kappa_list": [0.1]},
+                       experiment={"stack_window": [0, 4], "control_window": [0, 10]})
     assert rep.summary["control"]["integers"] == [1]
     control_recs = [r for r in rep.records if r.get("stage") == "control"]
     assert control_recs and control_recs[0]["verdict"] == "pass"
@@ -288,7 +283,7 @@ def test_stacking_control_model_reports_nonzero():
 
 def test_omega_independence_interior_sites_agree():
     rep = run_omega_independence({"window": [0.0, 12.0]}, CHERN,
-                                 index_cfg={"kappa_list": [0.15]}, base_sites=5)
+                                 index_cfg={"kappa_list": [0.15]}, experiment={"base_sites": 5})
     assert rep.passed
     assert rep.summary["indices"] == [1, 1, 1, 1, 1]
     assert rep.summary["weak_evidence"] is False
@@ -298,7 +293,7 @@ def test_omega_independence_interior_sites_agree():
 def test_omega_independence_odd_mode():
     rep = run_omega_independence({"generator": "periodic", "dim": 1,
                                   "window": [0.0, 50.0]}, SSH,
-                                 index_cfg={"kappa_list": [0.1]}, base_sites=3)
+                                 index_cfg={"kappa_list": [0.1]}, experiment={"base_sites": 3})
     assert rep.passed
     assert rep.summary["indices"] == [-1, -1, -1]
 
@@ -306,20 +301,22 @@ def test_omega_independence_odd_mode():
 def test_omega_independence_single_site_is_weak_evidence():
     rep = run_omega_independence({"window": [0.0, 12.0]}, CHERN,
                                  index_cfg={"kappa_list": [0.15]},
-                                 base_sites=[84])
+                                 experiment={"base_sites": [84]})
     assert rep.passed
     assert rep.summary["weak_evidence"] is True
 
 
 def test_omega_independence_rejects_boundary_sites():
     with pytest.raises(InvalidInput):
-        run_omega_independence({"window": [0.0, 12.0]}, CHERN, base_sites=[0])
+        run_omega_independence({"window": [0.0, 12.0]}, CHERN,
+                               experiment={"base_sites": [0]})
     with pytest.raises(InvalidInput):
-        run_omega_independence({"window": [0.0, 12.0]}, CHERN, base_sites=[10**6])
+        run_omega_independence({"window": [0.0, 12.0]}, CHERN,
+                               experiment={"base_sites": [10**6]})
 
 
 def test_omega_independence_worker_determinism():
-    kw = dict(index_cfg={"kappa_list": [0.15]}, base_sites=4)
+    kw = dict(index_cfg={"kappa_list": [0.15]}, experiment={"base_sites": 4})
     a = run_omega_independence({"window": [0.0, 12.0]}, CHERN, **kw).as_dict()
     b = run_omega_independence({"window": [0.0, 12.0]}, CHERN, **kw,
                                workers=4).as_dict()
@@ -353,7 +350,7 @@ def test_window_sized_lapack_goes_through_scipy(monkeypatch):
     assert localizer_index_odd(Hc, dirac1, 0.1, np.diag([1.0, -1.0])).index == -1
 
     rep = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]},
-                         n_trials=3, perturbation={"strength_rel": 0.2})
+                         experiment={"n_trials": 3, "strength_rel": 0.2})
     assert rep.passed
     assert rep.summary["included"] == 3
 
