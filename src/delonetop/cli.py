@@ -1,8 +1,9 @@
 """Batch front-end: config ingestion, experiment dispatch, artifact emission.
 
 Configs are INI-style section/key files (JSON accepted interchangeably);
-every key is schema-checked and unknown keys are rejected with a
-line-anchored message (exit code 2).  Runs write report.json, spectrum.csv,
+every key is schema-checked, and unknown keys and [experiment] keys the
+command does not read are rejected with a line-anchored message (exit
+code 2).  Runs write report.json, spectrum.csv,
 trials.csv, lattice.svg and a run_meta.json holding timestamps and timings,
 which is excluded from golden comparisons.  Exit code 0 iff the experiment
 verdict is pass; runtime failures exit 1 with the failure recorded in
@@ -84,6 +85,11 @@ _SCHEMA = {
     "output": {"dir": "str", "formats": "str-or-list"},
 }
 
+# The [experiment] keys a command reads beyond its EXPERIMENT_DEFAULTS keys:
+# optional ones, which have no default.
+_OPTIONAL_EXPERIMENT_KEYS = {"robustness": {"strength"},
+                             "stacking": {"stack_min_dist", "stack_target_R"}}
+
 # A model's keys and kinds: its factory's parameters and their annotations.
 _MODEL_PARAMS = {
     name: {p.name: p.annotation.__name__
@@ -158,8 +164,11 @@ def _read_json_config(path: Path) -> dict:
     return sections
 
 
-def load_config(path) -> dict:
-    """Read and schema-check a config file; returns {section: {key: value}}."""
+def load_config(path, command: str | None = None) -> dict:
+    """Read and schema-check a config file; returns {section: {key: value}}.
+
+    With a command, an [experiment] key that the command does not read is
+    rejected too."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"{path}: config file not found")
@@ -172,6 +181,12 @@ def load_config(path) -> dict:
             if kind is None:
                 raise SchemaError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{sec}]")
+            if (sec == "experiment" and command is not None
+                    and key not in {*EXPERIMENT_DEFAULTS.get(command, ()),
+                                    *_OPTIONAL_EXPERIMENT_KEYS.get(command, ())}):
+                raise SchemaError(
+                    f"{path}:{lineno}: key {key!r} in [experiment] does not apply "
+                    f"to command {command!r}")
             if not _KINDS[kind](value):
                 raise SchemaError(
                     f"{path}:{lineno}: key {key!r} in [{sec}] expects {kind}, "
@@ -390,7 +405,7 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
-        cfg_sections = load_config(args.config)
+        cfg_sections = load_config(args.config, args.command)
     except SchemaError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

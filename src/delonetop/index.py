@@ -15,7 +15,9 @@ and the margin is one shift-invert ARPACK eigenvalue of the sparse
 localizer.  The position term is site-diagonal, so the complement is the
 direct sum of the complements over the connected components of the nonzero
 graph of H - mu and is formed one component at a time: a stack T (x) 1 along
-|L| layers costs |L| chain-sized solves.  The odd (1D) localizer is small
+|L| layers costs |L| chain-sized solves.  The components come from a NumPy
+min-label propagation with pointer jumping (_components), which the
+stacking driver's multiplicity check reuses.  The odd (1D) localizer is small
 and stays a dense eigvalsh of L = H + kappa (X - x0) G, its rows and columns
 in the on-site grading G's +- order (the chiral-basis
 [[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
@@ -191,6 +193,32 @@ def _schur_eigenvalues(A: np.ndarray, kd: np.ndarray, nz, a) -> np.ndarray:
     return scipy.linalg.eigvalsh(S, overwrite_a=True)
 
 
+def _components(m: int, rows: np.ndarray,
+                cols: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Connected components of the graph on range(m) with edges (rows, cols):
+    each vertex's component label, numbered in the order of the components'
+    smallest vertices, and each component's vertices in ascending order.
+
+    Min-label propagation with pointer jumping: every vertex points at a
+    vertex no larger than itself, and each round hooks the larger root of
+    every edge under the smaller one, then jumps all pointers to their
+    roots; it stops when no edge joins two roots.
+    """
+    root = np.arange(m)
+    while True:
+        a, b = root[rows], root[cols]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    labels = (np.cumsum(root == np.arange(m)) - 1)[root]
+    members = np.split(np.argsort(labels, kind="stable"),
+                       np.cumsum(np.bincount(labels))[:-1])
+    return labels, members
+
+
 def _component_schur_eigenvalues(A: np.ndarray, kd: np.ndarray, nz,
                                  a) -> np.ndarray:
     """Spectrum of L/A as the union of its per-component complements.
@@ -204,23 +232,13 @@ def _component_schur_eigenvalues(A: np.ndarray, kd: np.ndarray, nz,
     beyond one complement's; the principal block of a smaller component is
     gathered into a Fortran-ordered copy, so A stays intact for the next.
     """
-    # Imported here like scipy.sparse.linalg in _even_margin: it stays out
-    # of CLI start-up.
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
     m = A.shape[0]
     rows, cols = nz
-    n_comp, labels = connected_components(
-        sparse.csr_matrix((np.ones(rows.size), nz), shape=(m, m)),
-        directed=False)
-    # Stable sorts by component: row indices ascend within each component,
-    # and the nonzeros keep their order.
-    members = np.split(np.argsort(labels, kind="stable"),
-                       np.cumsum(np.bincount(labels))[:-1])
+    labels, members = _components(m, rows, cols)
+    # A stable sort by component keeps the nonzeros' order within each.
     comp = labels[rows]
     entries = np.split(np.argsort(comp, kind="stable"),
-                       np.cumsum(np.bincount(comp, minlength=n_comp))[:-1])
+                       np.cumsum(np.bincount(comp, minlength=len(members)))[:-1])
     local = np.empty(m, dtype=np.intp)
     spectra = []
     for idx, e in zip(members, entries):

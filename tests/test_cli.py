@@ -127,6 +127,39 @@ def test_json_config_errors(tmp_path):
         load_config(write(tmp_path, "e.json", seeds))
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("quantization", "n_trials", 3),
+    ("robustness", "stack_window", [0.0, 4.0]),
+    ("stacking", "n_trials", 3),
+])
+def test_experiment_key_of_another_command_is_rejected(tmp_path, capsys, command,
+                                                       key, value):
+    ini = write(tmp_path, "run.ini",
+                QUANT_INI + f"\n[experiment]\n{key} = {json.dumps(value)}\n")
+    js = write(tmp_path, "run.json",
+               json.dumps({**QUANT_JSON, "experiment": {key: value}}, indent=1))
+    for cfg in (ini, js):
+        line = next(n for n, text in enumerate(cfg.read_text().splitlines(), 1)
+                    if key in text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert (f"{cfg.name}:{line}: key {key!r} in [experiment] does not apply "
+                f"to command {command!r}") in capsys.readouterr().err
+        # Read without a command, the same file passes the schema.
+        assert load_config(cfg)["experiment"] == {key: value}
+    assert not (tmp_path / "out").exists()
+
+
+def test_optional_experiment_keys_are_accepted(tmp_path):
+    robust = write(tmp_path, "r.ini", "[experiment]\nstrength = 0.1\n")
+    assert load_config(robust, "robustness") == {"experiment": {"strength": 0.1}}
+    stack = write(tmp_path, "s.ini",
+                  "[experiment]\nstack_min_dist = 0.8\nstack_target_R = 1.2\n")
+    assert load_config(stack, "stacking")["experiment"] == {
+        "stack_min_dist": 0.8, "stack_target_R": 1.2}
+    with pytest.raises(SchemaError, match=r"s\.ini:2: key 'stack_min_dist'"):
+        load_config(stack, "robustness")
+
+
 # ---------------------------------------------------------------------------
 # end-to-end subcommands
 # ---------------------------------------------------------------------------
@@ -562,16 +595,44 @@ master_seed = 0
 
 
 def test_cli_import_leaves_sparse_solvers_unloaded():
-    # The even localizer imports scipy.sparse.csgraph (component labels) and
-    # scipy.sparse.linalg (ARPACK margin) at call time, so that starting the
-    # CLI does not pay for them.
+    # The even localizer imports scipy.sparse.linalg (ARPACK margin) at call
+    # time, so that starting the CLI does not pay for it; its component
+    # labels need no scipy.sparse.csgraph at all.
+    assert _modules_loaded_after(
+        "import delonetop.cli",
+        ("scipy.sparse.csgraph", "scipy.sparse.linalg")) == "[]"
+
+
+def _modules_loaded_after(code, modules):
+    """The modules of `modules` that a fresh interpreter has loaded after
+    running `code`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, delonetop.cli; "
-            "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') "
-            "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code += f"\nprint([m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_spatial_special_and_constants_unloaded():
+    # The neighbour engine is NumPy alone: scipy.spatial would pull in
+    # scipy.special and scipy.constants with it.
+    assert _modules_loaded_after(
+        "import delonetop.cli",
+        ("scipy.spatial", "scipy.special", "scipy.constants")) == "[]"
+
+
+def test_runs_never_load_csgraph():
+    # Component labels (even localizer, stacking multiplicity) are NumPy.
+    code = """\
+from delonetop.experiments import run_robustness, run_stacking
+run_robustness({"window": [0.0, 6.0]}, {"M": 1.0, "mu": 0.0},
+               {"kappa_list": [0.1]}, {"n_trials": 2})
+rep = run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 20.0]},
+                   {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0},
+                   {"kappa_list": [0.1]}, {"stack_window": [0.0, 4.0], "control": False})
+assert rep.passed
+"""
+    assert _modules_loaded_after(code, ("scipy.sparse.csgraph",)) == "[]"

@@ -8,7 +8,7 @@ from delonetop.experiments import (build_lattice, run_omega_independence,
                                    run_quantization, run_robustness,
                                    run_stacking)
 from delonetop.geometry import gen_periodic
-from delonetop.groupoid import builtin_model, represent
+from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.index import (localizer_index_even, localizer_index_odd,
                              position_dirac)
 from delonetop.spectral import eig_hermitian
@@ -245,6 +245,28 @@ def test_stacking_kills_the_winding():
     assert rep.summary["stack_size"] == 8
     stages = {r.get("stage") for r in rep.records}
     assert stages == {"chain", "stacked"}
+
+
+def test_stacking_multiplicity_check_catches_an_inter_layer_entry(monkeypatch):
+    # One wrong entry (with its adjoint) between chain site 17 of layers 0
+    # and 1 merges the two layers into one component of the stacked
+    # operator, whose spectrum is then not the chain's repeated.
+    stack_operator = experiments.stack_operator
+
+    def miswired(T, L):
+        S = stack_operator(T, L)
+        p, q = 17 * len(L), 17 * len(L) + 1
+        wrong = np.full((S.block_dim, S.block_dim), 0.3)
+        return BlockOperator(S.sites, S.block_dim, np.r_[S.rows, p, q],
+                             np.r_[S.cols, q, p], np.concatenate([S.blocks, [wrong, wrong]]))
+
+    monkeypatch.setattr(experiments, "stack_operator", miswired)
+    rep = run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 34.0]},
+                       SSH, {"kappa_list": [0.1]},
+                       experiment={"stack_window": [0.0, 5.0], "control": False})
+    assert rep.summary["winding"] == rep.summary["winding_oracle"] == -1
+    assert rep.summary["multiplicity_residual"] > 1e-9
+    assert not rep.passed
 
 
 def test_stacking_aperiodic_chain_uses_reference_oracle():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delonetop.errors import GenerationFailed, InvalidInput
-from delonetop.geometry import (DeloneSet, _norms, box, gen_cut_and_project,
-                                gen_hardcore_random, gen_periodic,
-                                gen_perturbed_lattice, local_pattern, neighbors,
+from delonetop.geometry import (DeloneSet, _nearest, _norms, box,
+                                gen_cut_and_project, gen_hardcore_random,
+                                gen_periodic, gen_perturbed_lattice,
+                                local_pattern, neighbor_pairs, neighbors,
                                 product_delone, read_pointset, translate,
                                 union_pointsets, validate_delone, write_pointset)
 from oracles import (TAU, ReferenceExhausted, brute_cover_scan, brute_min_pair,
@@ -291,6 +292,39 @@ def test_engine_distance_is_per_vector_norm_bit_for_bit(d):
     assert np.array_equal(_norms(diff), [np.linalg.norm(v) for v in diff])
 
 
+def _brute_pairs(A, B, radius):
+    hits = [(i, j) for i, a in enumerate(A) for j in brute_neighbors(B, a, radius)]
+    return np.array(hits, dtype=np.intp).reshape(-1, 2).T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_engine_matches_brute_scan(d):
+    rng = np.random.default_rng(10 + d)
+    A = rng.uniform(0.0, 5.0, size=(40, d))
+    B = np.vstack([rng.uniform(0.0, 5.0, size=(50, d)), A[:10]])  # exact duplicates
+    cases = [(A, B, 1.0), (A, B, 2.5), (B, B, 1.0), (A, B, 1e-12), (B, B, 1e-12),
+             (np.round(A), np.round(B), 1.0),  # integer points: ties on the sphere
+             (A + 1e6, B + 1e6, 1.0), (A + 1e6, B + 1e6, 1e-12),
+             (A[:0], B, 1.0), (A, B[:0], 1.0)]
+    for X, Y, r in cases:
+        assert np.array_equal(np.stack(neighbor_pairs(X, Y, r)), _brute_pairs(X, Y, r))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nearest_distances_match_brute_min(d):
+    rng = np.random.default_rng(20 + d)
+    B = rng.uniform(0.0, 5.0, size=(30, d))
+    B[-1] = B[0]  # an exact duplicate is at distance 0 from its twin
+    A = rng.uniform(-10.0, 15.0, size=(40, d))  # far rows take several doublings
+    assert np.array_equal(_nearest(A, B, 0.1),
+                          [min(np.linalg.norm(a - b) for b in B) for a in A])
+    others = [min(np.linalg.norm(B[k] - b) for m, b in enumerate(B) if m != k)
+              for k in range(len(B))]
+    assert np.array_equal(_nearest(B, B, 0.1, skip_self=True), others)
+    assert np.all(np.isinf(_nearest(A, B[:0], 1.0)))
+    assert np.all(np.isinf(_nearest(B[:1], B[:1], 1.0, skip_self=True)))
+
+
 def test_local_pattern_z2_cross():
     ds = z2()
     i = int(np.flatnonzero(np.all(ds.points == [3.0, 3.0], axis=1))[0])
@@ -379,3 +413,11 @@ def test_union_drops_duplicates_and_recomputes_r():
     assert u.r_pack == pytest.approx(math.sqrt(2) / 4)
     v = union_pointsets(a, a)
     assert len(v) == len(a)
+
+
+def test_union_with_an_empty_factor():
+    a = z2(4.0)
+    empty = DeloneSet(2, np.zeros((0, 2)), a.r_pack, a.R_cov, a.window)
+    for u in (union_pointsets(a, empty), union_pointsets(empty, a)):
+        assert np.array_equal(u.points, a.points)
+        assert u.r_pack == 0.5

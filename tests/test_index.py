@@ -12,7 +12,7 @@ from delonetop.experiments import build_lattice
 from delonetop.geometry import gen_cut_and_project, gen_hardcore_random, gen_periodic
 from delonetop.groupoid import (bloch_hamiltonian, builtin_model, represent,
                                 stack_operator)
-from delonetop.index import (_chirality_residual, angular_sectors,
+from delonetop.index import (_chirality_residual, _components, angular_sectors,
                              bloch_chern_fhs, bloch_winding, chiral_bloch_block,
                              kappa_stability, kitaev_chern, localizer_index_even,
                              localizer_index_odd, position_dirac)
@@ -251,6 +251,27 @@ def test_even_localizer_matches_dense_reference_stacked_ssh(chain):
 def _component_sizes(Hd):
     _, labels = connected_components(sparse.csr_matrix(Hd != 0), directed=False)
     return sorted(np.bincount(labels).tolist(), reverse=True)
+
+
+def test_component_labels_match_csgraph():
+    # csgraph numbers the components by their smallest vertex, and so must
+    # the NumPy labelling; edges are undirected and may repeat.
+    rng = np.random.default_rng(5)
+    Sd = _stacked_ssh(STACK_CHAINS["periodic"])[0]
+    graphs = [(len(Sd), *np.nonzero(Sd))]
+    for _ in range(200):
+        m = int(rng.integers(1, 120))
+        e = int(rng.integers(0, 2 * m))
+        graphs.append((m, rng.integers(0, m, e), rng.integers(0, m, e)))
+    for m, rows, cols in graphs:
+        n, ref = connected_components(
+            sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m)),
+            directed=False)
+        labels, members = _components(m, rows, cols)
+        assert np.array_equal(labels, ref)
+        assert len(members) == n
+        for k, idx in enumerate(members):
+            assert np.array_equal(idx, np.flatnonzero(ref == k))
 
 
 def test_even_localizer_unequal_components_match_dense_reference(z2_12, chern_12):
