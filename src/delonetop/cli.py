@@ -1,9 +1,10 @@
 """Batch front-end: config ingestion, experiment dispatch, artifact emission.
 
 Configs are INI-style section/key files (JSON accepted interchangeably);
-every key is schema-checked, and unknown keys and [experiment] keys the
-command does not read are rejected with a line-anchored message (exit
-code 2).  Runs write report.json, spectrum.csv,
+every key is schema-checked, and unknown keys and keys that the section's
+model, generator or command does not read (experiments declares every
+default; a model's keys are its factory's parameters) are rejected with a
+line-anchored message (exit code 2).  Runs write report.json, spectrum.csv,
 trials.csv, lattice.svg and a run_meta.json holding timestamps and timings,
 which is excluded from golden comparisons.  Exit code 0 iff the experiment
 verdict is pass; runtime failures exit 1 with the failure recorded in
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .errors import GapUndefined, LocalizerUnreliable, ToolkitError
-from .experiments import (DEFAULTS, EXPERIMENT_DEFAULTS, ExperimentReport,
-                          _model_from_cfg, _mu_gap, build_lattice,
-                          run_omega_independence, run_quantization,
-                          run_robustness, run_stacking)
+from .experiments import (DEFAULTS, EVERY_GENERATOR_KEYS, EXPERIMENT_DEFAULTS,
+                          LATTICE_DEFAULTS, OPTIONAL_EXPERIMENT_KEYS, ExperimentReport,
+                          _model_from_cfg, _mu_gap, build_lattice, run_omega_independence,
+                          run_quantization, run_robustness, run_stacking)
 from .geometry import validate_delone, write_pointset
 from .groupoid import BUILTIN_MODELS, represent
 from .serialize import dumps17, format_float, to_plain
@@ -62,12 +63,7 @@ _KINDS = {
 }
 
 _SCHEMA = {
-    "lattice": {
-        "generator": "str", "dim": "int", "spacing": "float", "window": "window",
-        "seed": "int", "seeds": "list", "min_dist": "float", "target_R": "float",
-        "max_disp": "float", "max_attempts": "int", "length": "float",
-        "radius": "float",
-    },
+    "lattice": {"generator": "str", "seed": "int", "seeds": "list"},
     "model": {"name": "str", "mu": "num-or-str"},
     "index": {
         "kappa_list": "list", "x0": "str-or-list", "margin_min": "float",
@@ -85,11 +81,6 @@ _SCHEMA = {
     "output": {"dir": "str", "formats": "str-or-list"},
 }
 
-# The [experiment] keys a command reads beyond its EXPERIMENT_DEFAULTS keys:
-# optional ones, which have no default.
-_OPTIONAL_EXPERIMENT_KEYS = {"robustness": {"strength"},
-                             "stacking": {"stack_min_dist", "stack_target_R"}}
-
 # A model's keys and kinds: its factory's parameters and their annotations.
 _MODEL_PARAMS = {
     name: {p.name: p.annotation.__name__
@@ -97,6 +88,23 @@ _MODEL_PARAMS = {
     for name, factory in BUILTIN_MODELS.items()
 }
 _SCHEMA["model"].update(kv for params in _MODEL_PARAMS.values() for kv in params.items())
+# A generator key's kind is its default's; the one list default is a window.
+_SCHEMA["lattice"].update((k, "window" if isinstance(v, list) else type(v).__name__)
+                          for keys in LATTICE_DEFAULTS.values() for k, v in keys.items())
+
+_COMMANDS = ("generate", "spectrum", "quantization", "robustness", "stacking", "omega")
+
+# A section whose keys depend on a choice (its model, its generator, the
+# command): the phrase naming the choice, and the keys each choice reads.
+_READS = {
+    "model": ("does not apply to model",
+              {m: {*DEFAULTS["model"], *p} for m, p in _MODEL_PARAMS.items()}),
+    "lattice": ("does not apply to generator",
+                {g: {*EVERY_GENERATOR_KEYS, *d} for g, d in LATTICE_DEFAULTS.items()}),
+    "experiment": ("in [experiment] does not apply to command", {
+        c: {*EXPERIMENT_DEFAULTS.get(c, ()), *OPTIONAL_EXPERIMENT_KEYS.get(c, ())}
+        for c in _COMMANDS}),
+}
 
 
 def _parse_scalar(text: str):
@@ -167,8 +175,8 @@ def _read_json_config(path: Path) -> dict:
 def load_config(path, command: str | None = None) -> dict:
     """Read and schema-check a config file; returns {section: {key: value}}.
 
-    With a command, an [experiment] key that the command does not read is
-    rejected too."""
+    A key that the section's model, generator or (given one) command does not
+    read is rejected; an omitted model or generator is the one DEFAULTS names."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"{path}: config file not found")
@@ -181,28 +189,20 @@ def load_config(path, command: str | None = None) -> dict:
             if kind is None:
                 raise SchemaError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{sec}]")
-            if (sec == "experiment" and command is not None
-                    and key not in {*EXPERIMENT_DEFAULTS.get(command, ()),
-                                    *_OPTIONAL_EXPERIMENT_KEYS.get(command, ())}):
-                raise SchemaError(
-                    f"{path}:{lineno}: key {key!r} in [experiment] does not apply "
-                    f"to command {command!r}")
             if not _KINDS[kind](value):
                 raise SchemaError(
                     f"{path}:{lineno}: key {key!r} in [{sec}] expects {kind}, "
                     f"got {value!r}")
             out[sec][key] = value
-    model = out.get("model", {})
-    name = model.get("name")
-    params = _MODEL_PARAMS.get(name)
-    if params is not None:
-        for key in model:
-            if key in ("name", "mu"):
-                continue
-            if key not in params:
-                lineno = raw["model"][key][1]
-                raise SchemaError(
-                    f"{path}:{lineno}: key {key!r} does not apply to model {name!r}")
+    choice = {"model": {**DEFAULTS["model"], **out.get("model", {})}["name"],
+              "lattice": {**DEFAULTS["lattice"], **out.get("lattice", {})}["generator"],
+              "experiment": command}
+    # An unknown model or generator, or no command, leaves its section unchecked.
+    for sec, (phrase, reads) in _READS.items():
+        for key in out.get(sec, ()):
+            if key not in reads.get(choice[sec], out[sec]):
+                raise SchemaError(f"{path}:{raw[sec][key][1]}: key {key!r} {phrase} "
+                                  f"{choice[sec]!r}")
     return out
 
 
@@ -326,7 +326,7 @@ def emit_report(report: ExperimentReport, outdir, formats, meta: dict) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_generate(cfg: dict, workers: int) -> ExperimentReport:
+def _cmd_generate(cfg: dict) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
     grid_step = min(sites.r_pack / 2.0, sites.R_cov / 8.0)
     val = validate_delone(sites, grid_step=grid_step)
@@ -346,7 +346,7 @@ def _cmd_generate(cfg: dict, workers: int) -> ExperimentReport:
     return report
 
 
-def _cmd_spectrum(cfg: dict, workers: int) -> ExperimentReport:
+def _cmd_spectrum(cfg: dict) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
     f, mu_policy = _model_from_cfg(cfg["model"])
     hdata = eig_hermitian(represent(f, sites).to_dense())
@@ -364,26 +364,21 @@ def _cmd_spectrum(cfg: dict, workers: int) -> ExperimentReport:
     return report
 
 
-def _dispatch(command: str, cfg: dict, workers: int,
-              formats) -> ExperimentReport:
+def _dispatch(command: str, cfg: dict, workers: int) -> ExperimentReport:
     lattice, model, index = cfg["lattice"], cfg["model"], cfg["index"]
     exp = cfg["experiment"]
     if command == "generate":
-        return _cmd_generate(cfg, workers)
+        return _cmd_generate(cfg)
     if command == "spectrum":
-        return _cmd_spectrum(cfg, workers)
-    if command in ("index", "quantization"):
+        return _cmd_spectrum(cfg)
+    if command == "quantization":
         return run_quantization(lattice, model, index, workers=workers)
     if command == "robustness":
         return run_robustness(lattice, model, index, exp, workers=workers)
     if command == "stacking":
         return run_stacking(lattice, model, index, exp, workers=workers)
     if command == "omega":
-        # The window spectrum and site map feed only spectrum.csv and
-        # lattice.svg.
-        return run_omega_independence(
-            lattice, model, index, exp, workers=workers,
-            collect_artifacts=bool({"csv", "svg"} & set(formats)))
+        return run_omega_independence(lattice, model, index, exp, workers=workers)
     raise SchemaError(f"unknown command {command!r}")
 
 
@@ -391,9 +386,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="delonetop",
         description="Tight-binding models on Delone sets and their localizer indices.")
-    parser.add_argument("command",
-                        choices=["generate", "spectrum", "index", "quantization",
-                                 "robustness", "stacking", "omega"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="INI or JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -433,7 +426,7 @@ def main(argv=None) -> int:
     }
 
     try:
-        report = _dispatch(args.command, cfg, max(1, args.workers), formats)
+        report = _dispatch(args.command, cfg, max(1, args.workers))
     except ToolkitError as err:
         status = "gap_closed" if isinstance(err, GapUndefined) else (
             "unreliable" if isinstance(err, LocalizerUnreliable) else "error")

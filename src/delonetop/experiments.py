@@ -16,12 +16,13 @@ point set picks the pairing: even d the even pairing (class A: Chern
 localizer, Kitaev and FHS oracles), odd d the odd pairing, which needs the
 model's chiral grading (class AIII: winding localizer and oracle).  A model
 is chiral iff it carries a grading; its mu is pinned to 0 and its gap is
-the symmetric one around 0.  Every
-default of the drivers and of the CLI lives in DEFAULTS (config sections)
-and EXPERIMENT_DEFAULTS (the [experiment] keys of each subcommand).  The
-robustness, stacking and omega drivers take the CLI's [experiment] section
-as one dict, merge it over EXPERIMENT_DEFAULTS of their subcommand and echo
-the run it makes; the CLI passes the section through unchanged.
+the symmetric one around 0.  Every default of the drivers and of the
+CLI lives here: DEFAULTS (config sections), LATTICE_DEFAULTS (the [lattice]
+keys of each generator) and EXPERIMENT_DEFAULTS (the [experiment] keys of
+each subcommand; those read without a default are OPTIONAL_EXPERIMENT_KEYS).
+The robustness, stacking and omega drivers take the CLI's [experiment]
+section as one dict, merge it over EXPERIMENT_DEFAULTS of their subcommand
+and echo the run it makes; the CLI passes the section through unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ DEFAULTS = {
     "model": {"name": "chern_2band_2d", "mu": _LARGEST_GAP},
     "index": {"kappa_list": [], "x0": "center"},
 }
+# Each generator's [lattice] keys beyond EVERY_GENERATOR_KEYS, with their
+# defaults.  A cut-and-project set has one dimension and no window.
+LATTICE_DEFAULTS = {
+    "periodic": {"dim": 2, "window": [0.0, 12.0], "spacing": 1.0},
+    "perturbed_lattice": {"dim": 2, "window": [0.0, 12.0], "spacing": 1.0,
+                          "max_disp": 0.1},
+    "hardcore_random": {"dim": 2, "window": [0.0, 12.0], "min_dist": 0.8,
+                        "target_R": 1.2, "max_attempts": 100_000},
+    "fibonacci_1d": {"dim": 1, "length": 30.0},
+    "ammann_beenker_2d": {"dim": 2, "radius": 8.0},
+}
+EVERY_GENERATOR_KEYS = ("generator", "seed", "seeds")
 EXPERIMENT_DEFAULTS = {
     "robustness": {"n_trials": 30, "master_seed": 0, "strength_rel": 0.2,
                    "range": 2.0, "symmetry": "none"},
@@ -69,6 +82,9 @@ EXPERIMENT_DEFAULTS = {
                  "stack_seed": 0, "control": True, "control_window": [0.0, 12.0]},
     "omega": {"base_sites": 5},
 }
+# The [experiment] keys a subcommand reads that have no default.
+OPTIONAL_EXPERIMENT_KEYS = {"robustness": ("strength",),
+                            "stacking": ("stack_min_dist", "stack_target_R")}
 
 # fraction of the smallest window half-extent used for the Kitaev sector disk
 SECTOR_RADIUS_FRAC = 0.45
@@ -139,30 +155,34 @@ def _window_pair(spec, dim: int):
 
 
 def build_lattice(cfg: dict) -> DeloneSet:
-    """Construct the point set described by a lattice config section."""
-    cfg = {**DEFAULTS["lattice"], **cfg}
-    gen = cfg["generator"]
-    seed = int(cfg["seed"])
-    if gen == "fibonacci_1d":
-        length = float(cfg.get("length", 30.0))
-        return gen_cut_and_project("fibonacci_1d", ([0.0], [length]))
-    if gen == "ammann_beenker_2d":
-        r = float(cfg.get("radius", 8.0))
-        return gen_cut_and_project("ammann_beenker_2d", ([-r, -r], [r, r]))
-    if gen not in ("periodic", "perturbed_lattice", "hardcore_random"):
+    """Construct the point set described by a lattice config section; a key
+    its generator does not read, or a cut-and-project dim other than the
+    generator's own, is an InvalidInput."""
+    gen = cfg.get("generator", DEFAULTS["lattice"]["generator"])
+    if gen not in LATTICE_DEFAULTS:
         raise InvalidInput(f"unknown lattice generator {gen!r}")
-    dim = int(cfg.get("dim", 2))
-    window = _window_pair(cfg.get("window", [0.0, 12.0]), dim)
+    reads = LATTICE_DEFAULTS[gen]
+    for key in cfg:
+        if key not in reads and key not in EVERY_GENERATOR_KEYS:
+            raise InvalidInput(f"key {key!r} does not apply to generator {gen!r}")
+    cfg = {**DEFAULTS["lattice"], **reads, **cfg}
+    dim, seed = int(cfg["dim"]), int(cfg["seed"])
+    if "window" not in reads:  # cut and project
+        if dim != reads["dim"]:
+            raise InvalidInput(f"generator {gen!r} makes {reads['dim']}D sets, not {dim}D")
+        if gen == "fibonacci_1d":
+            return gen_cut_and_project(gen, ([0.0], [float(cfg["length"])]))
+        r = float(cfg["radius"])
+        return gen_cut_and_project(gen, ([-r, -r], [r, r]))
+    window = _window_pair(cfg["window"], dim)
     if gen == "hardcore_random":
-        return gen_hardcore_random(window,
-                                   float(cfg.get("min_dist", 0.8)),
-                                   float(cfg.get("target_R", 1.2)),
-                                   seed,
-                                   max_attempts=int(cfg.get("max_attempts", 100_000)))
-    basis = float(cfg.get("spacing", 1.0)) * np.eye(dim)
+        return gen_hardcore_random(window, float(cfg["min_dist"]),
+                                   float(cfg["target_R"]), seed,
+                                   max_attempts=int(cfg["max_attempts"]))
+    basis = float(cfg["spacing"]) * np.eye(dim)
     if gen == "periodic":
         return gen_periodic(basis, window)
-    return gen_perturbed_lattice(basis, window, float(cfg.get("max_disp", 0.1)), seed)
+    return gen_perturbed_lattice(basis, window, float(cfg["max_disp"]), seed)
 
 
 def _model_from_cfg(model_cfg: dict) -> tuple[HoppingFunction, object]:
@@ -313,10 +333,10 @@ def _onsite_potential(H: BlockOperator) -> np.ndarray:
     return out
 
 
-def _stash_artifacts(report: ExperimentReport, base: _BaseRun) -> None:
-    report.artifacts["sites"] = base.sites
-    report.artifacts["onsite"] = _onsite_potential(base.H)
-    report.artifacts["spectrum"] = np.asarray(base.evs)
+def _stash_artifacts(report: ExperimentReport, sites, H: BlockOperator, evs) -> None:
+    report.artifacts["sites"] = sites
+    report.artifacts["onsite"] = _onsite_potential(H)
+    report.artifacts["spectrum"] = np.asarray(evs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +408,7 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     report.passed = ok
     first_base = next((b for _, b, _, _ in outcomes if b is not None), None)
     if first_base is not None:
-        _stash_artifacts(report, first_base)
+        _stash_artifacts(report, first_base.sites, first_base.H, first_base.evs)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -435,7 +455,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     if base_int is None:
         report.summary = {"base_index": None, "note": "base run unreliable"}
         report.passed = False
-        _stash_artifacts(report, base)
+        _stash_artifacts(report, sites, base.H, base.evs)
         report.timings["total"] = time.perf_counter() - t0
         return report
 
@@ -480,7 +500,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         "agreeing": sum(1 for r in included
                         if r["status"] == "ok" and r["index"] == base_int),
     }
-    _stash_artifacts(report, base)
+    _stash_artifacts(report, sites, base.H, base.evs)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -500,16 +520,16 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     true, a genuine 2D Chern model runs for contrast (its nonzero index is
     reported, not required): the default model at mu = 0 on a periodic 2D
     control_window, with the chain's kappas (0.1 when it has none).  A chain
-    that is not 1D or a model without a chiral grading is rejected before
-    any solve.
+    that is not 1D, a model without a grading or a stack set build_lattice
+    rejects fails before any solve.
     """
     index_cfg = dict(index_cfg or {})
     exp = {**EXPERIMENT_DEFAULTS["stacking"], **(experiment or {})}
     stack_cfg = {"generator": exp["stack_generator"], "dim": 1,
                  "window": exp["stack_window"], "seed": int(exp["stack_seed"])}
-    for key in ("min_dist", "target_R"):
-        if f"stack_{key}" in exp:
-            stack_cfg[key] = exp[f"stack_{key}"]
+    for key in OPTIONAL_EXPERIMENT_KEYS["stacking"]:
+        if key in exp:
+            stack_cfg[key.removeprefix("stack_")] = exp[key]
     control_cfg = None
     if exp["control"]:
         control_cfg = {
@@ -529,6 +549,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     f, mu_policy = _model_from_cfg(model_cfg)
     if chain.dim != 1 or f.grading is None:
         raise InvalidInput("stacking needs a chiral 1D model")
+    L = build_lattice(stack_cfg)
     # The winding oracle of an aperiodic chain is that of the unit chain.
     basis = _periodic_basis(chain)
     base = _base_pipeline(chain, f, mu_policy, index_cfg,
@@ -538,7 +559,6 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     for res in base.results:
         report.records.append(_result_record(res, stage="chain", gap=base.gap.width))
 
-    L = build_lattice(stack_cfg)
     stacked = stack_operator(base.H, L)
     Sd = stacked.to_dense()
     # Sd is block-diagonal over its components, one per layer unless an
@@ -579,9 +599,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
         "stack_size": len(L),
         "control": control_summary,
     }
-    report.artifacts["sites"] = stacked.sites
-    report.artifacts["onsite"] = _onsite_potential(stacked)
-    report.artifacts["spectrum"] = evs_stacked
+    _stash_artifacts(report, stacked.sites, stacked, evs_stacked)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -589,15 +607,15 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
 def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
                            index_cfg: dict | None = None,
                            experiment: dict | None = None,
-                           workers: int = 1,
-                           collect_artifacts: bool = False) -> ExperimentReport:
+                           workers: int = 1) -> ExperimentReport:
     """The index must not depend on the transversal point.
 
     For each chosen interior site x the pattern is recentred (omega = Lambda
     - x), the Hamiltonian rebuilt by covariance, and the localizer evaluated
     at x0 = 0.  Passes iff all integers agree and are reliable.  base_sites
     is either a count (picked evenly over interior sites) or a list of site
-    indices; indices too close to the boundary raise InvalidInput.
+    indices; indices too close to the boundary raise InvalidInput.  The
+    first site's recentred window, the same window, supplies the artifacts.
     """
     index_cfg = dict(index_cfg or {})
     base_sites = {**EXPERIMENT_DEFAULTS["omega"], **(experiment or {})}["base_sites"]
@@ -627,15 +645,18 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
 
     def one_site(i: int) -> dict:
         omega = translate(sites, sites.points[i])
-        H = represent(f, omega).to_dense()
-        evs = scipy.linalg.eigvalsh(H)
+        H = represent(f, omega)
+        Hd = H.to_dense()
+        evs = scipy.linalg.eigvalsh(Hd)
+        if i == chosen[0]:
+            _stash_artifacts(report, sites, H, evs)
         try:
             mu, gap = _mu_gap(evs, mu_policy, f.grading)
         except GapUndefined as err:
             return {"site": i, "status": "gap_closed", "error": str(err)}
         kappas = _kappa_list(index_cfg, gap, omega, evs)[:1]
         dirac = position_dirac(omega, np.zeros(sites.dim), f.N)
-        (res,), _ = _localize(H, mu, dirac, kappas, f.grading, index_cfg, evs)
+        (res,), _ = _localize(Hd, mu, dirac, kappas, f.grading, index_cfg, evs)
         return _result_record(res, site=i, gap=gap.width)
 
     records = _pmap(one_site, chosen, workers)
@@ -650,10 +671,5 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
         "indices": indices,
         "weak_evidence": len(chosen) < 2,
     }
-    if collect_artifacts:
-        H0 = represent(f, sites)
-        report.artifacts["sites"] = sites
-        report.artifacts["onsite"] = _onsite_potential(H0)
-        report.artifacts["spectrum"] = scipy.linalg.eigvalsh(H0.to_dense())
     report.timings["total"] = time.perf_counter() - t0
     return report

@@ -149,6 +149,31 @@ def test_experiment_key_of_another_command_is_rejected(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, body, key, reader", [
+    ("lattice", {"generator": "fibonacci_1d", "window": [0.0, 100.0]}, "window",
+     "generator 'fibonacci_1d'"),
+    ("lattice", {"generator": "periodic", "max_disp": 0.1}, "max_disp",
+     "generator 'periodic'"),
+    # a section that names no generator or model gets the one DEFAULTS names
+    ("lattice", {"window": [0.0, 6.0], "min_dist": 0.8}, "min_dist",
+     "generator 'periodic'"),
+    ("model", {"M": 1.0, "t1": 0.5}, "t1", "model 'chern_2band_2d'"),
+], ids=["fibonacci-window", "periodic-max_disp", "default-min_dist", "default-model-t1"])
+def test_key_its_generator_or_model_does_not_read_exits_2(tmp_path, capsys, section,
+                                                          body, key, reader):
+    ini = write(tmp_path, "run.ini", f"[{section}]\n" + "".join(
+        f"{k} = {json.dumps(v)}\n" for k, v in body.items()))
+    js = write(tmp_path, "run.json", json.dumps({section: body}, indent=1))
+    for cfg in (ini, js):
+        line = next(n for n, text in enumerate(cfg.read_text().splitlines(), 1)
+                    if key in text)
+        assert main(["quantization", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert (f"{cfg.name}:{line}: key {key!r} does not apply to {reader}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_optional_experiment_keys_are_accepted(tmp_path):
     robust = write(tmp_path, "r.ini", "[experiment]\nstrength = 0.1\n")
     assert load_config(robust, "robustness") == {"experiment": {"strength": 0.1}}
@@ -158,6 +183,22 @@ def test_optional_experiment_keys_are_accepted(tmp_path):
         "stack_min_dist": 0.8, "stack_target_R": 1.2}
     with pytest.raises(SchemaError, match=r"s\.ini:2: key 'stack_min_dist'"):
         load_config(stack, "robustness")
+
+
+def test_benchmark_workload_configs_pass_the_schema(tmp_path, monkeypatch):
+    # Each call of every benchmark workload, full and smoke, written as JSON
+    # the way perfbench/child.py writes it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    calls = [call for w in workloads.WORKLOADS.values() for smoke in (False, True)
+             for call in w.calls(w.default_seed, smoke=smoke)]
+    assert len(calls) == 8
+    for k, (command, config) in enumerate(calls):
+        cfg = tmp_path / f"config_{k}.json"
+        cfg.write_text(json.dumps(config))
+        assert load_config(cfg, command) == config
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +314,11 @@ base_sites = 2
     assert report["summary"]["indices"] == [1, 1]
 
 
-def test_omega_collects_window_artifacts_only_for_csv_or_svg(tmp_path, monkeypatch):
-    # The whole window is represented once more, and diagonalized, only for
-    # spectrum.csv and lattice.svg; a json-only run represents just the
-    # recentred windows and writes the same report.
+def test_omega_artifacts_come_from_the_recentred_windows(tmp_path, monkeypatch):
+    # A recentred window is the same window: the first chosen site's solve
+    # supplies spectrum.csv and lattice.svg, so a json-only run and a
+    # csv/svg run each represent just the two recentred windows and write
+    # the same report.
     import delonetop.experiments as experiments
 
     represented = []
@@ -293,14 +335,19 @@ base_sites = 2
 """)
     assert main(["omega", "--config", str(cfg), "--out", str(tmp_path / "json"),
                  "--format", "json"]) == 0
-    assert len(represented) == 2
+    assert represented == [121, 121]
     assert not (tmp_path / "json" / "spectrum.csv").exists()
     assert main(["omega", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
-    assert len(represented) == 5
-    assert (tmp_path / "all" / "spectrum.csv").exists()
+    assert represented == [121] * 4
     assert (tmp_path / "all" / "lattice.svg").exists()
     assert ((tmp_path / "json" / "report.json").read_bytes()
             == (tmp_path / "all" / "report.json").read_bytes())
+    # The spectrum is the unshifted window's.
+    rows = (tmp_path / "all" / "spectrum.csv").read_text().splitlines()[1:]
+    window = experiments.build_lattice(QUANT_JSON["lattice"])
+    f = experiments.builtin_model("chern_2band_2d", M=1.0)
+    want = np.linalg.eigvalsh(real(f, window).to_dense())
+    assert np.allclose([float(r.split(",")[1]) for r in rows], want, rtol=0, atol=1e-12)
 
 
 def test_robustness_command(tmp_path):

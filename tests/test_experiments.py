@@ -58,6 +58,24 @@ def test_build_lattice_generators_dispatch():
         build_lattice({"generator": "penrose"})
 
 
+def test_build_lattice_rejects_what_its_generator_does_not_read():
+    # A cut-and-project set has its own dimension, which a config may name
+    # (as the benchmark's chain does), and no window.
+    fib = build_lattice({"generator": "fibonacci_1d", "length": 20.0})
+    same = build_lattice({"generator": "fibonacci_1d", "dim": 1, "length": 20.0})
+    assert np.array_equal(fib.points, same.points)
+    with pytest.raises(InvalidInput, match="'fibonacci_1d' makes 1D sets, not 2D"):
+        build_lattice({"generator": "fibonacci_1d", "dim": 2})
+    with pytest.raises(InvalidInput, match="'ammann_beenker_2d' makes 2D sets, not 1D"):
+        build_lattice({"generator": "ammann_beenker_2d", "dim": 1})
+    for cfg, key in (({"generator": "fibonacci_1d", "window": [0.0, 100.0]}, "window"),
+                     ({"generator": "ammann_beenker_2d", "length": 4.0}, "length"),
+                     ({"max_disp": 0.1}, "max_disp"),
+                     ({"generator": "hardcore_random", "spacing": 2.0}, "spacing")):
+        with pytest.raises(InvalidInput, match=f"key '{key}' does not apply to generator"):
+            build_lattice(cfg)
+
+
 def test_model_config_errors_surface_as_invalid_input():
     with pytest.raises(InvalidInput):
         run_quantization({}, {"name": "kagome"})
@@ -288,6 +306,20 @@ def test_stacking_rejects_even_models(monkeypatch):
     with pytest.raises(InvalidInput, match="stacking needs a chiral 1D model"):
         run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 8.0]},
                      {"name": "nn_laplacian", "dim": 1, "mu": 0.5})
+
+
+def test_stacking_rejects_a_stack_set_without_a_window_before_any_solve(monkeypatch):
+    # The cut-and-project generators are sized by length or radius: stacking
+    # over one fails on its window before the chain is represented.
+    represented = []
+    monkeypatch.setattr(experiments, "represent", lambda *args: represented.append(args))
+    for generator in ("fibonacci_1d", "ammann_beenker_2d"):
+        with pytest.raises(InvalidInput, match=f"'window' does not apply to generator "
+                                               f"'{generator}'"):
+            run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 20.0]}, SSH,
+                         KAPPAS, experiment={"stack_generator": generator,
+                                             "control": False})
+    assert represented == []
 
 
 def test_stacking_control_model_reports_nonzero():
