@@ -95,15 +95,17 @@ _SCHEMA["lattice"].update((k, "window" if isinstance(v, list) else type(v).__nam
 _COMMANDS = ("generate", "spectrum", "quantization", "robustness", "stacking", "omega")
 
 # A section whose keys depend on a choice (its model, its generator, the
-# command): the phrase naming the choice, and the keys each choice reads.
+# command): the key naming the choice, the phrase naming it, and the keys
+# each choice reads; read without a command, [experiment] takes any key.
 _READS = {
-    "model": ("does not apply to model",
+    "model": ("name", "does not apply to model",
               {m: {*DEFAULTS["model"], *p} for m, p in _MODEL_PARAMS.items()}),
-    "lattice": ("does not apply to generator",
+    "lattice": ("generator", "does not apply to generator",
                 {g: {*EVERY_GENERATOR_KEYS, *d} for g, d in LATTICE_DEFAULTS.items()}),
-    "experiment": ("in [experiment] does not apply to command", {
-        c: {*EXPERIMENT_DEFAULTS.get(c, ()), *OPTIONAL_EXPERIMENT_KEYS.get(c, ())}
-        for c in _COMMANDS}),
+    "experiment": (None, "in [experiment] does not apply to command", {
+        None: set(_SCHEMA["experiment"]),
+        **{c: {*EXPERIMENT_DEFAULTS.get(c, ()), *OPTIONAL_EXPERIMENT_KEYS.get(c, ())}
+           for c in _COMMANDS}}),
 }
 
 
@@ -175,9 +177,14 @@ def _read_json_config(path: Path) -> dict:
 def load_config(path, command: str | None = None) -> dict:
     """Read and schema-check a config file; returns {section: {key: value}}.
 
-    A key that the section's model, generator or (given one) command does not
-    read is rejected; an omitted model or generator is the one DEFAULTS names."""
+    An unknown model or generator, a key that the section's model, generator
+    or (given one) command does not read, and a cut-and-project dim other than
+    the generator's own are rejected; an omitted model or generator is the
+    one DEFAULTS names.  The stack_* keys of stacking are held against
+    stack_generator."""
     path = Path(path)
+    if command not in (None, *_COMMANDS):
+        raise SchemaError(f"unknown command {command!r}")
     if not path.exists():
         raise SchemaError(f"{path}: config file not found")
     raw = _read_json_config(path) if path.suffix == ".json" else _read_ini(path)
@@ -194,15 +201,30 @@ def load_config(path, command: str | None = None) -> dict:
                     f"{path}:{lineno}: key {key!r} in [{sec}] expects {kind}, "
                     f"got {value!r}")
             out[sec][key] = value
+
+    def fail(sec, key, message):
+        raise SchemaError(f"{path}:{raw[sec][key][1]}: {message}")
+
+    lattice = {**DEFAULTS["lattice"], **out.get("lattice", {})}
     choice = {"model": {**DEFAULTS["model"], **out.get("model", {})}["name"],
-              "lattice": {**DEFAULTS["lattice"], **out.get("lattice", {})}["generator"],
-              "experiment": command}
-    # An unknown model or generator, or no command, leaves its section unchecked.
-    for sec, (phrase, reads) in _READS.items():
+              "lattice": lattice["generator"], "experiment": command}
+    for sec, (choice_key, phrase, reads) in _READS.items():
+        if choice[sec] not in reads:
+            fail(sec, choice_key, f"unknown {sec} {choice_key} {choice[sec]!r}")
         for key in out.get(sec, ()):
-            if key not in reads.get(choice[sec], out[sec]):
-                raise SchemaError(f"{path}:{raw[sec][key][1]}: key {key!r} {phrase} "
-                                  f"{choice[sec]!r}")
+            if key not in reads[choice[sec]]:
+                fail(sec, key, f"key {key!r} {phrase} {choice[sec]!r}")
+    own = LATTICE_DEFAULTS[lattice["generator"]]
+    if "window" not in own and lattice.get("dim", own["dim"]) != own["dim"]:
+        fail("lattice", "dim", f"generator {lattice['generator']!r} makes "
+             f"{own['dim']}D sets, not {lattice['dim']}D")
+    if command == "stacking":  # the stack set's keys against its generator
+        exp = {**EXPERIMENT_DEFAULTS["stacking"], **out.get("experiment", {})}
+        gen = exp["stack_generator"]
+        for key in ("stack_window", *OPTIONAL_EXPERIMENT_KEYS["stacking"]):
+            if key in exp and key.removeprefix("stack_") not in LATTICE_DEFAULTS.get(gen, ()):
+                fail("experiment", key if key in out["experiment"] else "stack_generator",
+                     f"key {key!r} does not apply to stack_generator {gen!r}")
     return out
 
 

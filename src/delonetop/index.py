@@ -8,26 +8,20 @@ cross-checked by independent oracles: the real-space three-sector projector
 formula (aperiodic windows) and Bloch-side invariants (Fukui-Hatsugai-Suzuki
 plaquette Chern number, winding of det A(k)) for periodic models.
 
-The even (2D) localizer never forms its full spectrum: the signature is the
-inertia of H - mu plus that of its Schur complement (Haynsworth,
-"Determination of the inertia of a partitioned Hermitian matrix", LAA 1968),
-and the margin is one shift-invert ARPACK eigenvalue of the sparse
-localizer.  The position term is site-diagonal, so the complement is the
-direct sum of the complements over the connected components of the nonzero
-graph of H - mu and is formed one component at a time: a stack T (x) 1 along
-|L| layers costs |L| chain-sized solves.  The components come from a NumPy
-min-label propagation with pointer jumping (_components), which the
-stacking driver's multiplicity check reuses.  The odd (1D) localizer is small
-and stays a dense eigvalsh of L = H + kappa (X - x0) G, its rows and columns
-in the on-site grading G's +- order (the chiral-basis
-[[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
+The even (2D) localizer forms no dense matrix beyond H: its margin is one
+shift-invert ARPACK eigenvalue of the sparse localizer L, and its signature
+the inertia of L -+ t (t = 0.9 margin), read off the pivots of two symmetric
+sparse LU factorizations (Sylvester) and certified by their backward error.
+The odd (1D) localizer is small and stays a dense eigvalsh of
+L = H + kappa (X - x0) G, its rows and columns in the on-site grading G's
++- order (the chiral-basis [[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
 
-Every LAPACK call on a matrix whose size grows with the window (eigvalsh,
-the Schur solve) goes through scipy.linalg, the OpenBLAS copy that ARPACK
-and SuperLU use too.  NumPy bundles a second OpenBLAS; at 2 BLAS threads a
-call on one copy right after the other ran ~2x slower (m = 578: NumPy
-eigvalsh 0.19-0.20 s inside a robustness trial against 0.076 s alone),
-apparently because the pool that just ran keeps its threads spinning.
+Every LAPACK call on a matrix whose size grows with the window (eigvalsh)
+goes through scipy.linalg, the OpenBLAS copy that ARPACK and SuperLU use
+too.  NumPy bundles a second OpenBLAS; at 2 BLAS threads a call on one copy
+right after the other ran ~2x slower (m = 578: NumPy eigvalsh 0.19-0.20 s
+inside a robustness trial against 0.076 s alone), apparently because the
+pool that just ran keeps its threads spinning.
 
 Complex symmetry classes only: class A in even dimension d = 2 and class
 AIII in odd dimension d = 1: the parity of d picks the pairing
@@ -41,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .clifford import CliffordRep, build_rep, verify_relations
 from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
@@ -173,31 +168,13 @@ def _signature(vals: np.ndarray) -> int:
     return int((vals > 0).sum() - (vals < 0).sum())
 
 
-def _schur_eigenvalues(A: np.ndarray, kd: np.ndarray, nz, a) -> np.ndarray:
-    """Spectrum of the Schur complement L/A = -A - (k D-)^dag A^-1 (k D-).
-
-    A must be Fortran-ordered: LAPACK LU-factors it in place, so nz, a (its
-    nonzero positions and values) supply A to the complement afterwards.
-    np.diag(kd).T is the same diagonal matrix in Fortran order, so LAPACK
-    also solves into it in place; the complement is then formed in that
-    buffer and handed to eigvalsh to overwrite, so no m x m array is made
-    beyond A and that buffer.  (SciPy returns the solution as a read-only
-    view.)
-    """
-    S = np.diag(kd).T
-    X = scipy.linalg.solve(A, S, overwrite_a=True, overwrite_b=True,
-                           assume_a="gen")
-    np.multiply(kd.conj()[:, None], X, out=S)
-    S[nz] += a
-    np.negative(S, out=S)
-    return scipy.linalg.eigvalsh(S, overwrite_a=True)
-
-
 def _components(m: int, rows: np.ndarray,
                 cols: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Connected components of the graph on range(m) with edges (rows, cols):
     each vertex's component label, numbered in the order of the components'
     smallest vertices, and each component's vertices in ascending order.
+    Its one caller is run_stacking, which splits the stacked operator's
+    eigvalsh over the layers.
 
     Min-label propagation with pointer jumping: every vertex points at a
     vertex no larger than itself, and each round hooks the larger root of
@@ -219,68 +196,27 @@ def _components(m: int, rows: np.ndarray,
     return labels, members
 
 
-def _component_schur_eigenvalues(A: np.ndarray, kd: np.ndarray, nz,
-                                 a) -> np.ndarray:
-    """Spectrum of L/A as the union of its per-component complements.
-
-    A permutation makes A block-diagonal over the connected components of
-    its nonzero graph, and D- is site-diagonal, so L/A is the direct sum of
-    the complements of A's principal blocks: a stack T (x) 1 along a set L
-    costs |L| chain-sized solves instead of one of |L| times the size.  A
-    component spanning the whole window is A itself, factored in place with
-    nz, a as they are, so a connected window allocates no m x m array
-    beyond one complement's; the principal block of a smaller component is
-    gathered into a Fortran-ordered copy, so A stays intact for the next.
-    """
-    m = A.shape[0]
-    rows, cols = nz
-    labels, members = _components(m, rows, cols)
-    # A stable sort by component keeps the nonzeros' order within each.
-    comp = labels[rows]
-    entries = np.split(np.argsort(comp, kind="stable"),
-                       np.cumsum(np.bincount(comp, minlength=len(members)))[:-1])
-    local = np.empty(m, dtype=np.intp)
-    spectra = []
-    for idx, e in zip(members, entries):
-        if idx.size == m:
-            spectra.append(_schur_eigenvalues(A, kd, nz, a))
-            continue
-        local[idx] = np.arange(idx.size)
-        spectra.append(_schur_eigenvalues(
-            np.asfortranarray(A[np.ix_(idx, idx)]), kd[idx],
-            (local[rows[e]], local[cols[e]]), a[e]))
-    return np.concatenate(spectra)
-
-
-def _even_margin(m: int, nz, a: np.ndarray, kd: np.ndarray) -> float:
-    """Smallest |eigenvalue| of L = [[A, k D-], [k D-^dag, -A]] by ARPACK
-    shift-invert around 0 on the sparse L (one sparse LU, then solves);
-    nz, a are the nonzero positions and values of the m x m A.
+def _even_margin(L) -> float:
+    """Smallest |eigenvalue| of the sparse localizer L by ARPACK shift-invert
+    around 0 (one sparse LU, then solves).
 
     The start vector is a fixed-seed random one: a constant vector can be
     orthogonal to the wanted eigenvector on a symmetric window.  tol = 1e-10
     stops the iteration short of machine precision: the smallest |eigenvalues|
     of L sit in a cluster, and at tol = 0 ARPACK took 36-59 % more
     shift-invert solves (16^2 periodic and 27^2 amorphous Chern windows) for
-    margins that agreed to ~2e-15.  For m = 1
-    the localizer is 2 x 2, below ARPACK's k < n - 1, and its spectrum is
-    +-sqrt(a^2 + |k d|^2) (a is empty when A = 0).
+    margins that agreed to ~2e-15.  For m = 1, L = [[a, k d], [conj(k d), -a]]
+    is below ARPACK's k < n - 1; its spectrum is +-sqrt(a^2 + |k d|^2).
     """
-    if m == 1:
-        return float(np.hypot(a.sum().real, abs(kd[0])))
+    if L.shape[0] == 2:
+        (a, kd), _ = L.toarray()
+        return float(np.hypot(a.real, abs(kd)))
     # Imported here: scipy.sparse.linalg adds ~35 modules to CLI start-up.
-    from scipy import sparse
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    rows, cols = nz
-    diag = np.arange(m)
-    L = sparse.csc_matrix(
-        (np.concatenate([a, -a, kd, kd.conj()]),
-         (np.concatenate([rows, rows + m, diag, diag + m]),
-          np.concatenate([cols, cols + m, diag + m, diag]))),
-        shape=(2 * m, 2 * m))
     rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(2 * m) + 1.0j * rng.standard_normal(2 * m)
+    n = L.shape[0]
+    v0 = rng.standard_normal(n) + 1.0j * rng.standard_normal(n)
     try:
         lam = eigsh(L, k=1, sigma=0, v0=v0, tol=1e-10,
                     return_eigenvectors=False)
@@ -290,33 +226,70 @@ def _even_margin(m: int, nz, a: np.ndarray, kd: np.ndarray) -> float:
     return float(np.abs(lam).min())
 
 
+def _shifted_signature(L, margin: float) -> tuple[int, str | None]:
+    """Signature of the sparse Hermitian L, and the first of its guards that
+    failed (None when all hold).
+
+    SuperLU factors L - t and L + t, t = 0.9 margin, with diagonal pivots in
+    a symmetric ordering: P (L - s) P^T = L'U', U' = D L'^dag, so In(L - s)
+    = In(D) (Sylvester) counts the signs of Re diag U'.  The shift also
+    makes the zero diagonal of a chiral window nonzero.  Guards per LU:
+    perm_r == perm_c; each pivot real to 1e-4 of its own real part (pivots
+    span 6 orders of magnitude, so a bound on max|d| misjudges); the
+    backward error |E| <= gamma_{n+2} |L'||U'| (Higham, "Accuracy and
+    Stability of Numerical Algorithms", Thm 9.3 and Lemma 3.5), whose 2-norm
+    is at most sqrt(||.||_1 ||.||_inf), below margin - t <= min|eig(L -+ t)|.
+    Last, In(L - t) == In(L + t) bars every eigenvalue of L from (-t, t].
+    """
+    from scipy.sparse.linalg import splu
+
+    n = L.shape[0]
+    t = 0.9 * margin
+    u = np.finfo(float).eps / 2
+    gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+    ones = np.ones(n)
+    inertia, doubts = [], []
+    for s in (t, -t):
+        lu = splu(L - s * sparse.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        # Each factorization and its factor copies are freed before the next
+        # one: alive across it they raised the robustness peak RSS by 5 MB.
+        lo, up, diagonal_pivots = lu.L, lu.U, np.array_equal(lu.perm_r, lu.perm_c)
+        del lu
+        d = up.diagonal()
+        inertia.append((int((d.real > 0).sum()), int((d.real < 0).sum())))
+        lo.data, up.data = np.abs(lo.data), np.abs(up.data)
+        err = gamma * np.sqrt((lo @ (up @ ones)).max() * (ones @ lo @ up).max())
+        del lo, up
+        doubts += [f"the LU of L - ({s:.3e}) {why}" for ok, why in [
+            (diagonal_pivots, "pivoted off the diagonal"),
+            (np.all(np.abs(d.imag) < 1e-4 * np.abs(d.real)), "has a complex pivot"),
+            (err < margin - t, f"has a backward error bound {err:.3e}, not below "
+                               f"margin - t = {margin - t:.3e}")] if not ok]
+    if inertia[0] != inertia[1]:
+        doubts.append(f"the inertias of L -+ {t:.3e} disagree: {inertia[0]}, {inertia[1]}")
+    return inertia[0][0] - inertia[0][1], (doubts + [None])[0]
+
+
 def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
                          margin_min: float | None = None, hdata=None) -> IndexResult:
     """Half-signature index of L = [[H - mu, k D-], [k D-^dag, -(H - mu)]].
 
     D- = (X1 - x01) - i (X2 - x02) acts site-diagonally on the internal
-    space.  The 2m x 2m spectrum of L is never formed:
+    space.  L is assembled sparse from the nonzeros of H, and no dense
+    matrix of its size, nor a copy of H - mu, is formed: the margin is its
+    smallest |eigenvalue| by ARPACK shift-invert at 0 (Loring &
+    Schulz-Baldes, NYJM 2017), the signature the certified inertia of
+    L -+ 0.9 margin (_shifted_signature).  hdata must be the spectrum of H
+    (computed when None); it serves the gap check and margin_min.
 
-    - signature: with A = H - mu, inertia is additive over the Schur
-      complement (Haynsworth 1968), In(L) = In(A) + In(L/A) with
-      L/A = -A - k^2 D-^dag A^-1 D-.  In(A) is read off the eigenvalues of
-      H (hdata, which must be the spectrum of H; computed when None).
-      D- is site-diagonal, so L/A is the direct sum of the complements of
-      A's principal blocks over the connected components of its nonzero
-      graph; In(L/A) comes from one solve and one eigvalsh per component
-      (one m x m pair when the window is connected).
-    - margin: the smallest |eigenvalue| of the whole sparse L, by ARPACK
-      shift-invert at 0 (Loring & Schulz-Baldes, NYJM 2017).  LocalizerUnreliable
-      is raised when that solve does not converge.
-
-    (L/A)^-1 is the lower-right block of L^-1, so min|eig(L/A)| >= margin;
-    this ties the two computations together and is asserted on the union
-    of the component spectra.
-
-    Reliability requires the margin to exceed margin_min, which defaults to
-    1e-3 of the localizer's natural scale max(||H - mu||, kappa * max|x - x0|);
-    the second term catches the absurd-kappa regime where the position part
-    dwarfs the Hamiltonian.
+    LocalizerUnreliable is raised when the margin solve does not converge
+    or a guard of the signature fails on a margin above margin_min; below
+    it the record is unreliable anyway and keeps its uncertified
+    half-signature.  Reliability requires the margin to exceed margin_min,
+    which defaults to 1e-3 of the localizer's natural scale
+    max(||H - mu||, kappa * max|x - x0|); the second term catches the
+    absurd-kappa regime where the position part dwarfs the Hamiltonian.
     """
     if dirac.sites.dim != 2:
         raise InvalidInput("even localizer needs a 2-dimensional point set")
@@ -332,21 +305,26 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
         margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
     if m == 0:
         return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min)
-
     rel = dirac.sites.points - dirac.x0
     kd = kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
-    A = np.array(Hd, order="F")
+    # The nonzeros of A = H - mu: the off-diagonal ones of H and the
+    # nonzero entries of the shifted diagonal.
+    rows, cols = np.nonzero(Hd)
+    on = np.flatnonzero(Hd.diagonal() - mu)
+    off = rows != cols
+    rows, cols = np.concatenate([rows[off], on]), np.concatenate([cols[off], on])
+    a = Hd[rows, cols] - mu * (rows == cols)
     diag = np.arange(m)
-    A[diag, diag] -= mu
-    nz = np.nonzero(A)
-    a = A[nz]
-    schur = _component_schur_eigenvalues(A, kd, nz, a)
-    margin = _even_margin(m, nz, a, kd)
-    schur_min = float(np.abs(schur).min())
-    assert schur_min >= margin * (1.0 - 1e-9), (
-        f"Schur complement eigenvalue {schur_min:.17g} below the margin {margin:.17g}")
-    half_sig = 0.5 * (_signature(evs - mu) + _signature(schur))
-    return _index_result(half_sig, margin, kappa, dirac.x0, mu, margin_min)
+    L = sparse.csc_matrix(
+        (np.concatenate([a, -a, kd, kd.conj()]),
+         (np.concatenate([rows, rows + m, diag, diag + m]),
+          np.concatenate([cols, cols + m, diag + m, diag]))),
+        shape=(2 * m, 2 * m))
+    margin = _even_margin(L)
+    sig, doubt = _shifted_signature(L, margin)
+    if doubt is not None and margin > margin_min:
+        raise LocalizerUnreliable(f"signature not certified: {doubt}")
+    return _index_result(0.5 * sig, margin, kappa, dirac.x0, mu, margin_min)
 
 
 def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,

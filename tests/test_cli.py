@@ -177,12 +177,42 @@ def test_key_its_generator_or_model_does_not_read_exits_2(tmp_path, capsys, sect
 def test_optional_experiment_keys_are_accepted(tmp_path):
     robust = write(tmp_path, "r.ini", "[experiment]\nstrength = 0.1\n")
     assert load_config(robust, "robustness") == {"experiment": {"strength": 0.1}}
-    stack = write(tmp_path, "s.ini",
-                  "[experiment]\nstack_min_dist = 0.8\nstack_target_R = 1.2\n")
+    stack = write(tmp_path, "s.ini", "[experiment]\nstack_generator = hardcore_random\n"
+                  "stack_min_dist = 0.8\nstack_target_R = 1.2\n")
     assert load_config(stack, "stacking")["experiment"] == {
-        "stack_min_dist": 0.8, "stack_target_R": 1.2}
-    with pytest.raises(SchemaError, match=r"s\.ini:2: key 'stack_min_dist'"):
+        "stack_generator": "hardcore_random", "stack_min_dist": 0.8,
+        "stack_target_R": 1.2}
+    with pytest.raises(SchemaError, match=r"s\.ini:2: key 'stack_generator'"):
         load_config(stack, "robustness")
+
+
+@pytest.mark.parametrize("command, body, key, message", [
+    ("spectrum", "[model]\nname = kagome\n", "name", "unknown model name 'kagome'"),
+    ("generate", "[lattice]\ngenerator = penrose\n", "generator",
+     "unknown lattice generator 'penrose'"),
+    ("generate", "[lattice]\ngenerator = fibonacci_1d\ndim = 2\n", "dim",
+     "generator 'fibonacci_1d' makes 1D sets, not 2D"),
+    ("stacking", SSH_INI + "[experiment]\nstack_min_dist = 0.8\n", "stack_min_dist",
+     "key 'stack_min_dist' does not apply to stack_generator 'periodic'"),
+    # a cut-and-project stack set reads no stack_window, not even its default
+    ("stacking", SSH_INI + "[experiment]\nstack_generator = fibonacci_1d\n",
+     "stack_generator", "key 'stack_window' does not apply to stack_generator "
+     "'fibonacci_1d'"),
+], ids=["model-name", "generator", "cut-and-project-dim", "stack_min_dist",
+        "stack-generator"])
+def test_config_the_run_would_reject_exits_2(tmp_path, capsys, command, body, key,
+                                             message):
+    cfg = write(tmp_path, "run.ini", body)
+    line = next(n for n, text in enumerate(body.splitlines(), 1)
+                if text.startswith(key + " "))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"run.ini:{line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_rejects_an_unknown_command(tmp_path):
+    with pytest.raises(SchemaError, match="unknown command 'quantisation'"):
+        load_config(write(tmp_path, "run.ini", QUANT_INI), "quantisation")
 
 
 def test_benchmark_workload_configs_pass_the_schema(tmp_path, monkeypatch):
@@ -672,7 +702,7 @@ def test_cli_import_leaves_spatial_special_and_constants_unloaded():
 
 
 def test_runs_never_load_csgraph():
-    # Component labels (even localizer, stacking multiplicity) are NumPy.
+    # The stacking multiplicity check labels components with NumPy.
     code = """\
 from delonetop.experiments import run_robustness, run_stacking
 run_robustness({"window": [0.0, 6.0]}, {"M": 1.0, "mu": 0.0},

@@ -410,9 +410,9 @@ def test_window_sized_lapack_goes_through_scipy(monkeypatch):
 
 
 def test_window_sized_lapack_overwrites_fortran_buffers(monkeypatch):
-    # eig_hermitian (MRRR, from 1000 rows) and the Schur LU solve of the even
-    # localizer must hand LAPACK a Fortran-ordered buffer it may overwrite;
-    # a C-ordered one, or overwrite_a=False, costs an m x m copy.
+    # eig_hermitian (MRRR, from 1000 rows) must hand LAPACK a Fortran-ordered
+    # buffer it may overwrite; a C-ordered one, or overwrite_a=False, costs an
+    # m x m copy.  (The even localizer makes no dense LAPACK call at all.)
     calls = []
 
     def spy(name, fn):
@@ -423,15 +423,10 @@ def test_window_sized_lapack_overwrites_fortran_buffers(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", scipy.linalg.eigh))
-    monkeypatch.setattr(scipy.linalg, "solve", spy("solve", scipy.linalg.solve))
 
     n = 1000
     H = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     eig_hermitian(H)
-    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [6.0, 6.0]))
-    Hc = represent(builtin_model("chern_2band_2d", M=1.0), sites)
-    dirac = position_dirac(sites, sites.window_center, block_dim=2)
-    assert localizer_index_even(Hc, 0.0, dirac, 0.1).index == 1
 
-    assert [c[:2] for c in calls] == [("eigh", n), ("solve", 98)]
+    assert [c[:2] for c in calls] == [("eigh", n)]
     assert all(f_contiguous and overwrite for _, _, f_contiguous, overwrite in calls)

@@ -1,8 +1,10 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -125,8 +127,8 @@ def test_even_localizer_chern_window_frozen_margins(z2_12, chern_12):
 
 
 def test_even_localizer_leaves_input_unchanged(z2_12, chern_12):
-    # A = H - mu is LU-factored in place, so it must be a copy; mu != 0
-    # also exercises the diagonal shift against the dense oracle.
+    # H is read, never written; mu != 0 also exercises the diagonal shift
+    # against the dense oracle.
     _, H = chern_12
     Hd = H.to_dense()
     before = Hd.tobytes()
@@ -214,6 +216,25 @@ def test_even_localizer_matches_dense_reference_perturbed_trial(z2_12, chern_12)
     assert (r.status, r.index) == ("ok", 1)
 
 
+def test_even_localizer_matches_dense_reference_near_gap_closing():
+    # Noise of strength 1.4 on the 16^2 window all but closes the localizer
+    # gap: margin 6.2e-4, below the default margin_min, so the record is
+    # unreliable; with margin_min under the margin the signature must pass
+    # every guard and still be the dense one.
+    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [16.0, 16.0]))
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    Hp = H.add(random_perturbation(sites, 2.0, 1.4, 2, seed=37)).to_dense()
+    evs = scipy.linalg.eigvalsh(Hp)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    r = _matches_dense_reference(Hp, 0.0, dirac, 0.1, hdata=evs)
+    assert r.status == "unreliable"
+    assert 5e-4 < r.margin < 7e-4
+    certified = localizer_index_even(Hp, 0.0, dirac, 0.1, margin_min=0.5 * r.margin,
+                                     hdata=evs)
+    assert (certified.status, certified.index) == ("ok", 1)
+    assert certified.half_signature == r.half_signature
+
+
 def test_even_localizer_matches_dense_reference_site_at_x0():
     sites = gen_hardcore_random(([0.0, 0.0], [12.0, 12.0]), 0.8, 1.2, 3)
     k = int(np.argmin(np.linalg.norm(sites.points - sites.window_center, axis=1)))
@@ -297,10 +318,10 @@ def test_even_localizer_unequal_components_match_dense_reference(z2_12, chern_12
         assert r.half_signature == sum(p["half_signature"] for p in parts)
 
 
-def test_schur_solves_run_per_component(monkeypatch, z2_12, chern_12):
-    # A stacked window makes one Schur solve and one eigvalsh per layer, of
-    # the chain's 70 rows; a connected window makes exactly one of each, of
-    # all m rows (A itself, factored in place).
+def test_even_localizer_makes_no_dense_lapack_call(monkeypatch, z2_12, chern_12):
+    # Given the H eigenvalues, the even localizer works on the sparse L
+    # alone: no dense solve, eigvalsh or eigh, whether the window is a
+    # stack of 8 chain components or connected.
     calls = []
 
     def spy(name, fn):
@@ -312,22 +333,20 @@ def test_schur_solves_run_per_component(monkeypatch, z2_12, chern_12):
     Sd, dirac, evs = _stacked_ssh(STACK_CHAINS["periodic"])
     Hd = chern_12[1].to_dense()
     evs_h = scipy.linalg.eigvalsh(Hd)
-    monkeypatch.setattr(scipy.linalg, "solve", spy("solve", scipy.linalg.solve))
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", spy("eigvalsh", scipy.linalg.eigvalsh))
+    for name in ("solve", "eigvalsh", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name, spy(name, getattr(scipy.linalg, name)))
     assert len(Sd) == 560
     assert localizer_index_even(Sd, 0.0, dirac, 0.1, hdata=evs).index == 0
-    assert sorted(calls) == [("eigvalsh", 70)] * 8 + [("solve", 70)] * 8
-    calls.clear()
     dirac_h = position_dirac(z2_12, z2_12.window_center, block_dim=2)
     assert localizer_index_even(Hd, 0.0, dirac_h, 0.1, hdata=evs_h).index == 1
-    assert calls == [("solve", len(Hd)), ("eigvalsh", len(Hd))]
+    assert calls == []
 
 
 def test_even_localizer_allocation_bound():
     # The connected 22^2 Chern window, m = 1058: beyond its input the
-    # localizer holds the Fortran copy of A that LAPACK factors in place,
-    # the Schur buffer and O(m) vectors, ~2.1 m x m complex arrays; a
-    # gathered copy of A per component would push it past 2.5.
+    # localizer holds the sparse L, the factors of one shifted LU and O(m)
+    # vectors, ~0.81 m x m complex arrays; one dense m x m copy of H - mu
+    # would push it past 1.
     omega = gen_periodic(np.eye(2), ([0.0, 0.0], [22.0, 22.0]))
     Hd = represent(builtin_model("chern_2band_2d", M=1.0), omega).to_dense()
     m = Hd.shape[0]
@@ -343,7 +362,7 @@ def test_even_localizer_allocation_bound():
     finally:
         tracemalloc.stop()
     assert (r.status, r.index) == ("ok", 1)
-    assert peak <= 2.5 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
+    assert peak <= 1.0 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
 
 
 @pytest.mark.parametrize("kappa", [0.01, 0.1, 1.0, 10.0])
@@ -388,6 +407,70 @@ def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12):
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", _failing_eigsh)
     with pytest.raises(LocalizerUnreliable, match="did not converge"):
         localizer_index_even(H, 0.0, dirac, 0.1)
+
+
+def _edit_lu(monkeypatch, edit):
+    """Replace splu by one whose k-th result (k = 1, 2) is edit(lu, k)."""
+    real = scipy.sparse.linalg.splu
+    count = []
+
+    def fake(A, **kwargs):
+        count.append(1)
+        return edit(real(A, **kwargs), len(count))
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", fake)
+
+
+def _lu(lu, perm_r=None, L=None, U=None):
+    return SimpleNamespace(perm_r=lu.perm_r if perm_r is None else perm_r,
+                           perm_c=lu.perm_c, L=lu.L if L is None else L,
+                           U=lu.U if U is None else U)
+
+
+def _row_pivoting(lu, k):
+    return _lu(lu, perm_r=lu.perm_r[::-1])
+
+
+def _complex_pivots(lu, k):
+    d = lu.U.diagonal().real
+    return _lu(lu, U=lu.U + sparse.diags(1.0e-3j * d, format="csc"))
+
+
+def _huge_multipliers(lu, k):
+    return _lu(lu, L=1.0e16 * lu.L)
+
+
+def _second_inertia_off_by_one(lu, k):
+    # the first pivot of the L + t factorization changes sign
+    flip = np.zeros(lu.U.shape[0])
+    flip[0] = 2.0 * lu.U.diagonal()[0].real if k == 2 else 0.0
+    return _lu(lu, U=lu.U - sparse.diags(flip, format="csc"))
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_row_pivoting, "pivoted off the diagonal"),
+    (_complex_pivots, "complex pivot"),
+    (_huge_multipliers, "backward error bound"),
+    (_second_inertia_off_by_one, "inertias .* disagree"),
+], ids=["perm", "complex-pivot", "backward-error", "inertia"])
+def test_even_localizer_uncertified_signature_raises(monkeypatch, z2_12, chern_12,
+                                                     edit, reason):
+    _, H = chern_12
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    _edit_lu(monkeypatch, edit)
+    with pytest.raises(LocalizerUnreliable, match=f"signature not certified: .*{reason}"):
+        localizer_index_even(H, 0.0, dirac, 0.1)
+
+
+def test_even_localizer_below_margin_min_skips_the_certificate(monkeypatch, z2_12,
+                                                              chern_12):
+    # An unreliable margin already withholds the index, so a failed guard
+    # leaves the record unreliable instead of raising.
+    _, H = chern_12
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    _edit_lu(monkeypatch, _huge_multipliers)
+    r = localizer_index_even(H, 0.0, dirac, 0.1, margin_min=1.0)
+    assert (r.status, r.index, r.half_signature) == ("unreliable", None, 1.0)
 
 
 # ---------------------------------------------------------------------------
