@@ -9,9 +9,10 @@ The package is organized bottom-up:
                 algebra.
 * groupoid   -- pattern-equivariant hopping kernels, their localized block
                 representations, stacking, Bloch reductions.
-* roe        -- coarse-geometric predicates, position commutators, covering
+* roe        -- support statistics, position commutators, covering
                 isometries, controlled random perturbations.
-* spectral   -- dense Hermitian eigensolves, gaps, Fermi projections.
+* spectral   -- Hermitian eigensolves of one dense LAPACK buffer, gaps,
+                Fermi projections.
 * index      -- position Dirac operators, spectral localizer indices, and
                 the three-sector / Bloch oracles.
 * experiments -- seeded, reproducible theorem-level runs.
@@ -32,9 +33,8 @@ from .clifford import CliffordRep, build_rep, spanning_rank, verify_relations
 from .groupoid import (BlockOperator, HoppingFunction, bloch_hamiltonian,
                        builtin_model, covariance_check, represent,
                        stack_operator)
-from .roe import (SupportStats, covering_embed, is_controlled,
-                  position_commutator, random_perturbation, subset_injection,
-                  summability_profile, support_stats)
+from .roe import (SupportStats, covering_embed, position_commutator,
+                  random_perturbation, subset_injection, support_stats)
 from .spectral import (FermiProjection, GapInfo, SpectralData, eig_hermitian,
                        fermi_projection, largest_gap, spectral_gap,
                        symmetric_gap)

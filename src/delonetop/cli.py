@@ -371,7 +371,7 @@ def _cmd_generate(cfg: dict) -> ExperimentReport:
 def _cmd_spectrum(cfg: dict) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
     f, mu_policy = _model_from_cfg(cfg["model"])
-    hdata = eig_hermitian(represent(f, sites).to_dense())
+    hdata = eig_hermitian(represent(f, sites))
     mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, f.grading)
     report = ExperimentReport("spectrum", cfg)
     report.records.append({

@@ -44,8 +44,8 @@ from .index import (IndexResult, PositionDirac, _components, angular_sectors,
                     kappa_stability, kitaev_chern, localizer_index_even,
                     localizer_index_odd, position_dirac)
 from .roe import random_perturbation
-from .spectral import (GapInfo, eig_hermitian, fermi_projection, largest_gap,
-                       spectral_gap, symmetric_gap)
+from .spectral import (GapInfo, _fortran_buffer, eig_hermitian, fermi_projection,
+                       largest_gap, spectral_gap, symmetric_gap)
 
 __all__ = [
     "ExperimentReport",
@@ -278,14 +278,15 @@ def _base_pipeline(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: d
                    periodic_basis=None) -> _BaseRun:
     """Represent, locate the gap, attach the oracles, sweep the localizer.
 
-    H is densified once.  The three-sector oracle, the only reader of
+    H is held as one CSR matrix; its only dense form is the buffer
+    eig_hermitian hands LAPACK.  The three-sector oracle, the only reader of
     eigenvectors, runs straight after the eigensolve; from then on only the
     eigenvalues are kept, so no eigenvector matrix is alive during the
     kappa sweep.
     """
     H = represent(f, sites)
-    Hd = H.to_dense()
-    hdata = eig_hermitian(Hd)
+    Hs = H.to_sparse()
+    hdata = eig_hermitian(Hs)
     evs = hdata.eigenvalues
     mu, gap = _mu_gap(evs, mu_policy, f.grading)
     x0 = _resolve_x0(index_cfg, sites)
@@ -301,7 +302,7 @@ def _base_pipeline(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: d
 
     dirac = position_dirac(sites, x0, f.N)
     kappas = _kappa_list(index_cfg, gap, sites, evs)
-    results, plateau = _localize(Hd, mu, dirac, kappas, f.grading, index_cfg, evs)
+    results, plateau = _localize(Hs, mu, dirac, kappas, f.grading, index_cfg, evs)
     if periodic_basis is not None:
         hk = bloch_hamiltonian(f, periodic_basis)
         if sites.dim == 2:
@@ -463,16 +464,16 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
                 else float(exp["strength_rel"]) * base.gap.width)
     prange = float(exp["range"])
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
-    Hd = base.H.to_dense()
+    Hs = base.H.to_sparse()
 
     def one_trial(t: int) -> dict:
         seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
         V = random_perturbation(sites, prange, strength, f.N, grading=noise_grading,
                                 seed=seed)
-        # Equal bit for bit to base.H.add(V).to_dense().  Not overwritten by
-        # eigvalsh: the localizer reads Hp afterwards.
-        Hp = Hd + V.to_dense()
-        evs = scipy.linalg.eigvalsh(Hp)
+        # Each stored entry equal bit for bit to base.H.add(V).to_sparse()'s.
+        # The localizer reads Hp; eigvalsh overwrites its one dense copy.
+        Hp = Hs + V.to_sparse()
+        evs = scipy.linalg.eigvalsh(_fortran_buffer(Hp), overwrite_a=True)
         try:
             _, gap = _mu_gap(evs, base.mu, f.grading)
         except GapUndefined:
@@ -560,18 +561,19 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
         report.records.append(_result_record(res, stage="chain", gap=base.gap.width))
 
     stacked = stack_operator(base.H, L)
-    Sd = stacked.to_dense()
-    # Sd is block-diagonal over its components, one per layer unless an
+    S = stacked.to_sparse()
+    # S is block-diagonal over its components, one per layer unless an
     # entry couples layers: its spectrum is the union of theirs.
+    coo = S.tocoo()
     evs_stacked = np.sort(np.concatenate(
-        [scipy.linalg.eigvalsh(Sd[np.ix_(idx, idx)])
-         for idx in _components(len(Sd), *np.nonzero(Sd))[1]]))
+        [scipy.linalg.eigvalsh(_fortran_buffer(S[idx][:, idx]), overwrite_a=True)
+         for idx in _components(S.shape[0], coo.row, coo.col)[1]]))
     expected = np.sort(np.repeat(base.evs, len(L)))
     mult_resid = float(np.abs(evs_stacked - expected).max()) if evs_stacked.size else 0.0
 
     x0_2d = stacked.sites.window_center
     dirac2 = position_dirac(stacked.sites, x0_2d, stacked.block_dim)
-    stacked_results, _ = _localize(Sd, base.mu, dirac2, base.kappas,
+    stacked_results, _ = _localize(S, base.mu, dirac2, base.kappas,
                                    f.grading, index_cfg, evs_stacked)
     for res in stacked_results:
         report.records.append(_result_record(res, stage="stacked"))
@@ -646,8 +648,8 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     def one_site(i: int) -> dict:
         omega = translate(sites, sites.points[i])
         H = represent(f, omega)
-        Hd = H.to_dense()
-        evs = scipy.linalg.eigvalsh(Hd)
+        Hs = H.to_sparse()
+        evs = scipy.linalg.eigvalsh(_fortran_buffer(Hs), overwrite_a=True)
         if i == chosen[0]:
             _stash_artifacts(report, sites, H, evs)
         try:
@@ -656,7 +658,7 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
             return {"site": i, "status": "gap_closed", "error": str(err)}
         kappas = _kappa_list(index_cfg, gap, omega, evs)[:1]
         dirac = position_dirac(omega, np.zeros(sites.dim), f.N)
-        (res,), _ = _localize(Hd, mu, dirac, kappas, f.grading, index_cfg, evs)
+        (res,), _ = _localize(Hs, mu, dirac, kappas, f.grading, index_cfg, evs)
         return _result_record(res, site=i, gap=gap.width)
 
     records = _pmap(one_site, chosen, workers)

@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidInput, KernelNotSelfAdjoint
 from .geometry import DeloneSet, LocalPattern, neighbor_pairs, product_delone, translate
@@ -141,6 +142,20 @@ class BlockOperator:
         out = np.zeros((n, N, n, N), dtype=complex)
         out[self.rows, :, self.cols, :] = self.blocks
         return out.reshape(n * N, n * N)
+
+    def to_sparse(self) -> sparse.csr_array:
+        """The dense_dim x dense_dim CSR matrix: each nonzero entry of
+        to_dense(), bit for bit, and no stored zero."""
+        n, N = len(self.sites), self.block_dim
+        orb = np.arange(N)
+        shape = self.blocks.shape
+        rows = np.broadcast_to((self.rows[:, None] * N + orb)[:, :, None], shape).ravel()
+        cols = np.broadcast_to((self.cols[:, None] * N + orb)[:, None, :], shape).ravel()
+        data = self.blocks.ravel()
+        keep = data != 0
+        # Site pairs are distinct, so no entry is summed on conversion.
+        return sparse.coo_array((data[keep], (rows[keep], cols[keep])),
+                                shape=(n * N, n * N)).tocsr()
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         if other.block_dim != self.block_dim or len(other.sites) != len(self.sites):

@@ -8,13 +8,16 @@ cross-checked by independent oracles: the real-space three-sector projector
 formula (aperiodic windows) and Bloch-side invariants (Fukui-Hatsugai-Suzuki
 plaquette Chern number, winding of det A(k)) for periodic models.
 
-The even (2D) localizer forms no dense matrix beyond H: its margin is one
-shift-invert ARPACK eigenvalue of the sparse localizer L, and its signature
-the inertia of L -+ t (t = 0.9 margin), read off the pivots of two symmetric
-sparse LU factorizations (Sylvester) and certified by their backward error.
-The odd (1D) localizer is small and stays a dense eigvalsh of
-L = H + kappa (X - x0) G, its rows and columns in the on-site grading G's
-+- order (the chiral-basis [[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
+Every localizer reads H as one CSR matrix: a BlockOperator through
+BlockOperator.to_sparse(), a dense or sparse matrix through one csr_array
+call at entry.  The even (2D) localizer forms no dense matrix at all: its
+margin is one shift-invert ARPACK eigenvalue of the sparse localizer L, and
+its signature the inertia of L -+ t (t = 0.9 margin), read off the pivots
+of two symmetric sparse LU factorizations (Sylvester) and certified by their
+backward error.  The odd (1D) localizer is small and densifies only its
+L = H + kappa (X - x0) G for one eigvalsh, its rows and columns in the
+on-site grading G's +- order (the chiral-basis
+[[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
 
 Every LAPACK call on a matrix whose size grows with the window (eigvalsh)
 goes through scipy.linalg, the OpenBLAS copy that ARPACK and SuperLU use
@@ -41,8 +44,9 @@ from .clifford import CliffordRep, build_rep, verify_relations
 from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
 from .geometry import DeloneSet, neighbor_pairs
-from .groupoid import BlockOperator, _chiral_signs
-from .spectral import FermiProjection, SpectralData, spectral_gap
+from .groupoid import _chiral_signs
+from .spectral import (FermiProjection, SpectralData, _csr, _fortran_buffer,
+                       spectral_gap)
 
 __all__ = [
     "PositionDirac",
@@ -135,15 +139,12 @@ class IndexResult:
         }
 
 
-def _dense(H) -> np.ndarray:
-    if isinstance(H, BlockOperator):
-        return H.to_dense()
-    return np.asarray(H, dtype=complex)
-
-
-def _h_eigenvalues(Hd: np.ndarray, hdata) -> np.ndarray:
+def _h_eigenvalues(H, hdata) -> np.ndarray:
+    """The spectrum of the CSR matrix H: hdata's, or one eigvalsh of H
+    densified into a buffer LAPACK overwrites when hdata is None."""
     if hdata is None:
-        return scipy.linalg.eigvalsh(Hd) if Hd.size else np.zeros(0)
+        return (scipy.linalg.eigvalsh(_fortran_buffer(H), overwrite_a=True)
+                if H.shape[0] else np.zeros(0))
     if isinstance(hdata, SpectralData):
         return hdata.eigenvalues
     return np.asarray(hdata, dtype=float)
@@ -173,8 +174,8 @@ def _components(m: int, rows: np.ndarray,
     """Connected components of the graph on range(m) with edges (rows, cols):
     each vertex's component label, numbered in the order of the components'
     smallest vertices, and each component's vertices in ascending order.
-    Its one caller is run_stacking, which splits the stacked operator's
-    eigvalsh over the layers.
+    Its one caller is run_stacking, which reads the edges off the stacked
+    operator's CSR coordinates and splits its eigvalsh over the layers.
 
     Min-label propagation with pointer jumping: every vertex points at a
     vertex no larger than itself, and each round hooks the larger root of
@@ -276,8 +277,9 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     """Half-signature index of L = [[H - mu, k D-], [k D-^dag, -(H - mu)]].
 
     D- = (X1 - x01) - i (X2 - x02) acts site-diagonally on the internal
-    space.  L is assembled sparse from the nonzeros of H, and no dense
-    matrix of its size, nor a copy of H - mu, is formed: the margin is its
+    space.  H is read as one CSR matrix (a BlockOperator, or a dense or
+    sparse matrix), L is assembled sparse from its entries and those of
+    H - mu, and no dense matrix is formed: the margin is its
     smallest |eigenvalue| by ARPACK shift-invert at 0 (Loring &
     Schulz-Baldes, NYJM 2017), the signature the certified inertia of
     L -+ 0.9 margin (_shifted_signature).  hdata must be the spectrum of H
@@ -293,13 +295,13 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     """
     if dirac.sites.dim != 2:
         raise InvalidInput("even localizer needs a 2-dimensional point set")
-    Hd = _dense(H)
-    m = Hd.shape[0]
+    H = _csr(H, complex)
+    m = H.shape[0]
     n = len(dirac.sites)
     if n and m % n:
         raise InvalidInput("H dimension is not a multiple of the site count")
     N = m // n if n else 0
-    evs = _h_eigenvalues(Hd, hdata)
+    evs = _h_eigenvalues(H, hdata)
     spectral_gap(evs, mu)  # raises GapUndefined when mu hits the spectrum
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
@@ -307,18 +309,15 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
         return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min)
     rel = dirac.sites.points - dirac.x0
     kd = kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
-    # The nonzeros of A = H - mu: the off-diagonal ones of H and the
-    # nonzero entries of the shifted diagonal.
-    rows, cols = np.nonzero(Hd)
-    on = np.flatnonzero(Hd.diagonal() - mu)
-    off = rows != cols
-    rows, cols = np.concatenate([rows[off], on]), np.concatenate([cols[off], on])
-    a = Hd[rows, cols] - mu * (rows == cols)
+    # A = H - mu stores no zero: the subtraction drops a diagonal entry it
+    # cancels.  kd is stored in full, zero or not, so the pattern of L does
+    # not depend on where x0 sits.
+    A = (H - mu * sparse.identity(m, format="csr")).tocoo()
     diag = np.arange(m)
     L = sparse.csc_matrix(
-        (np.concatenate([a, -a, kd, kd.conj()]),
-         (np.concatenate([rows, rows + m, diag, diag + m]),
-          np.concatenate([cols, cols + m, diag + m, diag]))),
+        (np.concatenate([A.data, -A.data, kd, kd.conj()]),
+         (np.concatenate([A.row, A.row + m, diag, diag + m]),
+          np.concatenate([A.col, A.col + m, diag + m, diag]))),
         shape=(2 * m, 2 * m))
     margin = _even_margin(L)
     sig, doubt = _shifted_signature(L, margin)
@@ -337,10 +336,12 @@ def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,
     return max(hscale, abs(kappa) * dmax)
 
 
-def _chirality_residual(Hd: np.ndarray, g: np.ndarray) -> float:
-    """max |G H G + H| for the diagonal grading G = diag(g), elementwise:
-    g_p H_pq g_q is exact for g = +-1, so no dense G is formed."""
-    return float(np.abs(g[:, None] * Hd * g[None, :] + Hd).max()) if Hd.size else 0.0
+def _chirality_residual(H, g: np.ndarray) -> float:
+    """max |G H G + H| for the diagonal grading G = diag(g), over the
+    nonzero entries of H (sparse or dense): g_p H_pq g_q is exact for
+    g = +-1, so no G is formed."""
+    H = sparse.coo_array(H)
+    return float(np.abs(g[H.row] * H.data * g[H.col] + H.data).max(initial=0.0))
 
 
 def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
@@ -353,18 +354,20 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     order: the +1 orbitals first, then the -1 ones, each in site-major
     order.  Since GHG = -H must hold exactly, H = [[0, A], [A^dag, 0]] in
     that order and L = [[k (X - x0), A], [A^dag, -k (X - x0)]]; the index is
-    its rounded half-signature.  The pairing is at mu = 0.
+    its rounded half-signature.  The pairing is at mu = 0.  H is read as one
+    CSR matrix (a BlockOperator, or a dense or sparse matrix); only L is
+    densified, already permuted, into the buffer eigvalsh overwrites.
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")
-    Hd = _dense(H)
-    m = Hd.shape[0]
+    H = _csr(H, complex)
+    m = H.shape[0]
     n = len(dirac.sites)
     if n == 0 or m % n:
         raise InvalidInput("H dimension is not a multiple of the site count")
     N = m // n
     g = np.tile(_chiral_signs(grading, N), n)
-    chir_res = _chirality_residual(Hd, g)
+    chir_res = _chirality_residual(H, g)
     if chir_res > 1e-13:
         raise SymmetryViolation(f"GHG = -H fails: residual {chir_res:.3e}")
 
@@ -372,12 +375,12 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     # phase carries boundary modes pinned at 0 to machine precision, yet the
     # localizer stays invertible (the position term lifts them).  Reliability
     # is delegated to the margin test below.
-    evs = _h_eigenvalues(Hd, hdata)
+    evs = _h_eigenvalues(H, hdata)
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, 0.0, dirac, kappa)
 
     order = np.argsort(-g, kind="stable")
-    L = Hd[np.ix_(order, order)]
+    L = _fortran_buffer(H[order][:, order])
     x = kappa * np.repeat(dirac.sites.points[:, 0] - dirac.x0[0], N)
     L[np.diag_indices(m)] += (g * x)[order]
     evl = scipy.linalg.eigvalsh(L, overwrite_a=True)
@@ -394,8 +397,8 @@ def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
     """One localizer run per kappa; plateau iff all reliable runs agree.
 
     Even d = dirac.sites.dim runs the even localizer, odd d the odd one with
-    the grading.  H is densified and its spectrum resolved once for the
-    whole sweep.  even and odd stand in for localizer_index_even and
+    the grading.  H, a BlockOperator or a dense or sparse matrix, is read as
+    one CSR matrix and its spectrum resolved once for the whole sweep.  even and odd stand in for localizer_index_even and
     localizer_index_odd (same signatures); the experiment drivers pass the
     names they import, so instrumentation that rebinds those names
     (perfbench/tracer.py) sees every evaluation.
@@ -410,13 +413,13 @@ def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
         raise InvalidInput("the chiral pairing is pinned to mu = 0")
     even = even or localizer_index_even
     odd = odd or localizer_index_odd
-    Hd = _dense(H)
-    evs = _h_eigenvalues(Hd, hdata)
+    H = _csr(H, complex)
+    evs = _h_eigenvalues(H, hdata)
     if odd_d:
-        results = [odd(Hd, dirac, kappa, grading, margin_min=margin_min, hdata=evs)
+        results = [odd(H, dirac, kappa, grading, margin_min=margin_min, hdata=evs)
                    for kappa in kappa_list]
     else:
-        results = [even(Hd, mu, dirac, kappa, margin_min=margin_min, hdata=evs)
+        results = [even(H, mu, dirac, kappa, margin_min=margin_min, hdata=evs)
                    for kappa in kappa_list]
     valid = [r.index for r in results if r.status == "ok"]
     plateau = bool(valid) and len(set(valid)) == 1

@@ -1,12 +1,12 @@
-"""Coarse-geometric operator predicates and constructions.
+"""Coarse-geometric operator diagnostics and constructions.
 
 An operator on a point set is *controlled* when its matrix support has
 bounded spread (propagation), and Schur-bounded when its row/column sums of
 block operator norms are finite; these are the finite-window shadows of the
-Roe-algebra axioms.  The module also provides exact position commutators
-[T, X_j], conjugation by covering isometries for subset inclusions, seeded
-controlled random perturbations, and trace-summability profiles of the
-confinement weight (1 + |x|^2)^(-s/2).
+Roe-algebra axioms, and support_stats reports both.  The module also
+provides exact position commutators [T, X_j], conjugation by covering
+isometries for subset inclusions and seeded controlled random
+perturbations.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from .groupoid import BlockOperator, _chiral_signs, _nonzero
 __all__ = [
     "SupportStats",
     "support_stats",
-    "is_controlled",
     "position_commutator",
     "subset_injection",
     "covering_embed",
     "random_perturbation",
-    "summability_profile",
 ]
 
 
@@ -53,13 +51,6 @@ def support_stats(T: BlockOperator) -> SupportStats:
     prop = float(_norms(T.sites.points[T.rows] - T.sites.points[T.cols]).max(initial=0.0))
     return SupportStats(prop, T.rows.size, float(row.max(initial=0.0)),
                         float(col.max(initial=0.0)))
-
-
-def is_controlled(T: BlockOperator, R: float) -> bool:
-    """True iff the propagation of T is at most R."""
-    if R < 0:
-        raise InvalidInput("R must be nonnegative")
-    return support_stats(T).propagation <= R
 
 
 def position_commutator(T: BlockOperator, axis: int) -> BlockOperator:
@@ -159,20 +150,3 @@ def random_perturbation(sites: DeloneSet, R: float, strength: float,
     return BlockOperator(sites, block_dim, np.column_stack([rows, cols]).ravel()[slots],
                          np.column_stack([cols, rows]).ravel()[slots], B[slots])
 
-
-def summability_profile(sites: DeloneSet, s: float, radii,
-                        center=None) -> np.ndarray:
-    """Partial sums 2^d * sum_{|x-c| <= rho} (1 + |x-c|^2)^(-s/2) over radii.
-
-    For s > d these grow monotonically with shrinking shell increments —
-    the finite-window trace-summability trend of the confinement weight.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(np.diff(radii) <= 0):
-        raise InvalidInput("radii must be a nonempty increasing sequence")
-    c = sites.window_center if center is None else np.asarray(center, dtype=float)
-    r2 = np.sum((sites.points - c) ** 2, axis=1)
-    weight = (1.0 + r2) ** (-0.5 * s)
-    r = _norms(sites.points - c)
-    factor = 2.0 ** sites.dim
-    return np.array([factor * float(weight[r <= rho].sum()) for rho in radii])

@@ -1,4 +1,4 @@
-"""Dense Hermitian spectral computations: eigendecompositions, gap location,
+"""Hermitian spectral computations: eigendecompositions, gap location,
 Fermi projections.
 
 Window sizes stay at desk scale (matrices up to a few thousand), so
@@ -8,16 +8,18 @@ is ``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR
 driver (Dhillon & Parlett, SIMAX 2004), ``driver="evr"``, below it with
 divide and conquer, ``driver="evd"``.
 
-Only the m x m arrays an output reads are allocated.  eig_hermitian
-symmetrizes into one Fortran-ordered buffer that LAPACK overwrites, and
-checks every column's residual against a CSR copy of H (Hamiltonians are
-finite-range) and its orthonormality in column blocks.  A FermiProjection
-holds the occupied frame V, a view of the eigenvectors: P = V V^dag is
-formed only when .matrix is read, and the three-sector Chern oracle forms
-just the sector blocks of P from the frame.
+Only the m x m arrays an output reads are allocated.  H, a BlockOperator
+or a dense or sparse matrix, is read as one CSR matrix (Hamiltonians are
+finite-range): eig_hermitian checks Hermiticity and symmetrizes on it,
+densifies it once, into the Fortran-ordered buffer that LAPACK overwrites,
+and checks every column's residual against the same CSR matrix and its
+orthonormality in column blocks.  A FermiProjection holds the occupied
+frame V, a view of the eigenvectors: P = V V^dag is formed only when
+.matrix is read, and the three-sector Chern oracle forms just the sector
+blocks of P from the frame.
 
 The rest of the package sends window-sized LAPACK work (eigenvalue-only
-solves, the localizer's LU solve) through scipy.linalg too: NumPy and SciPy
+solves of a _fortran_buffer) through scipy.linalg too: NumPy and SciPy
 each bundle an OpenBLAS, and alternating the two at 2 BLAS threads slowed
 each call ~2x.
 """
@@ -32,6 +34,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import GapUndefined, InvalidInput
+from .groupoid import BlockOperator
 from .serialize import format_float
 
 __all__ = [
@@ -113,33 +116,54 @@ class FermiProjection:
         return P
 
 
-def eig_hermitian(H: np.ndarray) -> SpectralData:
+def _csr(H, dtype=None) -> scipy.sparse.csr_array:
+    """H, a BlockOperator or a square dense or sparse matrix, as one CSR
+    matrix: BlockOperator.to_sparse(), else csr_array (which drops zeros of
+    a dense input and shares a CSR input's arrays)."""
+    if isinstance(H, BlockOperator):
+        return H.to_sparse()
+    shape = np.shape(H)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {shape}")
+    return scipy.sparse.csr_array(H, dtype=dtype)
+
+
+def _fortran_buffer(S) -> np.ndarray:
+    """The dense Fortran-ordered copy of the sparse S for a LAPACK call to
+    overwrite.  Stored entries are copied bit for bit: toarray adds them
+    into zeros, which turns a -0.0 part into 0.0."""
+    coo = S.tocoo()
+    out = np.zeros(S.shape, dtype=S.dtype, order="F")
+    out[coo.row, coo.col] = coo.data
+    return out
+
+
+def eig_hermitian(H) -> SpectralData:
     """Eigendecomposition with asserted residual and orthonormality bounds.
 
-    MRRR solves from _MRRR_MIN_DIM rows up, divide and conquer below.
-    Input must be Hermitian within 1e-10 elementwise; it is symmetrized
-    exactly, into one Fortran-ordered buffer the solver overwrites, so the
-    result is deterministic in the input bytes and H itself is left
-    unchanged.  Every column is checked,
-    one block of columns at a time: its residual |H v - lambda v| against a
-    CSR copy of the symmetrized H (<= 1e-9 max(|lambda|, 1)), and its inner
-    products with all columns on SciPy's BLAS (|V^dag V - 1| <= 1e-9).
+    H is a BlockOperator or a dense or sparse matrix, read as one CSR
+    matrix (_csr).  MRRR solves from _MRRR_MIN_DIM rows up, divide and
+    conquer below.  H must be Hermitian within 1e-10 elementwise; it is
+    symmetrized exactly on the CSR matrix and densified once, into the
+    Fortran-ordered buffer the solver overwrites, so the result is
+    deterministic in the stored entries and H itself is left unchanged.
+    Every column is checked, one block of columns at a time: its residual
+    |H v - lambda v| against the symmetrized CSR matrix (<= 1e-9
+    max(|lambda|, 1)), and its inner products with all columns on SciPy's
+    BLAS (|V^dag V - 1| <= 1e-9).
     """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {H.shape}")
+    H = _csr(H)
     n = H.shape[0]
     if n == 0:
         return SpectralData(np.zeros(0), np.zeros((0, 0)), 0)
     blocks = [slice(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
-    Hs = np.empty((n, n), dtype=np.result_type(H, 0.5), order="F")
-    np.conjugate(H.T, out=Hs)
-    herm_res = max(float(np.abs(H[:, j] - Hs[:, j]).max()) for j in blocks)
+    Hdag = H.conj().T.tocsr()
+    herm_res = float(np.abs((H - Hdag).data).max(initial=0.0))
     if herm_res > 1e-10:
         raise InvalidInput(f"matrix is not Hermitian: max |H - H^dag| = {herm_res:.3e}")
-    Hs += H
-    Hs *= 0.5
-    Hsp = scipy.sparse.csr_array(Hs)
+    Hsp = (Hdag + H) * 0.5
+    del H, Hdag
+    Hs = _fortran_buffer(Hsp)
     driver = "evr" if n >= _MRRR_MIN_DIM else "evd"
     vals, vecs = scipy.linalg.eigh(Hs, driver=driver, overwrite_a=True)
     del Hs

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from delonetop import experiments
+from delonetop import cli, experiments
 from delonetop.errors import InvalidInput
 from delonetop.experiments import (build_lattice, run_omega_independence,
                                    run_quantization, run_robustness,
@@ -430,3 +432,43 @@ def test_window_sized_lapack_overwrites_fortran_buffers(monkeypatch):
 
     assert [c[:2] for c in calls] == [("eigh", n)]
     assert all(f_contiguous and overwrite for _, _, f_contiguous, overwrite in calls)
+
+
+def test_drivers_never_densify_a_block_operator(monkeypatch, tmp_path):
+    # H lives as one CSR matrix from represent on; its only dense forms are
+    # eigensolver buffers, so no driver calls BlockOperator.to_dense.
+    def forbidden(self):
+        raise AssertionError("BlockOperator.to_dense called")
+
+    monkeypatch.setattr(BlockOperator, "to_dense", forbidden)
+    small, window = {"window": [0.0, 6.0]}, {"window": [0.0, 10.0]}
+    assert run_quantization(window, CHERN, {"kappa_list": [0.15]}).passed
+    assert run_robustness(small, CHERN, {"kappa_list": [0.1]},
+                          experiment={"n_trials": 2}).passed
+    assert run_omega_independence(window, CHERN, {"kappa_list": [0.15]},
+                                  experiment={"base_sites": 1}).passed
+    chain = {"dim": 1, "window": [0.0, 20.0]}
+    assert run_stacking(chain, SSH, {"kappa_list": [0.1]},
+                        experiment={"stack_window": [0.0, 3.0],
+                                    "control": False}).passed
+    cfg = tmp_path / "spectrum.ini"
+    cfg.write_text("[lattice]\nwindow = [0.0, 6.0]\n")
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_quantization_allocation_bound():
+    # The 23^2 periodic Chern window, m = 1152: the whole run, from
+    # represent to the report, holds ~2.13 m x m complex arrays at its peak
+    # (the eigensolver's buffer and its eigenvectors), 2.3 at most.  A dense
+    # H kept beside them, as before H was held sparse, read 3.10.
+    m = 1152
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        rep = run_quantization({"window": [0.0, 23.0]}, CHERN, {"kappa_list": [0.1]})
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.records[0]["n_sites"] * 2 == m
+    assert peak <= 2.3 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"

@@ -341,3 +341,75 @@ def test_block_operator_add_cancellation_drops_block():
     B = BlockOperator(omega, 1, [0], [1], np.array([[[-1.0]]]))
     C = A.add(B)
     assert (0, 1) not in C.entries
+
+
+# ---------------------------------------------------------------------------
+# to_sparse
+# ---------------------------------------------------------------------------
+
+POINT_SETS = {
+    1: {"periodic": lambda: z1(30),
+        "hardcore": lambda: gen_hardcore_random(([0.0], [30.0]), 0.8, 1.2, seed=1),
+        "fibonacci": lambda: gen_cut_and_project("fibonacci_1d", ([0.0], [30.0]))},
+    2: {"periodic": lambda: z2(8),
+        "hardcore": lambda: gen_hardcore_random(([0.0, 0.0], [8.0, 8.0]), 0.8, 1.2, seed=1),
+        "ammann_beenker": lambda: gen_cut_and_project("ammann_beenker_2d",
+                                                      ([-4.0, -4.0], [4.0, 4.0]))},
+}
+# Every builtin model on every point set of its dimension; dimer_chain_1d
+# with t1 < 0 stores -0.0 diagonal entries in its on-site blocks.
+SPARSE_MODELS = {
+    1: {"nn_laplacian": {"dim": 1}, "dimer_chain_1d": {"t1": -0.7},
+        "chiral_ssh_1d": {"t1": 0.5, "t2": 1.0}},
+    2: {"nn_laplacian": {"dim": 2}, "chern_2band_2d": {"M": 1.0}},
+}
+SPARSE_CASES = [(d, s, m) for d in POINT_SETS for s in POINT_SETS[d] for m in SPARSE_MODELS[d]]
+
+
+def _assert_sparse_is_dense(T):
+    """to_sparse() stores exactly the nonzero entries of to_dense(), each
+    bit for bit, in canonical CSR order."""
+    D = T.to_dense()
+    S = T.to_sparse()
+    assert S.format == "csr" and S.shape == D.shape and S.has_canonical_format
+    coo = S.tocoo()
+    assert np.all(coo.data != 0)
+    assert S.nnz == np.count_nonzero(D)
+    assert D[coo.row, coo.col].tobytes() == coo.data.tobytes()
+    # toarray() adds the entries into zeros, so it matches in value (a -0.0
+    # part reads 0.0) and bit for bit wherever no part is -0.0.
+    assert np.array_equal(S.toarray(), D)
+
+
+@pytest.mark.parametrize("dim,pointset,name", SPARSE_CASES,
+                         ids=[f"{s}-{m}" for _, s, m in SPARSE_CASES])
+def test_to_sparse_matches_to_dense(dim, pointset, name):
+    sites = POINT_SETS[dim][pointset]()
+    f = builtin_model(name, **SPARSE_MODELS[dim][name])
+    H = represent(f, sites)
+    _assert_sparse_is_dense(H)
+    for grading in (None, f.grading if f.grading is not None else np.diag([1.0, -1.0])):
+        V = random_perturbation(sites, 2.0, 0.3, 2, grading=grading, seed=dim)
+        _assert_sparse_is_dense(V)
+        if f.N == 2:
+            _assert_sparse_is_dense(H.add(V))
+    if dim == 1:
+        _assert_sparse_is_dense(stack_operator(H, z1(4)))
+
+
+def test_to_sparse_of_empty_operator():
+    T = BlockOperator(z2(2), 2, [], [], np.zeros((0, 2, 2)))
+    S = T.to_sparse()
+    assert S.shape == (18, 18) and S.nnz == 0
+    _assert_sparse_is_dense(T)
+
+
+def test_to_sparse_keeps_signed_zero_parts():
+    # A stored entry with a -0.0 part keeps it; an all-zero entry of a
+    # nonzero block is not stored.
+    block = np.array([[complex(-0.0, 1.0), complex(-0.0, -0.0)],
+                      [complex(2.0, -0.0), 0.0]])
+    T = BlockOperator(z1(2), 2, [0], [1], block[None])
+    S = T.to_sparse()
+    assert S.nnz == 2
+    assert S.data.tobytes() == np.array([block[0, 0], block[1, 0]]).tobytes()

@@ -577,6 +577,31 @@ def test_odd_chirality_residual_matches_dense_grading_product(n_sites):
                 localizer_index_odd(Hd, dirac, 0.1, GRADING)
 
 
+def _input_forms(H):
+    """A BlockOperator, its CSR matrix and its dense matrix."""
+    return [H, H.to_sparse(), H.to_dense()]
+
+
+def test_localizers_agree_on_every_input_form(z2_12, chern_12):
+    # Each input form is read as the same CSR matrix, so every IndexResult
+    # is equal, floats included; hdata=None also resolves the spectrum.
+    H = chern_12[1]
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    omega = z1(40)
+    Hc = represent(SSH, omega)
+    dirac1 = position_dirac(omega, omega.window_center, block_dim=2)
+    runs = [
+        [localizer_index_even(form, 0.0, dirac, 0.1) for form in _input_forms(H)],
+        [localizer_index_odd(form, dirac1, 0.1, GRADING) for form in _input_forms(Hc)],
+        [kappa_stability(form, 0.0, dirac, [0.05, 0.2]) for form in _input_forms(H)],
+        [kappa_stability(form, 0.0, dirac1, [0.1, 0.2], GRADING)
+         for form in _input_forms(Hc)],
+    ]
+    for results in runs:
+        assert results[1] == results[0] and results[2] == results[0]
+    assert runs[0][0].index == 1 and runs[1][0].index == -1
+
+
 def test_odd_localizer_rejects_bad_arguments(z2_12):
     omega = z1(40)
     H = represent(builtin_model("chiral_ssh_1d"), omega)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from delonetop.errors import InvalidInput
-from delonetop.geometry import (DeloneSet, box, gen_hardcore_random, gen_periodic,
+from delonetop.geometry import (DeloneSet, gen_hardcore_random, gen_periodic,
                                 union_pointsets)
 from delonetop.groupoid import BlockOperator, builtin_model, represent
-from delonetop.roe import (covering_embed, is_controlled, position_commutator,
-                           random_perturbation, subset_injection,
-                           summability_profile, support_stats)
+from delonetop.roe import (covering_embed, position_commutator, random_perturbation,
+                           subset_injection, support_stats)
 from oracles import brute_neighbors, reference_random_perturbation
 
 
@@ -20,7 +19,7 @@ def nn_on(omega):
 
 
 # ---------------------------------------------------------------------------
-# support stats / controlledness
+# support stats
 # ---------------------------------------------------------------------------
 
 def test_identity_stats():
@@ -41,15 +40,6 @@ def test_nn_laplacian_stats():
 def test_zero_operator_stats():
     s = support_stats(BlockOperator(z2(3), 1, [], [], np.zeros((0, 1, 1))))
     assert (s.propagation, s.nnz_blocks, s.schur_row, s.schur_col) == (0.0, 0, 0.0, 0.0)
-
-
-def test_is_controlled_threshold():
-    f = builtin_model("chern_2band_2d", M=1.0)
-    T = represent(f, z2(6))
-    assert is_controlled(T, f.R_f)
-    assert not is_controlled(T, 0.5 * f.R_f)
-    with pytest.raises(InvalidInput):
-        is_controlled(T, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +258,20 @@ def test_dense_trial_sum_equals_block_sum():
             assert dense.tobytes() == H.add(V).to_dense().tobytes()
 
 
+def test_sparse_trial_sum_equals_block_sum():
+    # The robustness trials sum H + V as CSR matrices: every stored entry
+    # of the sum is bit for bit the block sum's.
+    sites = gen_hardcore_random(([0.0, 0.0], [9.0, 9.0]), 0.8, 1.2, seed=2)
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    for seed in (0, 1, 2):
+        V = random_perturbation(sites, 2.0, 0.2, 2, seed=seed)
+        total, ref = H.to_sparse() + V.to_sparse(), H.add(V).to_sparse()
+        total.sort_indices()
+        assert np.array_equal(total.indptr, ref.indptr)
+        assert np.array_equal(total.indices, ref.indices)
+        assert total.data.tobytes() == ref.data.tobytes()
+
+
 def test_perturbation_rejects_bad_arguments():
     with pytest.raises(InvalidInput):
         random_perturbation(z2(3), 1.0, -0.1, 1)
@@ -277,42 +281,3 @@ def test_perturbation_rejects_bad_arguments():
         random_perturbation(z2(3), 1.0, 0.1, 2,
                             grading=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
-
-# ---------------------------------------------------------------------------
-# summability
-# ---------------------------------------------------------------------------
-
-def test_summability_profile_matches_direct_sum():
-    omega = z2(10)
-    radii = [2.0, 4.0, 6.0]
-    prof = summability_profile(omega, 3.0, radii)
-    c = omega.window_center
-    r2 = np.sum((omega.points - c) ** 2, axis=1)
-    for got, rho in zip(prof, radii):
-        expected = 4.0 * np.sum((1.0 + r2[r2 <= rho * rho]) ** -1.5)
-        assert got == pytest.approx(expected, rel=1e-13)
-
-
-def test_summability_ball_is_closed_at_the_norm_rule():
-    # |p - x| = rho exactly, yet |p - x|^2 > rho^2 in floating point.
-    p = np.array([2.6414215220820934, 0.9822090689727103])
-    x = np.array([3.0740679955850174, 0.846698970430042])
-    one = DeloneSet(2, p[None], 0.5, 1.0, box([0.0, 0.0], [4.0, 4.0]))
-    rho = float(np.linalg.norm(p - x))
-    assert summability_profile(one, 3.0, [rho], center=x)[0] > 0.0
-
-
-def test_summability_increments_shrink_when_s_exceeds_dim():
-    omega = z2(40)
-    radii = np.arange(4.0, 21.0, 4.0)
-    prof = summability_profile(omega, 4.0, radii)
-    inc = np.diff(prof)
-    assert np.all(np.diff(prof) > 0.0)
-    assert np.all(np.diff(inc) < 0.0)
-
-
-def test_summability_rejects_bad_radii():
-    with pytest.raises(InvalidInput):
-        summability_profile(z2(4), 3.0, [])
-    with pytest.raises(InvalidInput):
-        summability_profile(z2(4), 3.0, [2.0, 1.0])

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from delonetop.errors import GapUndefined, InvalidInput
 from delonetop.geometry import gen_periodic
-from delonetop.groupoid import builtin_model, represent
+from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.spectral import (_MRRR_MIN_DIM, SpectralData, eig_hermitian,
                                 fermi_projection, largest_gap, spectral_gap,
                                 symmetric_gap, write_spectrum_csv)
@@ -108,12 +108,13 @@ def test_corrupted_eigenvector_column_raises(monkeypatch, n, kind, message):
 
 
 def test_eig_hermitian_allocation_bound():
-    # The 23^2 periodic Chern window, m = 1152 (MRRR path): beyond its
-    # input, eig_hermitian may hold the symmetrized copy LAPACK overwrites,
-    # the eigenvectors and block-sized temporaries, 2.5 m x m complex arrays
-    # at most.  The full-size residual and Gram products need ~4.
+    # The 23^2 periodic Chern window, m = 1152 (MRRR path), given sparse:
+    # beyond its input, eig_hermitian may hold the symmetrized CSR matrix,
+    # the dense buffer LAPACK overwrites, the eigenvectors and block-sized
+    # temporaries, ~2.07 m x m complex arrays, 2.2 at most.  A second dense
+    # copy of H would need 3; the full-size residual and Gram products ~4.
     omega = gen_periodic(np.eye(2), ([0.0, 0.0], [23.0, 23.0]))
-    H = represent(builtin_model("chern_2band_2d", M=1.0), omega).to_dense()
+    H = represent(builtin_model("chern_2band_2d", M=1.0), omega).to_sparse()
     m = H.shape[0]
     assert m == 1152 and H.dtype == complex
     tracemalloc.start()
@@ -125,7 +126,30 @@ def test_eig_hermitian_allocation_bound():
     finally:
         tracemalloc.stop()
     assert spec.eigenvectors.shape == (m, m)
-    assert peak <= 2.5 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
+    assert peak <= 2.2 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
+
+
+@pytest.mark.parametrize("n", [40, _MRRR_MIN_DIM // 2], ids=["evd", "evr"])
+def test_eig_hermitian_input_forms_agree(n):
+    # A BlockOperator, its CSR matrix and its dense matrix are one CSR
+    # matrix to eig_hermitian: byte-identical eigenvalues and eigenvectors.
+    f = builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0)
+    H = represent(f, z1(n))
+    specs = [eig_hermitian(form) for form in (H, H.to_sparse(), H.to_dense())]
+    assert specs[0].source_dim == 2 * n
+    for spec in specs[1:]:
+        assert spec.eigenvalues.tobytes() == specs[0].eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == specs[0].eigenvectors.tobytes()
+
+
+def test_non_hermitian_message_is_the_same_for_every_input_form():
+    T = BlockOperator(z1(2), 1, [0], [1], [[[1.0]]])
+    messages = set()
+    for form in (T, T.to_sparse(), T.to_dense()):
+        with pytest.raises(InvalidInput, match="not Hermitian") as err:
+            eig_hermitian(form)
+        messages.add(str(err.value))
+    assert messages == {"matrix is not Hermitian: max |H - H^dag| = 1.000e+00"}
 
 
 # ---------------------------------------------------------------------------
