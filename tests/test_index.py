@@ -410,13 +410,16 @@ def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12):
 
 
 def _edit_lu(monkeypatch, edit):
-    """Replace splu by one whose k-th result (k = 1, 2) is edit(lu, k)."""
+    """Replace splu by one whose factor of the k-th shifted L (k = 1, 2) is
+    edit(lu, k); the first call, the margin solve's factor of L itself, is
+    left as it is."""
     real = scipy.sparse.linalg.splu
     count = []
 
     def fake(A, **kwargs):
         count.append(1)
-        return edit(real(A, **kwargs), len(count))
+        lu = real(A, **kwargs)
+        return lu if len(count) == 1 else edit(lu, len(count) - 1)
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", fake)
 
