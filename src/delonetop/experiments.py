@@ -7,7 +7,7 @@ verdict is recomputable from its records.  Reports are pure functions of
 collection order, so the serialized report is byte-identical for any worker
 count.
 
-The base window, every perturbed trial and every recentred window pair H
+The base window, every perturbed trial and the omega window at each x0 pair H
 with the position spectral triple through the same two steps: _mu_gap
 resolves mu and the gap (a trial passes the base mu as its policy), and
 _localize runs index.kappa_stability with the configured margin_min, which
@@ -36,7 +36,7 @@ import scipy.linalg
 
 from .errors import GapUndefined, InvalidInput
 from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
-                       gen_periodic, gen_perturbed_lattice, translate)
+                       gen_periodic, gen_perturbed_lattice)
 from .groupoid import (BlockOperator, HoppingFunction, bloch_hamiltonian,
                        builtin_model, represent, stack_operator)
 from .index import (IndexResult, PositionDirac, _components, angular_sectors,
@@ -612,12 +612,13 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
                            workers: int = 1) -> ExperimentReport:
     """The index must not depend on the transversal point.
 
-    For each chosen interior site x the pattern is recentred (omega = Lambda
-    - x), the Hamiltonian rebuilt by covariance, and the localizer evaluated
-    at x0 = 0.  Passes iff all integers agree and are reliable.  base_sites
+    One window, x0 at each chosen site; the index at x0 = x on Lambda is the
+    index at 0 on Lambda - x (represent is covariant), so the window is
+    represented and solved once, for its spectrum, mu, gap, first kappa and
+    artifacts.  Passes iff all integers agree and are reliable.  base_sites
     is either a count (picked evenly over interior sites) or a list of site
-    indices; indices too close to the boundary raise InvalidInput.  The
-    first site's recentred window, the same window, supplies the artifacts.
+    indices; indices too close to the boundary raise InvalidInput.  A gap
+    closed at mu makes every record gap_closed.
     """
     index_cfg = dict(index_cfg or {})
     base_sites = {**EXPERIMENT_DEFAULTS["omega"], **(experiment or {})}["base_sites"]
@@ -645,29 +646,27 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
             if i not in set(interior.tolist()):
                 raise InvalidInput(f"base site {i} is too close to the window boundary")
 
-    def one_site(i: int) -> dict:
-        omega = translate(sites, sites.points[i])
-        H = represent(f, omega)
-        Hs = H.to_sparse()
-        evs = scipy.linalg.eigvalsh(_fortran_buffer(Hs), overwrite_a=True)
-        if i == chosen[0]:
-            _stash_artifacts(report, sites, H, evs)
-        try:
-            mu, gap = _mu_gap(evs, mu_policy, f.grading)
-        except GapUndefined as err:
-            return {"site": i, "status": "gap_closed", "error": str(err)}
-        kappas = _kappa_list(index_cfg, gap, omega, evs)[:1]
-        dirac = position_dirac(omega, np.zeros(sites.dim), f.N)
-        (res,), _ = _localize(Hs, mu, dirac, kappas, f.grading, index_cfg, evs)
-        return _result_record(res, site=i, gap=gap.width)
+    H = represent(f, sites)
+    Hs = H.to_sparse()
+    evs = scipy.linalg.eigvalsh(_fortran_buffer(Hs), overwrite_a=True)
+    _stash_artifacts(report, sites, H, evs)
+    try:
+        mu, gap = _mu_gap(evs, mu_policy, f.grading)
+    except GapUndefined as err:
+        records = [{"site": i, "status": "gap_closed", "error": str(err)} for i in chosen]
+    else:
+        kappas = _kappa_list(index_cfg, gap, sites, evs)[:1]
 
-    records = _pmap(one_site, chosen, workers)
+        def one_site(i: int) -> dict:
+            dirac = position_dirac(sites, sites.points[i], f.N)
+            (res,), _ = _localize(Hs, mu, dirac, kappas, f.grading, index_cfg, evs)
+            return _result_record(res, site=i, gap=gap.width)
+
+        records = _pmap(one_site, chosen, workers)
     report.records.extend(records)
     indices = [r.get("index") for r in records]
-    ok = (bool(records)
-          and all(r.get("status") == "ok" for r in records)
-          and len(set(indices)) == 1 and indices[0] is not None)
-    report.passed = ok
+    report.passed = (all(r["status"] == "ok" for r in records)
+                     and len(set(indices)) == 1 and indices[0] is not None)
     report.summary = {
         "sites": chosen,
         "indices": indices,

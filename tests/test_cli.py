@@ -344,36 +344,49 @@ base_sites = 2
     assert report["summary"]["indices"] == [1, 1]
 
 
-def test_omega_artifacts_come_from_the_recentred_windows(tmp_path, monkeypatch):
-    # A recentred window is the same window: the first chosen site's solve
-    # supplies spectrum.csv and lattice.svg, so a json-only run and a
-    # csv/svg run each represent just the two recentred windows and write
-    # the same report.
+def test_omega_represents_and_solves_its_window_once(tmp_path, monkeypatch):
+    # x0 moves over the chosen sites of one window: a json-only run and a
+    # csv/svg run each represent the window once and solve its spectrum
+    # once, whatever the number of sites, and write the same report.
+    import scipy.linalg
+
     import delonetop.experiments as experiments
 
-    represented = []
+    represented, solved = [], []
     real = experiments.represent
 
     def spy(f, sites):
         represented.append(len(sites))
         return real(f, sites)
 
+    def counted(name, fn):
+        def wrapped(a, *args, **kwargs):
+            solved.append((name, a.shape[0]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(experiments, "represent", spy)
-    cfg = write(tmp_path, "run.ini", QUANT_INI + """
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    for base_sites in (2, 5):
+        cfg = write(tmp_path, "run.ini", QUANT_INI + f"""
 [experiment]
-base_sites = 2
+base_sites = {base_sites}
 """)
-    assert main(["omega", "--config", str(cfg), "--out", str(tmp_path / "json"),
-                 "--format", "json"]) == 0
-    assert represented == [121, 121]
-    assert not (tmp_path / "json" / "spectrum.csv").exists()
-    assert main(["omega", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
-    assert represented == [121] * 4
-    assert (tmp_path / "all" / "lattice.svg").exists()
-    assert ((tmp_path / "json" / "report.json").read_bytes()
-            == (tmp_path / "all" / "report.json").read_bytes())
-    # The spectrum is the unshifted window's.
-    rows = (tmp_path / "all" / "spectrum.csv").read_text().splitlines()[1:]
+        json_out, all_out = tmp_path / f"json{base_sites}", tmp_path / f"all{base_sites}"
+        for out, fmt in ((json_out, ["--format", "json"]), (all_out, [])):
+            represented.clear()
+            solved.clear()
+            assert main(["omega", "--config", str(cfg), "--out", str(out), *fmt]) == 0
+            assert represented == [121]
+            assert solved == [("eigvalsh", 242)]
+        assert not (json_out / "spectrum.csv").exists()
+        assert (all_out / "lattice.svg").exists()
+        assert (json_out / "report.json").read_bytes() == (all_out / "report.json").read_bytes()
+        report = json.loads((all_out / "report.json").read_text())
+        assert report["summary"]["indices"] == [1] * base_sites
+    # The spectrum is the window's.
+    rows = (tmp_path / "all5" / "spectrum.csv").read_text().splitlines()[1:]
     window = experiments.build_lattice(QUANT_JSON["lattice"])
     f = experiments.builtin_model("chern_2band_2d", M=1.0)
     want = np.linalg.eigvalsh(real(f, window).to_dense())

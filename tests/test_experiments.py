@@ -9,10 +9,10 @@ from delonetop.errors import InvalidInput
 from delonetop.experiments import (build_lattice, run_omega_independence,
                                    run_quantization, run_robustness,
                                    run_stacking)
-from delonetop.geometry import gen_periodic
+from delonetop.geometry import gen_periodic, translate
 from delonetop.groupoid import BlockOperator, builtin_model, represent
-from delonetop.index import (localizer_index_even, localizer_index_odd,
-                             position_dirac)
+from delonetop.index import (kappa_stability, localizer_index_even,
+                             localizer_index_odd, position_dirac)
 from delonetop.spectral import eig_hermitian
 
 CHERN = {"name": "chern_2band_2d", "M": 1.0, "mu": 0.0}
@@ -369,6 +369,54 @@ def test_omega_independence_rejects_boundary_sites():
     with pytest.raises(InvalidInput):
         run_omega_independence({"window": [0.0, 12.0]}, CHERN,
                                experiment={"base_sites": [10**6]})
+
+
+OMEGA_WINDOWS = {
+    "periodic": ({"window": [0.0, 12.0]}, CHERN, {"kappa_list": [0.15]}),
+    "amorphous": ({"generator": "hardcore_random", "window": [0.0, 14.0],
+                   "min_dist": 0.8, "target_R": 1.2, "seed": 1}, CHERN,
+                  {"kappa_list": [0.15]}),
+    "ssh": ({"generator": "periodic", "dim": 1, "window": [0.0, 50.0]}, SSH,
+            {"kappa_list": [0.1]}),
+}
+
+
+@pytest.mark.parametrize("name", list(OMEGA_WINDOWS))
+def test_omega_x0_at_a_site_is_the_recentred_window_at_0(name):
+    # Covariance oracle: each record of the one-window run equals the
+    # pattern recentred at its site (translate, then represent and solve it
+    # again) evaluated at x0 = 0.
+    lattice, model, index_cfg = OMEGA_WINDOWS[name]
+    rep = run_omega_independence(lattice, model, index_cfg,
+                                 experiment={"base_sites": 5})
+    assert rep.passed and len(rep.records) == 5
+    sites = build_lattice(lattice)
+    f, mu_policy = experiments._model_from_cfg(model)
+    for rec in rep.records:
+        x = sites.points[rec["site"]]
+        assert rec["x0"] == list(x)
+        omega = translate(sites, x)
+        Hs = represent(f, omega).to_sparse()
+        evs = scipy.linalg.eigvalsh(Hs.toarray())
+        mu, gap = experiments._mu_gap(evs, mu_policy, f.grading)
+        kappas = experiments._kappa_list(index_cfg, gap, omega, evs)[:1]
+        dirac = position_dirac(omega, np.zeros(sites.dim), f.N)
+        (res,), _ = kappa_stability(Hs, mu, dirac, kappas, f.grading, None, evs)
+        assert (rec["index"], rec["status"]) == (res.index, res.status)
+        for key, want in (("margin", res.margin), ("half_signature", res.half_signature),
+                          ("gap", gap.width), ("kappa", res.kappa), ("mu", res.mu)):
+            assert rec[key] == pytest.approx(want, rel=1e-9, abs=1e-12), key
+
+
+def test_omega_gap_closed_window_records_every_site():
+    rep = run_omega_independence({"window": [0.0, 12.0]},
+                                 {"name": "nn_laplacian", "dim": 2, "mu": 0.0},
+                                 experiment={"base_sites": 3})
+    assert not rep.passed
+    assert [r["status"] for r in rep.records] == ["gap_closed"] * 3
+    assert len({r["error"] for r in rep.records}) == 1
+    assert rep.summary["indices"] == [None] * 3
+    assert "spectrum" in rep.artifacts
 
 
 def test_omega_independence_worker_determinism():
