@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GapUndefined, InvalidInput
 from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
@@ -44,7 +43,7 @@ from .index import (IndexResult, PositionDirac, _components, angular_sectors,
                     kappa_stability, kitaev_chern, localizer_index_even,
                     localizer_index_odd, position_dirac)
 from .roe import random_perturbation
-from .spectral import (GapInfo, _fortran_buffer, eig_hermitian, fermi_projection,
+from .spectral import (GapInfo, eig_hermitian, eigenvalues, fermi_projection,
                        largest_gap, spectral_gap, symmetric_gap)
 
 __all__ = [
@@ -471,9 +470,8 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         V = random_perturbation(sites, prange, strength, f.N, grading=noise_grading,
                                 seed=seed)
         # Each stored entry equal bit for bit to base.H.add(V).to_sparse()'s.
-        # The localizer reads Hp; eigvalsh overwrites its one dense copy.
         Hp = Hs + V.to_sparse()
-        evs = scipy.linalg.eigvalsh(_fortran_buffer(Hp), overwrite_a=True)
+        evs = eigenvalues(Hp)
         try:
             _, gap = _mu_gap(evs, base.mu, f.grading)
         except GapUndefined:
@@ -566,7 +564,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     # entry couples layers: its spectrum is the union of theirs.
     coo = S.tocoo()
     evs_stacked = np.sort(np.concatenate(
-        [scipy.linalg.eigvalsh(_fortran_buffer(S[idx][:, idx]), overwrite_a=True)
+        [eigenvalues(S[idx][:, idx])
          for idx in _components(S.shape[0], coo.row, coo.col)[1]]))
     expected = np.sort(np.repeat(base.evs, len(L)))
     mult_resid = float(np.abs(evs_stacked - expected).max()) if evs_stacked.size else 0.0
@@ -648,7 +646,7 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
 
     H = represent(f, sites)
     Hs = H.to_sparse()
-    evs = scipy.linalg.eigvalsh(_fortran_buffer(Hs), overwrite_a=True)
+    evs = eigenvalues(Hs)
     _stash_artifacts(report, sites, H, evs)
     try:
         mu, gap = _mu_gap(evs, mu_policy, f.grading)

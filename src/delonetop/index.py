@@ -46,7 +46,7 @@ from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
 from .geometry import DeloneSet, neighbor_pairs
 from .groupoid import _chiral_signs
 from .spectral import (FermiProjection, SpectralData, _csr, _fortran_buffer,
-                       spectral_gap)
+                       eigenvalues, spectral_gap)
 
 __all__ = [
     "PositionDirac",
@@ -140,11 +140,10 @@ class IndexResult:
 
 
 def _h_eigenvalues(H, hdata) -> np.ndarray:
-    """The spectrum of the CSR matrix H: hdata's, or one eigvalsh of H
-    densified into a buffer LAPACK overwrites when hdata is None."""
+    """The spectrum of the CSR matrix H: hdata's, or eigenvalues(H) when
+    hdata is None."""
     if hdata is None:
-        return (scipy.linalg.eigvalsh(_fortran_buffer(H), overwrite_a=True)
-                if H.shape[0] else np.zeros(0))
+        return eigenvalues(H)
     if isinstance(hdata, SpectralData):
         return hdata.eigenvalues
     return np.asarray(hdata, dtype=float)

@@ -18,10 +18,11 @@ frame V, a view of the eigenvectors: P = V V^dag is formed only when
 .matrix is read, and the three-sector Chern oracle forms just the sector
 blocks of P from the frame.
 
-The rest of the package sends window-sized LAPACK work (eigenvalue-only
-solves of a _fortran_buffer) through scipy.linalg too: NumPy and SciPy
-each bundle an OpenBLAS, and alternating the two at 2 BLAS threads slowed
-each call ~2x.
+Every eigenvalue-only solve of the package is eigenvalues(S): one
+scipy.linalg.eigvalsh of S's _fortran_buffer, which LAPACK overwrites.
+Window-sized LAPACK work goes through scipy.linalg: NumPy and SciPy each
+bundle an OpenBLAS, and alternating the two at 2 BLAS threads slowed each
+call ~2x.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "GapInfo",
     "FermiProjection",
     "eig_hermitian",
+    "eigenvalues",
     "spectral_gap",
     "largest_gap",
     "symmetric_gap",
@@ -185,6 +187,15 @@ def eig_hermitian(H) -> SpectralData:
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralData(vals, vecs, n)
+
+
+def eigenvalues(S) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian sparse matrix S, from one
+    scipy.linalg.eigvalsh (looked up at call time) of its dense Fortran
+    buffer, which LAPACK overwrites; S itself is left unchanged."""
+    if S.shape[0] == 0:
+        return np.zeros(0)
+    return scipy.linalg.eigvalsh(_fortran_buffer(S), overwrite_a=True)
 
 
 def spectral_gap(spec: SpectralData | np.ndarray, mu: float) -> GapInfo:

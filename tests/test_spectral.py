@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from delonetop.errors import GapUndefined, InvalidInput
 from delonetop.geometry import gen_periodic
 from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.spectral import (_MRRR_MIN_DIM, SpectralData, eig_hermitian,
-                                fermi_projection, largest_gap, spectral_gap,
+                                eigenvalues, fermi_projection, largest_gap, spectral_gap,
                                 symmetric_gap, write_spectrum_csv)
 from oracles import path_graph_eigenvalues, reference_fermi_projection
 
@@ -20,6 +21,28 @@ def z1(n):
 # ---------------------------------------------------------------------------
 # eig_hermitian
 # ---------------------------------------------------------------------------
+
+def test_eigenvalues_is_one_scipy_eigvalsh_on_an_overwritable_buffer(monkeypatch):
+    # Looked up on scipy.linalg at call time, so a wrapper installed there
+    # (as a tracer does) sees every eigenvalue-only solve.
+    n = 40
+    S = scipy.sparse.csr_array(np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
+    before = S.toarray()
+    calls = []
+    real = scipy.linalg.eigvalsh
+
+    def spy(a, **kwargs):
+        calls.append((a.shape, a.flags.f_contiguous, kwargs))
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", spy)
+    evs = eigenvalues(S)
+    assert calls == [((n, n), True, {"overwrite_a": True})]
+    assert np.abs(evs - path_graph_eigenvalues(n)).max() <= 1e-12
+    assert np.array_equal(S.toarray(), before)
+    empty = eigenvalues(scipy.sparse.csr_array((0, 0)))
+    assert empty.shape == (0,) and len(calls) == 1
+
 
 def test_diagonal_matrix_sorted():
     spec = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
