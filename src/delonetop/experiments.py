@@ -614,9 +614,8 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     index at 0 on Lambda - x (represent is covariant), so the window is
     represented and solved once, for its spectrum, mu, gap, first kappa and
     artifacts.  Passes iff all integers agree and are reliable.  base_sites
-    is either a count (picked evenly over interior sites) or a list of site
-    indices; indices too close to the boundary raise InvalidInput.  A gap
-    closed at mu makes every record gap_closed.
+    is a count or a list of site indices (_chosen_sites).  A gap closed at
+    mu makes every record gap_closed.
     """
     index_cfg = dict(index_cfg or {})
     base_sites = {**EXPERIMENT_DEFAULTS["omega"], **(experiment or {})}["base_sites"]
@@ -630,19 +629,7 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     f, mu_policy = _model_from_cfg(model_cfg)
     margin = f.R_f + BOUNDARY_MARGIN_FRAC * sites.window_radius
     interior = np.flatnonzero(_interior_mask(sites, margin))
-    if isinstance(base_sites, int):
-        if interior.size == 0:
-            raise InvalidInput("no interior sites at the required boundary margin")
-        pick = np.unique(np.linspace(0, interior.size - 1,
-                                     min(base_sites, interior.size)).round().astype(int))
-        chosen = [int(interior[i]) for i in pick]
-    else:
-        chosen = [int(i) for i in base_sites]
-        for i in chosen:
-            if not 0 <= i < len(sites):
-                raise InvalidInput(f"base site {i} out of range")
-            if i not in set(interior.tolist()):
-                raise InvalidInput(f"base site {i} is too close to the window boundary")
+    chosen = _chosen_sites(base_sites, len(sites), interior)
 
     H = represent(f, sites)
     Hs = H.to_sparse()
@@ -672,3 +659,34 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     }
     report.timings["total"] = time.perf_counter() - t0
     return report
+
+
+def _chosen_sites(base_sites, n_sites: int, interior: np.ndarray) -> list:
+    """The sites base_sites names: a count of at least 1 picks that many
+    evenly over the interior sites, a non-empty list names distinct interior
+    sites by int index.  Anything else raises InvalidInput."""
+    def is_int(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    if is_int(base_sites):
+        if base_sites < 1:
+            raise InvalidInput(f"base_sites count must be at least 1, got {base_sites}")
+        if interior.size == 0:
+            raise InvalidInput("no interior sites at the required boundary margin")
+        pick = np.unique(np.linspace(0, interior.size - 1,
+                                     min(base_sites, interior.size)).round().astype(int))
+        return [int(interior[i]) for i in pick]
+    if not isinstance(base_sites, (list, tuple)) or not base_sites:
+        raise InvalidInput("base_sites must be a count or a non-empty list of site "
+                           f"indices, got {base_sites!r}")
+    inside = set(interior.tolist())
+    for i in base_sites:
+        if not is_int(i):
+            raise InvalidInput(f"base site {i!r} is not an int index")
+        if not 0 <= i < n_sites:
+            raise InvalidInput(f"base site {i} out of range")
+        if i not in inside:
+            raise InvalidInput(f"base site {i} is too close to the window boundary")
+    if len(set(base_sites)) != len(base_sites):
+        raise InvalidInput(f"base_sites names a site more than once: {base_sites}")
+    return [int(i) for i in base_sites]

@@ -419,6 +419,25 @@ def test_omega_gap_closed_window_records_every_site():
     assert "spectrum" in rep.artifacts
 
 
+@pytest.mark.parametrize("base_sites, message", [
+    (-2, "count must be at least 1"),
+    (0, "count must be at least 1"),
+    (True, "must be a count or a non-empty list"),
+    ([], "must be a count or a non-empty list"),
+    ("84", "must be a count or a non-empty list"),
+    ([84, 84], "names a site more than once"),
+    ([84.9], "base site 84.9 is not an int index"),
+    ([84.0], "base site 84.0 is not an int index"),
+    ([True], "base site True is not an int index"),
+], ids=["negative", "zero", "bool", "empty", "str", "repeated", "fraction", "float",
+        "bool-index"])
+def test_omega_base_sites_are_checked_before_any_solve(monkeypatch, base_sites, message):
+    monkeypatch.setattr(experiments, "represent", _no_eigensolve)
+    with pytest.raises(InvalidInput, match=message):
+        run_omega_independence({"window": [0.0, 12.0]}, CHERN, KAPPAS,
+                               experiment={"base_sites": base_sites})
+
+
 def test_omega_independence_worker_determinism():
     kw = dict(index_cfg={"kappa_list": [0.15]}, experiment={"base_sites": 4})
     a = run_omega_independence({"window": [0.0, 12.0]}, CHERN, **kw).as_dict()
