@@ -109,6 +109,23 @@ def test_quantization_ssh_chain_uses_winding_oracle():
     assert rep.summary["kitaev"] == []
 
 
+@pytest.mark.parametrize("lattice, model, integer", [
+    ({"window": [0.0, 12.0]}, CHERN, 1),
+    ({"generator": "hardcore_random", "window": [0.0, 14.0], "min_dist": 0.8,
+      "target_R": 1.2, "seed": 1}, CHERN, 1),
+    ({"generator": "periodic", "dim": 1, "window": [0.0, 34.0]}, SSH, -1),
+], ids=["periodic", "amorphous", "ssh"])
+def test_quantization_default_kappa_finds_the_phase(lattice, model, integer):
+    # No kappa_list: one kappa, the gap width over the window radius.  A
+    # tenth of it read a reliable 0 on both Chern windows.
+    rep = run_quantization(lattice, model)
+    assert rep.passed
+    assert rep.summary["integers"] == [integer]
+    sites = build_lattice(lattice)
+    (rec,) = rep.records
+    assert rec["kappa"] == pytest.approx(rec["gap"] / sites.window_radius, rel=1e-12)
+
+
 def test_quantization_gap_closure_is_recorded_not_raised():
     rep = run_quantization({"window": [0.0, 12.0]},
                            {"name": "nn_laplacian", "dim": 2, "mu": 0.0})
