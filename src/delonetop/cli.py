@@ -1,10 +1,10 @@
 """Batch front-end: config ingestion, experiment dispatch, artifact emission.
 
 Configs are INI-style section/key files (JSON accepted interchangeably);
-every key is schema-checked, and unknown keys and keys that the section's
-model, generator or command does not read (experiments declares every
-default; a model's keys are its factory's parameters) are rejected with a
-line-anchored message (exit code 2).  Runs write report.json, spectrum.csv,
+every key is schema-checked, a list value element by element, and unknown
+keys and keys that the section's model, generator or command does not read
+(experiments declares every default; a model's keys are its factory's
+parameters) are rejected with a line-anchored message (exit code 2).  Runs write report.json, spectrum.csv,
 trials.csv, lattice.svg and a run_meta.json holding timestamps and timings,
 which is excluded from golden comparisons.  Exit code 0 iff the experiment
 verdict is pass; runtime failures exit 1 with the failure recorded in
@@ -45,40 +45,61 @@ class SchemaError(Exception):
 # Config schema
 # ---------------------------------------------------------------------------
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _list_of(is_kind):
+    return lambda v: isinstance(v, list) and all(map(is_kind, v))
+
+
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+
+
+def _is_window(v):
+    """A number (hi, over [0, hi]), [lo, hi], or one [lo, hi] per axis."""
+    return (_is_number(v) or _is_pair(v)
+            or (isinstance(v, list) and bool(v) and all(map(_is_pair, v))))
+
+
+# A list kind names its elements: "ints" is a list of ints, "str-or-numbers"
+# a string or a list of numbers.
 _KINDS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": _is_int,
     "float": _is_number,
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
-    "list": lambda v: isinstance(v, list),
     "num-or-str": lambda v: _is_number(v) or isinstance(v, str),
-    "str-or-list": lambda v: isinstance(v, (str, list)),
-    "int-or-list": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or isinstance(v, list),
-    "window": lambda v: _is_number(v) or isinstance(v, list),
+    "ints": _list_of(_is_int),
+    "numbers": _list_of(_is_number),
+    "str-or-numbers": lambda v: isinstance(v, str) or _list_of(_is_number)(v),
+    "str-or-strs": lambda v: isinstance(v, str) or _list_of(lambda e: isinstance(e, str))(v),
+    "int-or-ints": lambda v: _is_int(v) or _list_of(_is_int)(v),
+    "window": _is_window,
 }
 
 _SCHEMA = {
-    "lattice": {"generator": "str", "seed": "int", "seeds": "list"},
+    "lattice": {"generator": "str", "seed": "int", "seeds": "ints"},
     "model": {"name": "str", "mu": "num-or-str"},
     "index": {
-        "kappa_list": "list", "x0": "str-or-list", "margin_min": "float",
+        "kappa_list": "numbers", "x0": "str-or-numbers", "margin_min": "float",
         "sector_radius": "float", "sector_theta0": "float", "fhs_grid": "int",
         "winding_samples": "int",
     },
     "experiment": {
         "n_trials": "int", "master_seed": "int", "strength": "float",
         "strength_rel": "float", "range": "float", "symmetry": "str",
-        "base_sites": "int-or-list", "control": "bool",
+        "base_sites": "int-or-ints", "control": "bool",
         "stack_generator": "str", "stack_window": "window", "stack_seed": "int",
         "stack_min_dist": "float", "stack_target_R": "float",
         "control_window": "window",
     },
-    "output": {"dir": "str", "formats": "str-or-list"},
+    "output": {"dir": "str", "formats": "str-or-strs"},
 }
 
 # A model's keys and kinds: its factory's parameters and their annotations.

@@ -90,6 +90,42 @@ def test_wrong_value_type_rejected(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("command, section, key, value, kind", [
+    ("quantization", "index", "kappa_list", ["a"], "numbers"),
+    ("quantization", "index", "x0", ["a", 1], "str-or-numbers"),
+    ("quantization", "lattice", "window", ["a", 12.0], "window"),
+    ("quantization", "lattice", "window", [[0.0, 12.0], [0.0]], "window"),
+    ("quantization", "lattice", "window", [], "window"),
+    ("stacking", "experiment", "stack_window", [0.0, "b"], "window"),
+    ("stacking", "experiment", "control_window", [0.0, 6.0, 12.0], "window"),
+    ("quantization", "lattice", "seeds", ["x"], "ints"),
+    ("quantization", "lattice", "seeds", [1.5, 2], "ints"),
+    ("omega", "experiment", "base_sites", [84.9], "int-or-ints"),
+    ("omega", "experiment", "base_sites", [True], "int-or-ints"),
+    ("quantization", "output", "formats", ["json", 1], "str-or-strs"),
+], ids=["kappa_list", "x0", "window", "window-axis", "window-empty", "stack_window",
+        "control_window", "seeds-str", "seeds-float", "base_sites-float",
+        "base_sites-bool", "formats"])
+def test_list_element_of_the_wrong_kind_exits_2(tmp_path, capsys, command, section, key,
+                                                value, kind):
+    cfg = write(tmp_path, "run.ini", f"[{section}]\n{key} = {json.dumps(value)}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (f"run.ini:2: key {key!r} in [{section}] expects {kind}, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_list_valued_keys_accept_each_of_their_forms(tmp_path):
+    body = {"lattice": {"window": [[0.0, 4.0], [0, 2]], "seeds": [1, 2]},
+            "index": {"kappa_list": [0.1, 1], "x0": [1.0, 2]},
+            "experiment": {"base_sites": [84, 90], "control_window": 6},
+            "output": {"formats": ["json", "csv"]}}
+    cfg = write(tmp_path, "run.json", json.dumps(body, indent=1))
+    assert load_config(cfg) == body
+    empty = write(tmp_path, "empty.ini", "[index]\nkappa_list = []\n")
+    assert load_config(empty) == {"index": {"kappa_list": []}}
+
+
 @pytest.mark.parametrize("name, key", [("chern_2band_2d", "t1"), ("chiral_ssh_1d", "M"),
                                        ("dimer_chain_1d", "t2"),
                                        ("nn_laplacian", "range_cut")])
