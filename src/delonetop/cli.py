@@ -4,11 +4,11 @@ Configs are INI-style section/key files (JSON accepted interchangeably);
 every key is schema-checked, a list value element by element, and unknown
 keys and keys that the section's model, generator or command does not read
 (experiments declares every default; a model's keys are its factory's
-parameters) are rejected with a line-anchored message (exit code 2).  Runs write report.json, spectrum.csv,
-trials.csv, lattice.svg and a run_meta.json holding timestamps and timings,
-which is excluded from golden comparisons.  Exit code 0 iff the experiment
-verdict is pass; runtime failures exit 1 with the failure recorded in
-report.json.
+parameters) are rejected with a line-anchored message (exit code 2).  Runs
+write report.json, spectrum.csv, trials.csv, lattice.svg and a run_meta.json
+holding timestamps and timings, which is excluded from golden comparisons.
+Exit code 0 iff the experiment verdict is pass; runtime failures exit 1 with
+the failure recorded in report.json.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_str(v):
+    return isinstance(v, str)
+
+
 def _list_of(is_kind):
     return lambda v: isinstance(v, list) and all(map(is_kind, v))
 
@@ -72,13 +76,13 @@ def _is_window(v):
 _KINDS = {
     "int": _is_int,
     "float": _is_number,
-    "str": lambda v: isinstance(v, str),
+    "str": _is_str,
     "bool": lambda v: isinstance(v, bool),
-    "num-or-str": lambda v: _is_number(v) or isinstance(v, str),
+    "num-or-str": lambda v: _is_number(v) or _is_str(v),
     "ints": _list_of(_is_int),
     "numbers": _list_of(_is_number),
-    "str-or-numbers": lambda v: isinstance(v, str) or _list_of(_is_number)(v),
-    "str-or-strs": lambda v: isinstance(v, str) or _list_of(lambda e: isinstance(e, str))(v),
+    "str-or-numbers": lambda v: _is_str(v) or _list_of(_is_number)(v),
+    "str-or-strs": lambda v: _is_str(v) or _list_of(_is_str)(v),
     "int-or-ints": lambda v: _is_int(v) or _list_of(_is_int)(v),
     "window": _is_window,
 }

@@ -233,9 +233,9 @@ def _resolve_x0(index_cfg: dict, sites: DeloneSet) -> np.ndarray:
 def _default_kappa(gap: GapInfo, sites: DeloneSet, evs: np.ndarray) -> float:
     """kappa = gap width / window radius rho.  Loring & Schulz-Baldes (NYJM
     2017) need rho >= 2 g / kappa, g the distance from mu to the spectrum;
-    2 g <= width, so this kappa meets it.  At a tenth of it the Chern windows
-    gave a reliable-looking index 0.  An unbounded gap uses the spectrum's
-    width instead."""
+    2 g <= width, so this kappa meets it; a tenth of it reads a reliable-
+    looking index 0 on the [0, 12]^2 to [0, 27]^2 Chern windows.  An
+    unbounded gap uses the spectrum's width instead."""
     width = gap.width
     if not np.isfinite(width):
         width = float(evs[-1] - evs[0]) if evs.size else 1.0
