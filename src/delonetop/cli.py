@@ -82,7 +82,6 @@ _KINDS = {
     "ints": _list_of(_is_int),
     "numbers": _list_of(_is_number),
     "str-or-numbers": lambda v: _is_str(v) or _list_of(_is_number)(v),
-    "str-or-strs": lambda v: _is_str(v) or _list_of(_is_str)(v),
     "int-or-ints": lambda v: _is_int(v) or _list_of(_is_int)(v),
     "window": _is_window,
 }
@@ -103,7 +102,6 @@ _SCHEMA = {
         "stack_min_dist": "float", "stack_target_R": "float",
         "control_window": "window",
     },
-    "output": {"dir": "str", "formats": "str-or-strs"},
 }
 
 # A model's keys and kinds: its factory's parameters and their annotations.
@@ -268,34 +266,18 @@ def _materialize(cfg: dict, command: str, seed_override: int | None) -> dict:
 # Artifact emission
 # ---------------------------------------------------------------------------
 
-def _lerp_color(t: float) -> str:
-    """Two-stop diverging ramp, blue -> white -> red."""
-    lo, mid, hi = (33, 102, 172), (247, 247, 247), (178, 24, 43)
-    if t <= 0.5:
-        a, b, s = lo, mid, t / 0.5
-    else:
-        a, b, s = mid, hi, (t - 0.5) / 0.5
-    rgb = tuple(round(x + (y - x) * s) for x, y in zip(a, b))
-    return "#%02x%02x%02x" % rgb
+_SITE_FILL = "#f7f7f7"
 
 
-def render_lattice_svg(sites, values, title: str) -> str:
-    """Sites as circles of radius r_pack colored by their on-site value."""
+def render_lattice_svg(sites, title: str) -> str:
+    """The sites of a 1D or 2D set as circles of radius r_pack."""
     pts = sites.points
     if sites.dim == 1:
         pts = np.column_stack([pts[:, 0], np.zeros(len(sites))])
         lo = np.array([float(sites.window[0][0]), -2.0])
         hi = np.array([float(sites.window[1][0]), 2.0])
-    elif sites.dim == 2:
-        lo, hi = sites.window[0].astype(float), sites.window[1].astype(float)
     else:
-        raise ValueError("SVG rendering supports dim 1 and 2 only")
-    values = np.asarray(values, dtype=float)
-    if values.size != len(sites):
-        values = np.zeros(len(sites))
-    vmin, vmax = (values.min(), values.max()) if values.size else (0.0, 0.0)
-    span = vmax - vmin
-
+        lo, hi = sites.window[0].astype(float), sites.window[1].astype(float)
     pad = max(sites.r_pack * 2.0, 0.05 * float((hi - lo).max()) if len(sites) else 1.0)
     width = hi[0] - lo[0] + 2 * pad
     height = hi[1] - lo[1] + 2 * pad
@@ -310,11 +292,10 @@ def render_lattice_svg(sites, values, title: str) -> str:
         f'<line x1="{fmt(lo[0])}" y1="{fmt(lo[1])}" x2="{fmt(hi[0])}" '
         f'y2="{fmt(lo[1])}" stroke="#888888" stroke-width="{fmt(pad / 20)}"/>',
     ]
-    for p, v in zip(pts, values):
-        t = 0.5 if span == 0 else (float(v) - vmin) / span
+    for p in pts:
         out.append(
             f'<circle cx="{fmt(p[0])}" cy="{fmt(p[1])}" r="{fmt(sites.r_pack)}" '
-            f'fill="{_lerp_color(t)}"/>')
+            f'fill="{_SITE_FILL}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -359,9 +340,7 @@ def emit_report(report: ExperimentReport, outdir, formats, meta: dict) -> Path:
     if "svg" in formats and "sites" in report.artifacts:
         sites = report.artifacts["sites"]
         if sites.dim <= 2:
-            values = report.artifacts.get("onsite", np.zeros(len(sites)))
-            _write_text(outdir / "lattice.svg",
-                        render_lattice_svg(sites, values, report.experiment))
+            _write_text(outdir / "lattice.svg", render_lattice_svg(sites, report.experiment))
 
     meta = dict(meta)
     meta["timings"] = dict(report.timings)
@@ -389,7 +368,6 @@ def _cmd_generate(cfg: dict) -> ExperimentReport:
     report.passed = val.passed
     report.summary = {"n_sites": len(sites), "validated": val.passed}
     report.artifacts["sites"] = sites
-    report.artifacts["onsite"] = np.zeros(len(sites))
     return report
 
 
@@ -406,7 +384,6 @@ def _cmd_spectrum(cfg: dict) -> ExperimentReport:
     report.summary = {"mu": mu, "gap": gap.width}
     report.passed = True
     report.artifacts["sites"] = sites
-    report.artifacts["onsite"] = np.zeros(len(sites))
     report.artifacts["spectrum"] = np.asarray(hdata.eigenvalues)
     return report
 
@@ -435,11 +412,11 @@ def main(argv=None) -> int:
         description="Tight-binding models on Delone sets and their localizer indices.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="INI or JSON config file")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the lattice seed")
     parser.add_argument("--workers", type=int, default=1, help="task pool size")
-    parser.add_argument("--format", default=None,
+    parser.add_argument("--format", default="json,csv,svg",
                         help="comma-separated subset of json,csv,svg")
     args = parser.parse_args(argv)
 
@@ -451,14 +428,8 @@ def main(argv=None) -> int:
         return 2
 
     cfg = _materialize(cfg_sections, args.command, args.seed)
-    out_cfg = cfg_sections.get("output", {})
-    outdir = Path(args.out if args.out is not None else out_cfg.get("dir", "out"))
-    fmt_spec = args.format if args.format is not None else out_cfg.get(
-        "formats", "json,csv,svg")
-    if isinstance(fmt_spec, str):
-        formats = [s.strip() for s in fmt_spec.split(",") if s.strip()]
-    else:
-        formats = [str(s) for s in fmt_spec]
+    outdir = Path(args.out)
+    formats = [s.strip() for s in args.format.split(",") if s.strip()]
     unknown = set(formats) - {"json", "csv", "svg"}
     if unknown:
         print(f"config error: unknown formats {sorted(unknown)}", file=sys.stderr)

@@ -331,16 +331,8 @@ def _result_record(res: IndexResult, **extra) -> dict:
     return rec
 
 
-def _onsite_potential(H: BlockOperator) -> np.ndarray:
-    out = np.zeros(len(H.sites))
-    diag = H.rows == H.cols
-    out[H.rows[diag]] = np.trace(H.blocks[diag], axis1=1, axis2=2).real / H.block_dim
-    return out
-
-
-def _stash_artifacts(report: ExperimentReport, sites, H: BlockOperator, evs) -> None:
+def _stash_artifacts(report: ExperimentReport, sites, evs) -> None:
     report.artifacts["sites"] = sites
-    report.artifacts["onsite"] = _onsite_potential(H)
     report.artifacts["spectrum"] = np.asarray(evs)
 
 
@@ -413,7 +405,7 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     report.passed = ok
     first_base = next((b for _, b, _, _ in outcomes if b is not None), None)
     if first_base is not None:
-        _stash_artifacts(report, first_base.sites, first_base.H, first_base.evs)
+        _stash_artifacts(report, first_base.sites, first_base.evs)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -460,7 +452,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     if base_int is None:
         report.summary = {"base_index": None, "note": "base run unreliable"}
         report.passed = False
-        _stash_artifacts(report, sites, base.H, base.evs)
+        _stash_artifacts(report, sites, base.evs)
         report.timings["total"] = time.perf_counter() - t0
         return report
 
@@ -504,7 +496,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         "agreeing": sum(1 for r in included
                         if r["status"] == "ok" and r["index"] == base_int),
     }
-    _stash_artifacts(report, sites, base.H, base.evs)
+    _stash_artifacts(report, sites, base.evs)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -604,7 +596,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
         "stack_size": len(L),
         "control": control_summary,
     }
-    _stash_artifacts(report, stacked.sites, stacked, evs_stacked)
+    _stash_artifacts(report, stacked.sites, evs_stacked)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -636,10 +628,9 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     interior = np.flatnonzero(_interior_mask(sites, margin))
     chosen = _chosen_sites(base_sites, len(sites), interior)
 
-    H = represent(f, sites)
-    Hs = H.to_sparse()
+    Hs = represent(f, sites).to_sparse()
     evs = eigenvalues(Hs)
-    _stash_artifacts(report, sites, H, evs)
+    _stash_artifacts(report, sites, evs)
     try:
         mu, gap = _mu_gap(evs, mu_policy, f.grading)
     except GapUndefined as err:

@@ -102,10 +102,9 @@ def test_wrong_value_type_rejected(tmp_path):
     ("quantization", "lattice", "seeds", [1.5, 2], "ints"),
     ("omega", "experiment", "base_sites", [84.9], "int-or-ints"),
     ("omega", "experiment", "base_sites", [True], "int-or-ints"),
-    ("quantization", "output", "formats", ["json", 1], "str-or-strs"),
 ], ids=["kappa_list", "x0", "window", "window-axis", "window-empty", "stack_window",
         "control_window", "seeds-str", "seeds-float", "base_sites-float",
-        "base_sites-bool", "formats"])
+        "base_sites-bool"])
 def test_list_element_of_the_wrong_kind_exits_2(tmp_path, capsys, command, section, key,
                                                 value, kind):
     cfg = write(tmp_path, "run.ini", f"[{section}]\n{key} = {json.dumps(value)}\n")
@@ -118,8 +117,7 @@ def test_list_element_of_the_wrong_kind_exits_2(tmp_path, capsys, command, secti
 def test_list_valued_keys_accept_each_of_their_forms(tmp_path):
     body = {"lattice": {"window": [[0.0, 4.0], [0, 2]], "seeds": [1, 2]},
             "index": {"kappa_list": [0.1, 1], "x0": [1.0, 2]},
-            "experiment": {"base_sites": [84, 90], "control_window": 6},
-            "output": {"formats": ["json", "csv"]}}
+            "experiment": {"base_sites": [84, 90], "control_window": 6}}
     cfg = write(tmp_path, "run.json", json.dumps(body, indent=1))
     assert load_config(cfg) == body
     empty = write(tmp_path, "empty.ini", "[index]\nkappa_list = []\n")
