@@ -130,6 +130,10 @@ _READS = {
         **{c: {*EXPERIMENT_DEFAULTS.get(c, ()), *OPTIONAL_EXPERIMENT_KEYS.get(c, ())}
            for c in _COMMANDS}}),
 }
+# Keys of other sections that only some commands read: every other command
+# runs one lattice seed, and omega moves x0 over its base_sites.
+_COMMAND_KEYS = {("lattice", "seeds"): {"quantization"},
+                 ("index", "x0"): set(_COMMANDS) - {"omega"}}
 
 
 def _parse_scalar(text: str):
@@ -201,7 +205,8 @@ def load_config(path, command: str | None = None) -> dict:
     """Read and schema-check a config file; returns {section: {key: value}}.
 
     An unknown model or generator, a key that the section's model, generator
-    or (given one) command does not read, and a cut-and-project dim other than
+    or (given one) command does not read (seeds outside quantization, x0 under
+    omega), and a cut-and-project dim other than
     the generator's own are rejected; an omitted model or generator is the
     one DEFAULTS names.  The stack_* keys of stacking are held against
     stack_generator."""
@@ -237,6 +242,9 @@ def load_config(path, command: str | None = None) -> dict:
         for key in out.get(sec, ()):
             if key not in reads[choice[sec]]:
                 fail(sec, key, f"key {key!r} {phrase} {choice[sec]!r}")
+    for (sec, key), commands in _COMMAND_KEYS.items():
+        if command is not None and command not in commands and key in out.get(sec, {}):
+            fail(sec, key, f"key {key!r} in [{sec}] does not apply to command {command!r}")
     own = LATTICE_DEFAULTS[lattice["generator"]]
     if "window" not in own and lattice.get("dim", own["dim"]) != own["dim"]:
         fail("lattice", "dim", f"generator {lattice['generator']!r} makes "

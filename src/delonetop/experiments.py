@@ -155,11 +155,15 @@ def _window_pair(spec, dim: int):
 
 def build_lattice(cfg: dict) -> DeloneSet:
     """Construct the point set described by a lattice config section; a key
-    its generator does not read, or a cut-and-project dim other than the
-    generator's own, is an InvalidInput."""
+    its generator does not read, a cut-and-project dim other than the
+    generator's own, or seeds (one set has one seed; run_quantization reads
+    seeds) is an InvalidInput."""
     gen = cfg.get("generator", DEFAULTS["lattice"]["generator"])
     if gen not in LATTICE_DEFAULTS:
         raise InvalidInput(f"unknown lattice generator {gen!r}")
+    if "seeds" in cfg:
+        raise InvalidInput("build_lattice builds one set from seed; only "
+                           "run_quantization reads seeds")
     reads = LATTICE_DEFAULTS[gen]
     for key in cfg:
         if key not in reads and key not in EVERY_GENERATOR_KEYS:
@@ -360,9 +364,10 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     )
 
     f, mu_policy = _model_from_cfg(model_cfg)
+    one_set = {k: v for k, v in lattice_cfg.items() if k != "seeds"}
 
     def one_seed(seed: int):
-        sites = build_lattice({**lattice_cfg, "seed": seed})
+        sites = build_lattice({**one_set, "seed": seed})
         try:
             base = _base_pipeline(sites, f, mu_policy, index_cfg,
                                   periodic_basis=_periodic_basis(sites))

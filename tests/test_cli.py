@@ -183,6 +183,25 @@ def test_experiment_key_of_another_command_is_rejected(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    *[(command, "lattice", "seeds", [3, 4])
+      for command in ("robustness", "stacking", "omega", "spectrum", "generate")],
+    ("omega", "index", "x0", [5.0, 5.0]),
+    ("omega", "index", "x0", "center"),
+], ids=["seeds-robustness", "seeds-stacking", "seeds-omega", "seeds-spectrum",
+        "seeds-generate", "x0-omega", "x0-center-omega"])
+def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, section, key,
+                                               value):
+    # Only quantization runs several seeds, and omega moves x0 over its sites:
+    # elsewhere the key would be echoed in the report and never used.
+    cfg = write(tmp_path, "run.ini", f"[{section}]\n{key} = {json.dumps(value)}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (f"run.ini:2: key {key!r} in [{section}] does not apply to command "
+            f"{command!r}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert load_config(cfg, "quantization") == load_config(cfg) == {section: {key: value}}
+
+
 @pytest.mark.parametrize("section, body, key, reader", [
     ("lattice", {"generator": "fibonacci_1d", "window": [0.0, 100.0]}, "window",
      "generator 'fibonacci_1d'"),

@@ -78,6 +78,21 @@ def test_build_lattice_rejects_what_its_generator_does_not_read():
             build_lattice(cfg)
 
 
+def test_seeds_are_read_by_quantization_alone(monkeypatch):
+    # build_lattice makes one set from one seed; run_quantization strips seeds
+    # before it builds each window, and every other driver rejects them
+    # before any solve instead of silently running seed 0.
+    with pytest.raises(InvalidInput, match="only run_quantization reads seeds"):
+        build_lattice({"window": [0.0, 6.0], "seeds": [3, 4]})
+    monkeypatch.setattr(experiments, "represent", _no_eigensolve)
+    lattice = {"window": [0.0, 12.0], "seeds": [3, 4]}
+    for run in (lambda: run_robustness(lattice, CHERN, KAPPAS),
+                lambda: run_omega_independence(lattice, CHERN, KAPPAS),
+                lambda: run_stacking({**lattice, "dim": 1}, SSH, KAPPAS)):
+        with pytest.raises(InvalidInput, match="only run_quantization reads seeds"):
+            run()
+
+
 def test_model_config_errors_surface_as_invalid_input():
     with pytest.raises(InvalidInput):
         run_quantization({}, {"name": "kagome"})
