@@ -27,10 +27,11 @@ class GapUndefined(ToolkitError):
 
 
 class LocalizerUnreliable(ToolkitError):
-    """The localizer margin could not be computed: the shift-invert
-    eigensolve for the smallest |eigenvalue| did not converge.  A margin
-    that is computed but small is not an error; it yields an IndexResult
-    with status "unreliable"."""
+    """The even localizer cannot certify its result: the shift-invert
+    eigensolve for the margin (the smallest |eigenvalue|) did not converge,
+    or a guard of the signature's LU certificate failed while the margin is
+    above margin_min.  A margin that is computed but small is not an error;
+    it yields an IndexResult with status "unreliable"."""
 
 
 class SymmetryViolation(ToolkitError):

@@ -409,10 +409,11 @@ def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
 
     Even d = dirac.sites.dim runs the even localizer, odd d the odd one with
     the grading.  H, a BlockOperator or a dense or sparse matrix, is read as
-    one CSR matrix and its spectrum resolved once for the whole sweep.  even and odd stand in for localizer_index_even and
-    localizer_index_odd (same signatures); the experiment drivers pass the
-    names they import, so instrumentation that rebinds those names
-    (perfbench/tracer.py) sees every evaluation.
+    one CSR matrix and its spectrum resolved once for the whole sweep.
+    even and odd stand in for localizer_index_even and localizer_index_odd
+    (same signatures); the experiment drivers pass the names they import,
+    so instrumentation that rebinds those names (perfbench/tracer.py) sees
+    every evaluation.
     """
     kappa_list = list(kappa_list)
     if not kappa_list:
