@@ -205,11 +205,10 @@ def load_config(path, command: str | None = None) -> dict:
     """Read and schema-check a config file; returns {section: {key: value}}.
 
     An unknown model or generator, a key that the section's model, generator
-    or (given one) command does not read (seeds outside quantization, x0 under
-    omega), and a cut-and-project dim other than
-    the generator's own are rejected; an omitted model or generator is the
-    one DEFAULTS names.  The stack_* keys of stacking are held against
-    stack_generator."""
+    or (given one) command does not read (seeds outside quantization, x0
+    under omega), and a cut-and-project dim other than the generator's own
+    are rejected; an omitted model or generator is the one DEFAULTS names.
+    The stack_* keys of stacking are held against stack_generator."""
     path = Path(path)
     if command not in (None, *_COMMANDS):
         raise SchemaError(f"unknown command {command!r}")
