@@ -89,13 +89,9 @@ _KINDS = {
 _SCHEMA = {
     "lattice": {"generator": "str", "seed": "int", "seeds": "ints"},
     "model": {"name": "str", "mu": "num-or-str"},
-    "index": {
-        "kappa_list": "numbers", "x0": "str-or-numbers", "margin_min": "float",
-        "sector_radius": "float", "sector_theta0": "float", "fhs_grid": "int",
-        "winding_samples": "int",
-    },
+    "index": {"kappa_list": "numbers", "x0": "str-or-numbers", "margin_min": "float"},
     "experiment": {
-        "n_trials": "int", "master_seed": "int", "strength": "float",
+        "n_trials": "int", "master_seed": "int",
         "strength_rel": "float", "range": "float", "symmetry": "str",
         "base_sites": "int-or-ints", "control": "bool",
         "stack_generator": "str", "stack_window": "window", "stack_seed": "int",
@@ -258,12 +254,9 @@ def load_config(path, command: str | None = None) -> dict:
     return out
 
 
-def _materialize(cfg: dict, command: str, seed_override: int | None) -> dict:
+def _materialize(cfg: dict, command: str) -> dict:
     """Fill defaults so the echoed config shows every effective setting."""
     out = {sec: {**defaults, **cfg.get(sec, {})} for sec, defaults in DEFAULTS.items()}
-    if seed_override is not None:
-        out["lattice"]["seed"] = seed_override
-        out["lattice"].pop("seeds", None)
     out["experiment"] = {**EXPERIMENT_DEFAULTS.get(command, {}),
                          **cfg.get("experiment", {})}
     return out
@@ -320,7 +313,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_report(report: ExperimentReport, outdir, formats, meta: dict) -> Path:
+def emit_report(report: ExperimentReport, outdir, meta: dict) -> Path:
     """Write report.json and sibling artifacts; bytes depend only on content.
 
     All wall-clock data lands in run_meta.json, never in report.json, so
@@ -328,23 +321,20 @@ def emit_report(report: ExperimentReport, outdir, formats, meta: dict) -> Path:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    formats = set(formats)
 
     report_path = outdir / "report.json"
     _write_text(report_path, dumps17(to_plain(report.as_dict())))
 
-    if "csv" in formats:
-        if "spectrum" in report.artifacts:
-            write_spectrum_csv(outdir / "spectrum.csv", report.artifacts["spectrum"])
-        if report.records:
-            rows = ["trial,seed,index,margin,gap"]
-            for k, rec in enumerate(report.records):
-                rows.append(",".join(_csv_cell(rec.get(col, "" if col != "trial" else k))
-                                     for col in ("trial", "seed", "index",
-                                                 "margin", "gap")))
-            _write_text(outdir / "trials.csv", "\n".join(rows) + "\n")
+    if "spectrum" in report.artifacts:
+        write_spectrum_csv(outdir / "spectrum.csv", report.artifacts["spectrum"])
+    if report.records:
+        rows = ["trial,seed,index,margin,gap"]
+        for k, rec in enumerate(report.records):
+            rows.append(",".join(_csv_cell(rec.get(col, "" if col != "trial" else k))
+                                 for col in ("trial", "seed", "index", "margin", "gap")))
+        _write_text(outdir / "trials.csv", "\n".join(rows) + "\n")
 
-    if "svg" in formats and "sites" in report.artifacts:
+    if "sites" in report.artifacts:
         sites = report.artifacts["sites"]
         if sites.dim <= 2:
             _write_text(outdir / "lattice.svg", render_lattice_svg(sites, report.experiment))
@@ -420,11 +410,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="INI or JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the lattice seed")
     parser.add_argument("--workers", type=int, default=1, help="task pool size")
-    parser.add_argument("--format", default="json,csv,svg",
-                        help="comma-separated subset of json,csv,svg")
     args = parser.parse_args(argv)
 
     started = time.time()
@@ -434,13 +420,8 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    cfg = _materialize(cfg_sections, args.command, args.seed)
+    cfg = _materialize(cfg_sections, args.command)
     outdir = Path(args.out)
-    formats = [s.strip() for s in args.format.split(",") if s.strip()]
-    unknown = set(formats) - {"json", "csv", "svg"}
-    if unknown:
-        print(f"config error: unknown formats {sorted(unknown)}", file=sys.stderr)
-        return 2
 
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -460,7 +441,7 @@ def main(argv=None) -> int:
         failure.summary = {"status": status, "error": str(err)}
         failure.records.append({"status": status, "error": str(err)})
         try:
-            emit_report(failure, outdir, formats, meta)
+            emit_report(failure, outdir, meta)
         except OSError:
             pass
         print(f"error [{status}]: {err}", file=sys.stderr)
@@ -468,8 +449,8 @@ def main(argv=None) -> int:
 
     meta["elapsed_s"] = time.time() - started
     try:
-        emit_report(report, outdir, formats, meta)
-        if args.command == "generate" and "csv" in formats:
+        emit_report(report, outdir, meta)
+        if args.command == "generate":
             write_pointset(report.artifacts["sites"], outdir / "points.csv")
     except OSError as err:
         print(f"cannot write artifacts: {err}", file=sys.stderr)

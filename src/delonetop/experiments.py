@@ -82,8 +82,7 @@ EXPERIMENT_DEFAULTS = {
     "omega": {"base_sites": 5},
 }
 # The [experiment] keys a subcommand reads that have no default.
-OPTIONAL_EXPERIMENT_KEYS = {"robustness": ("strength",),
-                            "stacking": ("stack_min_dist", "stack_target_R")}
+OPTIONAL_EXPERIMENT_KEYS = {"stacking": ("stack_min_dist", "stack_target_R")}
 
 # fraction of the smallest window half-extent used for the Kitaev sector disk
 SECTOR_RADIUS_FRAC = 0.45
@@ -91,9 +90,6 @@ SECTOR_RADIUS_FRAC = 0.45
 BOUNDARY_MARGIN_FRAC = 0.25
 # a perturbed gap below this fraction of the base gap counts as closed
 GAP_FLOOR_FRAC = 0.1
-
-FHS_GRID = 16
-WINDING_SAMPLES = 512
 
 
 @dataclass
@@ -301,10 +297,7 @@ def _base_pipeline(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: d
 
     oracles: dict = {}
     if sites.dim == 2:
-        radius = float(index_cfg.get("sector_radius",
-                                     SECTOR_RADIUS_FRAC * _min_half_extent(sites)))
-        sectors = angular_sectors(sites, x0, radius, f.N,
-                                  theta0=float(index_cfg.get("sector_theta0", 0.0)))
+        sectors = angular_sectors(sites, x0, SECTOR_RADIUS_FRAC * _min_half_extent(sites), f.N)
         oracles["kitaev"] = kitaev_chern(fermi_projection(hdata, mu), sectors)
     del hdata
 
@@ -314,11 +307,9 @@ def _base_pipeline(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: d
     if periodic_basis is not None:
         hk = bloch_hamiltonian(f, periodic_basis)
         if sites.dim == 2:
-            oracles["bloch"] = bloch_chern_fhs(hk, mu, int(index_cfg.get("fhs_grid", FHS_GRID)))
+            oracles["bloch"] = bloch_chern_fhs(hk, mu)
         else:
-            ak = chiral_bloch_block(hk, f.grading)
-            oracles["bloch"] = bloch_winding(ak, int(index_cfg.get("winding_samples",
-                                                                   WINDING_SAMPLES)))
+            oracles["bloch"] = bloch_winding(chiral_bloch_block(hk, f.grading))
     return _BaseRun(sites, H, evs, mu, gap, x0, dirac, kappas,
                     results, plateau, oracles)
 
@@ -425,14 +416,13 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     gap_closed and excluded.  Passes iff the base run is reliable and every
     included trial returns exactly the base integer.  The perturbation's
     symmetry, "none" or "chiral" (noise anticommuting with the model's
-    grading), is resolved before any solve.  An absolute strength overrides
-    strength_rel (a fraction of the base gap).
+    grading), is resolved before any solve.  The noise strength is
+    strength_rel times the base gap.
     """
     index_cfg = dict(index_cfg or {})
     exp = {**EXPERIMENT_DEFAULTS["robustness"], **(experiment or {})}
     n_trials, master_seed = int(exp["n_trials"]), int(exp["master_seed"])
-    pert = {k: exp[k] for k in ("strength", "strength_rel", "range", "symmetry")
-            if k in exp}
+    pert = {k: exp[k] for k in ("strength_rel", "range", "symmetry")}
     t0 = time.perf_counter()
     report = ExperimentReport(
         "robustness",
@@ -461,8 +451,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         report.timings["total"] = time.perf_counter() - t0
         return report
 
-    strength = (float(exp["strength"]) if "strength" in exp
-                else float(exp["strength_rel"]) * base.gap.width)
+    strength = float(exp["strength_rel"]) * base.gap.width
     prange = float(exp["range"])
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
     Hs = base.H.to_sparse()

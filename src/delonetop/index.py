@@ -442,12 +442,11 @@ def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
 # Oracles
 # ---------------------------------------------------------------------------
 
-def angular_sectors(sites: DeloneSet, x0, radius: float,
-                    block_dim: int = 1, theta0: float = 0.0):
+def angular_sectors(sites: DeloneSet, x0, radius: float, block_dim: int = 1):
     """Split the disk |x - x0| <= radius into three 120-degree sectors.
 
     Returns dense (site * block_dim + orbital) index arrays (A, B, C) in
-    counterclockwise order starting at angle theta0.
+    counterclockwise order starting at angle 0.
     """
     if sites.dim != 2:
         raise InvalidInput("angular sectors are defined on planar sets")
@@ -455,7 +454,7 @@ def angular_sectors(sites: DeloneSet, x0, radius: float,
         raise InvalidInput("radius must be positive")
     disk = neighbor_pairs(sites.points, np.reshape(x0, (1, -1)), radius)[0]
     rel = sites.points[disk] - np.asarray(x0, dtype=float)
-    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - theta0, 2.0 * np.pi)
+    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
     sector = np.minimum((ang / (2.0 * np.pi / 3.0)).astype(int), 2)
     out = []
     for s in range(3):

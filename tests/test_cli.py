@@ -228,8 +228,6 @@ def test_key_its_generator_or_model_does_not_read_exits_2(tmp_path, capsys, sect
 
 
 def test_optional_experiment_keys_are_accepted(tmp_path):
-    robust = write(tmp_path, "r.ini", "[experiment]\nstrength = 0.1\n")
-    assert load_config(robust, "robustness") == {"experiment": {"strength": 0.1}}
     stack = write(tmp_path, "s.ini", "[experiment]\nstack_generator = hardcore_random\n"
                   "stack_min_dist = 0.8\nstack_target_R = 1.2\n")
     assert load_config(stack, "stacking")["experiment"] == {
@@ -345,22 +343,6 @@ seed = 3
     assert sidecar["r_pack"] == 0.4
 
 
-def test_generate_seed_override(tmp_path):
-    cfg = write(tmp_path, "gen.ini", """\
-[lattice]
-generator = hardcore_random
-window = [0.0, 8.0]
-min_dist = 0.8
-target_R = 1.2
-seed = 3
-""")
-    out = tmp_path / "out"
-    assert main(["generate", "--config", str(cfg), "--out", str(out),
-                 "--seed", "9"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["inputs"]["lattice"]["seed"] == 9
-
-
 def test_spectrum_command_reports_gap(tmp_path):
     cfg = write(tmp_path, "run.ini", QUANT_INI)
     out = tmp_path / "out"
@@ -398,9 +380,9 @@ base_sites = 2
 
 
 def test_omega_represents_and_solves_its_window_once(tmp_path, monkeypatch):
-    # x0 moves over the chosen sites of one window: a json-only run and a
-    # csv/svg run each represent the window once and solve its spectrum
-    # once, whatever the number of sites, and write the same report.
+    # x0 moves over the chosen sites of one window: a run represents the
+    # window once and solves its spectrum once, whatever the number of
+    # sites, and that spectrum also feeds spectrum.csv and lattice.svg.
     import scipy.linalg
 
     import delonetop.experiments as experiments
@@ -426,20 +408,17 @@ def test_omega_represents_and_solves_its_window_once(tmp_path, monkeypatch):
 [experiment]
 base_sites = {base_sites}
 """)
-        json_out, all_out = tmp_path / f"json{base_sites}", tmp_path / f"all{base_sites}"
-        for out, fmt in ((json_out, ["--format", "json"]), (all_out, [])):
-            represented.clear()
-            solved.clear()
-            assert main(["omega", "--config", str(cfg), "--out", str(out), *fmt]) == 0
-            assert represented == [121]
-            assert solved == [("eigvalsh", 242)]
-        assert not (json_out / "spectrum.csv").exists()
-        assert (all_out / "lattice.svg").exists()
-        assert (json_out / "report.json").read_bytes() == (all_out / "report.json").read_bytes()
-        report = json.loads((all_out / "report.json").read_text())
+        out = tmp_path / f"out{base_sites}"
+        represented.clear()
+        solved.clear()
+        assert main(["omega", "--config", str(cfg), "--out", str(out)]) == 0
+        assert represented == [121]
+        assert solved == [("eigvalsh", 242)]
+        assert (out / "lattice.svg").exists()
+        report = json.loads((out / "report.json").read_text())
         assert report["summary"]["indices"] == [1] * base_sites
     # The spectrum is the window's.
-    rows = (tmp_path / "all5" / "spectrum.csv").read_text().splitlines()[1:]
+    rows = (tmp_path / "out5" / "spectrum.csv").read_text().splitlines()[1:]
     window = experiments.build_lattice(QUANT_JSON["lattice"])
     f = experiments.builtin_model("chern_2band_2d", M=1.0)
     want = np.linalg.eigvalsh(real(f, window).to_dense())
@@ -555,16 +534,14 @@ STACKING_EXPERIMENT = {"control": True, "control_window": [0, 12],
 def test_inputs_echo_shows_every_default(tmp_path, command, text, code, inputs):
     cfg = write(tmp_path, "run.ini", text)
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out),
-                 "--format", "json"]) == code
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
     assert json.loads((out / "report.json").read_text())["inputs"] == inputs
 
 
 def test_cli_and_library_robustness_defaults_agree(tmp_path):
     cfg = write(tmp_path, "run.ini", ROBUSTNESS_MIN_INI)
     out = tmp_path / "out"
-    assert main(["robustness", "--config", str(cfg), "--out", str(out),
-                 "--format", "json"]) == 0
+    assert main(["robustness", "--config", str(cfg), "--out", str(out)]) == 0
     cli_report = json.loads((out / "report.json").read_text())
     lib_report = json.loads(dumps17(run_robustness(
         {"window": [0.0, 6.0]}, {"M": 1.0, "mu": 0.0}, {"kappa_list": [0.1]}).as_dict()))
@@ -577,8 +554,7 @@ def test_cli_and_library_robustness_defaults_agree(tmp_path):
 def test_cli_and_library_stacking_control_agree(tmp_path):
     cfg = write(tmp_path, "run.ini", SSH_INI)
     out = tmp_path / "out"
-    assert main(["stacking", "--config", str(cfg), "--out", str(out),
-                 "--format", "json"]) == 0
+    assert main(["stacking", "--config", str(cfg), "--out", str(out)]) == 0
     cli_report = json.loads((out / "report.json").read_text())
     lib_report = json.loads(dumps17(run_stacking(
         {"generator": "periodic", "dim": 1, "window": [0.0, 34.0]},
@@ -603,11 +579,32 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "config error" in err and "kapa_list" in err
 
 
-def test_unknown_format_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command, text, section, key", [
+    ("quantization", QUANT_INI + "sector_radius = 3.0\n", "index", "sector_radius"),
+    ("quantization", QUANT_INI + "sector_theta0 = 0.5\n", "index", "sector_theta0"),
+    ("quantization", QUANT_INI + "fhs_grid = 16\n", "index", "fhs_grid"),
+    ("stacking", SSH_INI.replace("[model]", "winding_samples = 512\n\n[model]"),
+     "index", "winding_samples"),
+    ("robustness", QUANT_INI + "[experiment]\nstrength = 0.05\n", "experiment", "strength"),
+], ids=["sector_radius", "sector_theta0", "fhs_grid", "winding_samples", "strength"])
+def test_removed_key_exits_2_at_its_line(tmp_path, capsys, command, text, section, key):
+    cfg = write(tmp_path, "run.ini", text)
+    line = next(n for n, t in enumerate(text.splitlines(), 1) if t.startswith(key))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (f"run.ini:{line}: unknown key {key!r} in section [{section}]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--format", "json"]],
+                         ids=["seed", "format"])
+def test_removed_flag_exits_2(tmp_path, capsys, flag):
     cfg = write(tmp_path, "run.ini", QUANT_INI)
-    assert main(["quantization", "--config", str(cfg),
-                 "--out", str(tmp_path / "out"), "--format", "json,pdf"]) == 2
-    assert "pdf" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["quantization", "--config", str(cfg), "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gapless_run_exits_1_with_failure_report(tmp_path, capsys):
@@ -659,16 +656,6 @@ def test_unconverged_localizer_margin_exits_1_unreliable(tmp_path, capsys,
     assert "error [unreliable]" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["status"] == "unreliable"
-
-
-def test_json_only_format_skips_csv_and_svg(tmp_path):
-    cfg = write(tmp_path, "run.ini", QUANT_INI)
-    out = tmp_path / "out"
-    assert main(["quantization", "--config", str(cfg), "--out", str(out),
-                 "--format", "json"]) == 0
-    assert (out / "report.json").exists()
-    assert not (out / "spectrum.csv").exists()
-    assert not (out / "lattice.svg").exists()
 
 
 def test_unwritable_output_directory_exits_1(tmp_path, capsys):

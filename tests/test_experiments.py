@@ -172,7 +172,7 @@ def test_quantization_report_is_deterministic_across_workers():
 
 def test_robustness_zero_strength_reproduces_base():
     rep = run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
-                         experiment={"n_trials": 3, "strength": 0.0})
+                         experiment={"n_trials": 3, "strength_rel": 0.0})
     assert rep.passed
     assert rep.summary == {"base_index": 1, "included": 3,
                            "excluded_gap_closed": 0, "strength": 0.0,
