@@ -4,9 +4,10 @@ Configs are INI-style section/key files (JSON accepted interchangeably);
 every key is schema-checked, a list value element by element, and unknown
 keys and keys that the section's model, generator or command does not read
 (experiments declares every default; a model's keys are its factory's
-parameters) are rejected with a line-anchored message (exit code 2).  Runs
-write report.json, spectrum.csv, trials.csv, lattice.svg and a run_meta.json
-holding timestamps and timings, which is excluded from golden comparisons.
+parameters) are rejected with a line-anchored message (exit code 2).  Every
+run writes each artifact its report has: report.json, spectrum.csv,
+trials.csv, lattice.svg (points.csv for generate) and a run_meta.json holding
+timestamps and timings, which is excluded from golden comparisons.
 Exit code 0 iff the experiment verdict is pass; runtime failures exit 1 with
 the failure recorded in report.json.
 """
@@ -27,8 +28,9 @@ from . import __version__
 from .errors import GapUndefined, LocalizerUnreliable, ToolkitError
 from .experiments import (DEFAULTS, EVERY_GENERATOR_KEYS, EXPERIMENT_DEFAULTS,
                           LATTICE_DEFAULTS, OPTIONAL_EXPERIMENT_KEYS, ExperimentReport,
-                          _model_from_cfg, _mu_gap, build_lattice, run_omega_independence,
-                          run_quantization, run_robustness, run_stacking)
+                          _experiment_keys, _model_from_cfg, _mu_gap, build_lattice,
+                          run_omega_independence, run_quantization, run_robustness,
+                          run_stacking)
 from .geometry import validate_delone, write_pointset
 from .groupoid import BUILTIN_MODELS, represent
 from .serialize import dumps17, format_float, to_plain
@@ -122,14 +124,15 @@ _READS = {
     "lattice": ("generator", "does not apply to generator",
                 {g: {*EVERY_GENERATOR_KEYS, *d} for g, d in LATTICE_DEFAULTS.items()}),
     "experiment": (None, "in [experiment] does not apply to command", {
-        None: set(_SCHEMA["experiment"]),
-        **{c: {*EXPERIMENT_DEFAULTS.get(c, ()), *OPTIONAL_EXPERIMENT_KEYS.get(c, ())}
-           for c in _COMMANDS}}),
+        None: set(_SCHEMA["experiment"]), **{c: _experiment_keys(c) for c in _COMMANDS}}),
 }
-# Keys of other sections that only some commands read: every other command
-# runs one lattice seed, and omega moves x0 over its base_sites.
+# Keys of other sections that only some commands read (None: every key of
+# the section): every other command runs one lattice seed, omega moves x0
+# over its base_sites, generate reads no model and neither reads [index].
 _COMMAND_KEYS = {("lattice", "seeds"): {"quantization"},
-                 ("index", "x0"): set(_COMMANDS) - {"omega"}}
+                 ("index", "x0"): set(_COMMANDS) - {"omega"},
+                 ("model", None): set(_COMMANDS) - {"generate"},
+                 ("index", None): set(_COMMANDS) - {"generate", "spectrum"}}
 
 
 def _parse_scalar(text: str):
@@ -202,8 +205,10 @@ def load_config(path, command: str | None = None) -> dict:
 
     An unknown model or generator, a key that the section's model, generator
     or (given one) command does not read (seeds outside quantization, x0
-    under omega), and a cut-and-project dim other than the generator's own
-    are rejected; an omitted model or generator is the one DEFAULTS names.
+    under omega, any [model] key under generate, any [index] key under
+    generate and spectrum), and a cut-and-project dim other than the
+    generator's own are rejected; an omitted model or generator is the one
+    DEFAULTS names.
     The stack_* keys of stacking are held against stack_generator."""
     path = Path(path)
     if command not in (None, *_COMMANDS):
@@ -237,9 +242,12 @@ def load_config(path, command: str | None = None) -> dict:
         for key in out.get(sec, ()):
             if key not in reads[choice[sec]]:
                 fail(sec, key, f"key {key!r} {phrase} {choice[sec]!r}")
-    for (sec, key), commands in _COMMAND_KEYS.items():
-        if command is not None and command not in commands and key in out.get(sec, {}):
-            fail(sec, key, f"key {key!r} in [{sec}] does not apply to command {command!r}")
+    for (sec, only), commands in _COMMAND_KEYS.items():
+        if command in (None, *commands):
+            continue
+        for key in out.get(sec, ()):
+            if only in (None, key):
+                fail(sec, key, f"key {key!r} in [{sec}] does not apply to command {command!r}")
     own = LATTICE_DEFAULTS[lattice["generator"]]
     if "window" not in own and lattice.get("dim", own["dim"]) != own["dim"]:
         fail("lattice", "dim", f"generator {lattice['generator']!r} makes "
@@ -410,8 +418,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="INI or JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="task pool size")
+    parser.add_argument("--workers", type=int, default=1, help="task pool size (at least 1)")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     started = time.time()
     try:
@@ -432,7 +442,7 @@ def main(argv=None) -> int:
     }
 
     try:
-        report = _dispatch(args.command, cfg, max(1, args.workers))
+        report = _dispatch(args.command, cfg, args.workers)
     except ToolkitError as err:
         status = "gap_closed" if isinstance(err, GapUndefined) else (
             "unreliable" if isinstance(err, LocalizerUnreliable) else "error")

@@ -23,6 +23,8 @@ each subcommand; those read without a default are OPTIONAL_EXPERIMENT_KEYS).
 The robustness, stacking and omega drivers take the CLI's [experiment]
 section as one dict, merge it over EXPERIMENT_DEFAULTS of their subcommand
 and echo the run it makes; the CLI passes the section through unchanged.
+Every driver raises InvalidInput, before any solve, on an [index] key
+outside INDEX_KEYS and on an [experiment] key its subcommand does not read.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ EXPERIMENT_DEFAULTS = {
 }
 # The [experiment] keys a subcommand reads that have no default.
 OPTIONAL_EXPERIMENT_KEYS = {"stacking": ("stack_min_dist", "stack_target_R")}
+# The [index] keys every driver reads; margin_min has no default.
+INDEX_KEYS = (*DEFAULTS["index"], "margin_min")
 
 # fraction of the smallest window half-extent used for the Kitaev sector disk
 SECTOR_RADIUS_FRAC = 0.45
@@ -135,6 +139,24 @@ def _pmap(fn, items, workers: int = 1):
 # ---------------------------------------------------------------------------
 # Config materialization
 # ---------------------------------------------------------------------------
+
+def _experiment_keys(command) -> set:
+    """The [experiment] keys a subcommand reads."""
+    return {*EXPERIMENT_DEFAULTS.get(command, ()), *OPTIONAL_EXPERIMENT_KEYS.get(command, ())}
+
+
+def _driver_config(command: str, index_cfg, experiment=None) -> tuple[dict, dict]:
+    """index_cfg as a dict, and experiment merged over EXPERIMENT_DEFAULTS of
+    the command; a key the driver does not read is an InvalidInput, raised
+    before any solve."""
+    index_cfg, experiment = dict(index_cfg or {}), dict(experiment or {})
+    for section, cfg, keys in (("index", index_cfg, INDEX_KEYS),
+                               ("experiment", experiment, _experiment_keys(command))):
+        for key in cfg:
+            if key not in keys:
+                raise InvalidInput(f"key {key!r} in [{section}] does not apply to {command}")
+    return index_cfg, {**EXPERIMENT_DEFAULTS.get(command, {}), **experiment}
+
 
 def _window_pair(spec, dim: int):
     arr = np.asarray(spec, dtype=float)
@@ -344,7 +366,7 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     one integer, the three-sector value sits within 0.1 of it, and the Bloch
     oracle (periodic lattices) returns the same integer.
     """
-    index_cfg = dict(index_cfg or {})
+    index_cfg, _ = _driver_config("quantization", index_cfg)
     t0 = time.perf_counter()
     seeds = list(lattice_cfg.get("seeds")
                  or [int(lattice_cfg.get("seed", DEFAULTS["lattice"]["seed"]))])
@@ -419,8 +441,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     grading), is resolved before any solve.  The noise strength is
     strength_rel times the base gap.
     """
-    index_cfg = dict(index_cfg or {})
-    exp = {**EXPERIMENT_DEFAULTS["robustness"], **(experiment or {})}
+    index_cfg, exp = _driver_config("robustness", index_cfg, experiment)
     n_trials, master_seed = int(exp["n_trials"]), int(exp["master_seed"])
     pert = {k: exp[k] for k in ("strength_rel", "range", "symmetry")}
     t0 = time.perf_counter()
@@ -513,8 +534,7 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     that is not 1D, a model without a grading or a stack set build_lattice
     rejects fails before any solve.
     """
-    index_cfg = dict(index_cfg or {})
-    exp = {**EXPERIMENT_DEFAULTS["stacking"], **(experiment or {})}
+    index_cfg, exp = _driver_config("stacking", index_cfg, experiment)
     stack_cfg = {"generator": exp["stack_generator"], "dim": 1,
                  "window": exp["stack_window"], "seed": int(exp["stack_seed"])}
     for key in OPTIONAL_EXPERIMENT_KEYS["stacking"]:
@@ -608,8 +628,8 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     is a count or a list of site indices (_chosen_sites).  A gap closed at
     mu makes every record gap_closed.
     """
-    index_cfg = dict(index_cfg or {})
-    base_sites = {**EXPERIMENT_DEFAULTS["omega"], **(experiment or {})}["base_sites"]
+    index_cfg, exp = _driver_config("omega", index_cfg, experiment)
+    base_sites = exp["base_sites"]
     t0 = time.perf_counter()
     report = ExperimentReport(
         "omega_independence",

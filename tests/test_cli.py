@@ -12,7 +12,8 @@ from delonetop.cli import SchemaError, load_config, main
 from delonetop.experiments import run_robustness, run_stacking
 from delonetop.serialize import dumps17
 
-QUANT_INI = """\
+# QUANT_INI without the [index] section, which spectrum does not read
+CHERN_INI = """\
 # two-band model on a small periodic window
 [lattice]
 generator = periodic
@@ -23,7 +24,9 @@ window = [0.0, 10.0]
 name = chern_2band_2d
 M = 1.0
 mu = 0.0
+"""
 
+QUANT_INI = CHERN_INI + """
 [index]
 kappa_list = [0.15]
 """
@@ -188,12 +191,19 @@ def test_experiment_key_of_another_command_is_rejected(tmp_path, capsys, command
       for command in ("robustness", "stacking", "omega", "spectrum", "generate")],
     ("omega", "index", "x0", [5.0, 5.0]),
     ("omega", "index", "x0", "center"),
+    ("generate", "model", "M", 3.0),
+    ("generate", "model", "name", "chern_2band_2d"),
+    *[(command, "index", key, value) for command in ("generate", "spectrum")
+      for key, value in (("margin_min", 0.5), ("kappa_list", [0.1]), ("x0", "center"))],
 ], ids=["seeds-robustness", "seeds-stacking", "seeds-omega", "seeds-spectrum",
-        "seeds-generate", "x0-omega", "x0-center-omega"])
+        "seeds-generate", "x0-omega", "x0-center-omega", "M-generate", "name-generate",
+        "margin_min-generate", "kappa_list-generate", "x0-generate",
+        "margin_min-spectrum", "kappa_list-spectrum", "x0-spectrum"])
 def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, section, key,
                                                value):
-    # Only quantization runs several seeds, and omega moves x0 over its sites:
-    # elsewhere the key would be echoed in the report and never used.
+    # Only quantization runs several seeds, omega moves x0 over its sites,
+    # generate reads no [model] and neither generate nor spectrum reads
+    # [index]: elsewhere the key would be echoed in the report and never used.
     cfg = write(tmp_path, "run.ini", f"[{section}]\n{key} = {json.dumps(value)}\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert (f"run.ini:2: key {key!r} in [{section}] does not apply to command "
@@ -344,7 +354,7 @@ seed = 3
 
 
 def test_spectrum_command_reports_gap(tmp_path):
-    cfg = write(tmp_path, "run.ini", QUANT_INI)
+    cfg = write(tmp_path, "run.ini", CHERN_INI)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -357,8 +367,9 @@ def test_spectrum_command_pins_chiral_mu_to_zero(tmp_path):
     # The spectrum of a chiral model resolves mu and its gap like the
     # localizer runs do: mu = 0 and the bulk gap around it, not the centre
     # of the widest gap (which lies between the bulk and the edge modes).
-    cfg = write(tmp_path, "run.ini", SSH_INI)
-    for command in ("spectrum", "quantization"):
+    no_index = SSH_INI.replace("[index]\nkappa_list = [0.1]\n\n", "")
+    for command, text in (("spectrum", no_index), ("quantization", SSH_INI)):
+        cfg = write(tmp_path, f"{command}.ini", text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
     spectrum = json.loads((tmp_path / "spectrum" / "report.json").read_text())
     quant = json.loads((tmp_path / "quantization" / "report.json").read_text())
@@ -518,8 +529,8 @@ STACKING_EXPERIMENT = {"control": True, "control_window": [0, 12],
     ("omega", QUANT_INI, 0, {
         "experiment": {"base_sites": 5}, "index": QUANT_INDEX,
         "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
-    ("spectrum", QUANT_INI, 0, {
-        "experiment": {}, "index": QUANT_INDEX,
+    ("spectrum", CHERN_INI, 0, {
+        "experiment": {}, "index": {"kappa_list": [], "x0": "center"},
         "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
     ("generate", "[lattice]\nwindow = [0.0, 4.0]\n", 0, {
         "experiment": {}, "index": {"kappa_list": [], "x0": "center"},
@@ -607,6 +618,17 @@ def test_removed_flag_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_1_exits_2(tmp_path, capsys, workers):
+    cfg = write(tmp_path, "run.ini", QUANT_INI)
+    with pytest.raises(SystemExit) as exc:
+        main(["quantization", "--config", str(cfg), "--out", str(tmp_path / "out"),
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gapless_run_exits_1_with_failure_report(tmp_path, capsys):
     cfg = write(tmp_path, "run.ini", """\
 [lattice]
@@ -626,7 +648,7 @@ mu = 0.0
 
 
 @pytest.mark.parametrize("command, text", [
-    pytest.param("spectrum", QUANT_INI.replace("mu = 0.0", "mu = widest"), id="spectrum"),
+    pytest.param("spectrum", CHERN_INI.replace("mu = 0.0", "mu = widest"), id="spectrum"),
     pytest.param("quantization", QUANT_INI.replace("mu = 0.0", "mu = widest"),
                  id="quantization"),
     # [model] is the last section of SSH_INI

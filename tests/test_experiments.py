@@ -216,6 +216,35 @@ def _no_eigensolve(*args, **kwargs):
     raise AssertionError("an eigensolve ran before the input check")
 
 
+_WINDOW, _CHAIN = {"window": [0.0, 10.0]}, {"dim": 1, "window": [0.0, 20.0]}
+
+
+@pytest.mark.parametrize("driver, lattice, model, index_cfg, experiment, section, key", [
+    (run_quantization, _WINDOW, CHERN, {"kapa_list": [0.1]}, None, "index", "kapa_list"),
+    (run_quantization, _WINDOW, CHERN, {"fhs_grid": 16}, None, "index", "fhs_grid"),
+    (run_robustness, _WINDOW, CHERN, KAPPAS, {"n_trails": 2}, "experiment", "n_trails"),
+    (run_robustness, _WINDOW, CHERN, KAPPAS, {"strength": 0.0}, "experiment", "strength"),
+    (run_robustness, _WINDOW, CHERN, {"sector_radius": 3.0}, {}, "index", "sector_radius"),
+    (run_stacking, _CHAIN, SSH, {"winding_samples": 512}, {}, "index", "winding_samples"),
+    (run_stacking, _CHAIN, SSH, KAPPAS, {"n_trials": 2}, "experiment", "n_trials"),
+    (run_omega_independence, _WINDOW, CHERN, {"sector_theta0": 0.5}, {}, "index",
+     "sector_theta0"),
+    (run_omega_independence, _WINDOW, CHERN, {"x0": "center"}, {"stack_window": [0, 3]},
+     "experiment", "stack_window"),
+], ids=["quantization-typo", "quantization-fhs_grid", "robustness-typo",
+        "robustness-strength", "robustness-sector_radius", "stacking-winding_samples",
+        "stacking-n_trials", "omega-sector_theta0", "omega-stack_window"])
+def test_driver_rejects_a_key_it_does_not_read_before_any_solve(
+        monkeypatch, driver, lattice, model, index_cfg, experiment, section, key):
+    # A misspelt or removed key would otherwise run the defaults and pass.
+    monkeypatch.setattr(experiments, "represent", _no_eigensolve)
+    kwargs = {} if experiment is None else {"experiment": experiment}
+    command = driver.__name__.removeprefix("run_").removesuffix("_independence")
+    with pytest.raises(InvalidInput,
+                       match=rf"key '{key}' in \[{section}\] does not apply to {command}$"):
+        driver(lattice, model, index_cfg, **kwargs)
+
+
 def test_robustness_chiral_noise_needs_a_chiral_model(monkeypatch):
     # chern_2band_2d carries no chiral grading to draw anticommuting noise for.
     with pytest.raises(InvalidInput, match="grading"):
