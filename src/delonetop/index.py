@@ -10,21 +10,13 @@ plaquette Chern number, winding of det A(k)) for periodic models.
 
 Every localizer reads H as one CSR matrix: a BlockOperator through
 BlockOperator.to_sparse(), a dense or sparse matrix through one csr_array
-call at entry.  The even (2D) localizer forms no dense matrix at all: its
-margin is one shift-invert ARPACK eigenvalue of the sparse localizer L, and
-its signature the inertia of L -+ t (t = 0.9 margin), read off the pivots
-of two symmetric sparse LU factorizations (Sylvester) and certified by their
-backward error.  The odd (1D) localizer is small and densifies only its
-L = H + kappa (X - x0) G for one eigvalsh, its rows and columns in the
-on-site grading G's +- order (the chiral-basis
-[[kappa (X - x0), A], [A^dag, -kappa (X - x0)]]).
-
-Every LAPACK call on a matrix whose size grows with the window (eigvalsh)
-goes through scipy.linalg, the OpenBLAS copy that ARPACK and SuperLU use
-too.  NumPy bundles a second OpenBLAS; at 2 BLAS threads a call on one copy
-right after the other ran ~2x slower (m = 578: NumPy eigvalsh 0.19-0.20 s
-inside a robustness trial against 0.076 s alone), apparently because the
-pool that just ran keeps its threads spinning.
+call at entry.  Both localizers assemble L sparse and share one inertia
+engine, forming no dense matrix: the margin is one shift-invert ARPACK
+eigenvalue of L, and the signature the inertia of L -+ t (t = 0.9 margin),
+read off the pivots of two symmetric sparse LU factorizations (Sylvester)
+and certified by their backward error.  The even (2D) L is
+[[H - mu, kappa D-], [kappa D-^dag, -(H - mu)]], the odd (1D) one
+H + kappa (X - x0) G with G the on-site grading.
 
 Complex symmetry classes only: class A in even dimension d = 2 and class
 AIII in odd dimension d = 1: the parity of d picks the pairing
@@ -37,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 
 from .clifford import CliffordRep, build_rep, verify_relations
@@ -45,8 +36,8 @@ from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
 from .geometry import DeloneSet, neighbor_pairs
 from .groupoid import _chiral_signs
-from .spectral import (FermiProjection, SpectralData, _csr, _fortran_buffer,
-                       eigenvalues, spectral_gap)
+from .spectral import (FermiProjection, SpectralData, _csr, eigenvalues,
+                       spectral_gap)
 
 __all__ = [
     "PositionDirac",
@@ -164,17 +155,13 @@ def _index_result(half_sig: float, margin: float, kappa: float, x0, mu: float,
     )
 
 
-def _signature(vals: np.ndarray) -> int:
-    return int((vals > 0).sum() - (vals < 0).sum())
-
-
 def _components(m: int, rows: np.ndarray,
                 cols: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Connected components of the graph on range(m) with edges (rows, cols):
     each vertex's component label, numbered in the order of the components'
     smallest vertices, and each component's vertices in ascending order.
     Its one caller is run_stacking, which reads the edges off the stacked
-    operator's CSR coordinates and splits its eigvalsh over the layers.
+    operator's CSR coordinates and splits its eigenvalue solve over the layers.
 
     Min-label propagation with pointer jumping: every vertex points at a
     vertex no larger than itself, and each round hooks the larger root of
@@ -205,7 +192,7 @@ def _splu(A):
                 options={"SymmetricMode": True})
 
 
-def _even_margin(L) -> float:
+def _margin(L) -> float:
     """Smallest |eigenvalue| of the sparse localizer L by ARPACK shift-invert
     around 0: one _splu factor of L, handed to ARPACK as OPinv, then solves.
     With ARPACK's own factor (COLAMD, partial pivoting) a call took
@@ -218,12 +205,13 @@ def _even_margin(L) -> float:
     stops the iteration short of machine precision: the smallest |eigenvalues|
     of L sit in a cluster, and at tol = 0 ARPACK took 36-59 % more
     shift-invert solves (16^2 periodic and 27^2 amorphous Chern windows) for
-    margins that agreed to ~2e-15.  For m = 1, L = [[a, k d], [conj(k d), -a]]
-    is below ARPACK's k < n - 1; its spectrum is +-sqrt(a^2 + |k d|^2).
+    margins that agreed to ~2e-15.  A 2 x 2 L (the even one of one orbital,
+    the odd one of one site) is [[a, b], [conj(b), -a]], below ARPACK's
+    k < n - 1; its spectrum is +-sqrt(a^2 + |b|^2).
     """
     if L.shape[0] == 2:
-        (a, kd), _ = L.toarray()
-        return float(np.hypot(a.real, abs(kd)))
+        (a, b), _ = L.toarray()
+        return float(np.hypot(a.real, abs(b)))
     # Imported here: scipy.sparse.linalg adds ~35 modules to CLI start-up.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -283,23 +271,31 @@ def _shifted_signature(L, margin: float) -> tuple[int, str | None]:
     return inertia[0][0] - inertia[0][1], (doubts + [None])[0]
 
 
+def _certified_result(L, kappa: float, x0, mu: float,
+                       margin_min: float) -> IndexResult:
+    """The IndexResult of the sparse Hermitian localizer L: its _margin and
+    its certified signature (_shifted_signature).  LocalizerUnreliable is
+    raised when the margin solve does not converge or a guard of the
+    signature fails on a margin above margin_min; below it the record is
+    unreliable anyway and keeps its uncertified half-signature."""
+    margin = _margin(L)
+    sig, doubt = _shifted_signature(L, margin)
+    if doubt is not None and margin > margin_min:
+        raise LocalizerUnreliable(f"signature not certified: {doubt}")
+    return _index_result(0.5 * sig, margin, kappa, x0, mu, margin_min)
+
+
 def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
                          margin_min: float | None = None, hdata=None) -> IndexResult:
     """Half-signature index of L = [[H - mu, k D-], [k D-^dag, -(H - mu)]].
 
     D- = (X1 - x01) - i (X2 - x02) acts site-diagonally on the internal
     space.  H is read as one CSR matrix (a BlockOperator, or a dense or
-    sparse matrix), L is assembled sparse from its entries and those of
-    H - mu, and no dense matrix is formed: the margin is its
-    smallest |eigenvalue| by ARPACK shift-invert at 0 (Loring &
-    Schulz-Baldes, NYJM 2017), the signature the certified inertia of
-    L -+ 0.9 margin (_shifted_signature).  hdata must be the spectrum of H
-    (computed when None); it serves the gap check and margin_min.
-
-    LocalizerUnreliable is raised when the margin solve does not converge
-    or a guard of the signature fails on a margin above margin_min; below
-    it the record is unreliable anyway and keeps its uncertified
-    half-signature.  Reliability requires the margin to exceed margin_min,
+    sparse matrix) and L is assembled sparse from the entries of H - mu;
+    _certified_result takes its margin, the smallest |eigenvalue| (Loring &
+    Schulz-Baldes, NYJM 2017), and its certified signature.  hdata must be
+    the spectrum of H (computed when None); it serves the gap check and
+    margin_min.  Reliability requires the margin to exceed margin_min,
     which defaults to 1e-3 of the localizer's natural scale
     max(||H - mu||, kappa * max|x - x0|); the second term catches the
     absurd-kappa regime where the position part dwarfs the Hamiltonian.
@@ -330,11 +326,7 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
          (np.concatenate([A.row, A.row + m, diag, diag + m]),
           np.concatenate([A.col, A.col + m, diag + m, diag]))),
         shape=(2 * m, 2 * m))
-    margin = _even_margin(L)
-    sig, doubt = _shifted_signature(L, margin)
-    if doubt is not None and margin > margin_min:
-        raise LocalizerUnreliable(f"signature not certified: {doubt}")
-    return _index_result(0.5 * sig, margin, kappa, dirac.x0, mu, margin_min)
+    return _certified_result(L, kappa, dirac.x0, mu, margin_min)
 
 
 def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,
@@ -361,13 +353,15 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     """Winding index of a chiral 1D Hamiltonian via the odd localizer.
 
     L = H + k (X - x0) G with G the on-site grading (an N x N diagonal,
-    balanced +-1 matrix), its rows and columns taken in the grading's +-
-    order: the +1 orbitals first, then the -1 ones, each in site-major
-    order.  Since GHG = -H must hold exactly, H = [[0, A], [A^dag, 0]] in
-    that order and L = [[k (X - x0), A], [A^dag, -k (X - x0)]]; the index is
-    its rounded half-signature.  The pairing is at mu = 0.  H is read as one
-    CSR matrix (a BlockOperator, or a dense or sparse matrix); only L is
-    densified, already permuted, into the buffer eigvalsh overwrites.
+    balanced +-1 matrix).  Since GHG = -H must hold exactly, in the
+    grading's +- basis (the +1 orbitals first) H = [[0, A], [A^dag, 0]] and
+    L = [[k (X - x0), A], [A^dag, -k (X - x0)]]; the index is its rounded
+    half-signature.  Inertia does not depend on the basis, so L is
+    assembled sparse in site-major order, the CSR matrix H plus a diagonal,
+    and read by _certified_result, the engine of localizer_index_even: the
+    same margin, certified signature and LocalizerUnreliable.  The pairing
+    is at mu = 0; hdata (the spectrum of H) and the default margin_min are
+    as in localizer_index_even.
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")
@@ -390,14 +384,9 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     if margin_min is None:
         margin_min = 1e-3 * _localizer_scale(evs, 0.0, dirac, kappa)
 
-    order = np.argsort(-g, kind="stable")
-    L = _fortran_buffer(H[order][:, order])
     x = kappa * np.repeat(dirac.sites.points[:, 0] - dirac.x0[0], N)
-    L[np.diag_indices(m)] += (g * x)[order]
-    evl = scipy.linalg.eigvalsh(L, overwrite_a=True)
-    margin = float(np.abs(evl).min()) if evl.size else np.inf
-    return _index_result(0.5 * _signature(evl), margin, kappa, dirac.x0, 0.0,
-                         margin_min)
+    L = sparse.csc_matrix(H + sparse.diags_array(g * x))
+    return _certified_result(L, kappa, dirac.x0, 0.0, margin_min)
 
 
 def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,

@@ -246,11 +246,12 @@ def reference_localizer_odd(H, points, x0, grading, kappa):
         L = [[kappa (X - x0), A], [A^dag, -kappa (X - x0)]],  A = H[plus, minus],
 
     plus (minus) the +1 (-1) orbitals of the on-site grading, site-major.
-    Oracle of localizer_index_odd, which reads L off H + kappa (X - x0) G
-    instead, at its default margin_min = 1e-3 * max(||H||, |kappa| max|x - x0|).
-    Both solve with scipy.linalg.eigvalsh, so they agree bit for bit when H
-    is exactly chiral.  Returns a dict with index, status, half_signature
-    and margin.
+    Oracle of localizer_index_odd, which assembles H + kappa (X - x0) G
+    sparse in site-major order instead and reads its margin by shift-invert
+    ARPACK and its signature off sparse LU pivots, at its default
+    margin_min = 1e-3 * max(||H||, |kappa| max|x - x0|): index, status and
+    half-signature must agree exactly, the margin to 1e-9 relative.
+    Returns a dict with index, status, half_signature and margin.
     """
     H = np.asarray(H, dtype=complex)
     rel = np.asarray(points, dtype=float)[:, 0] - float(np.asarray(x0)[0])

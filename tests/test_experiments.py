@@ -520,7 +520,7 @@ def test_window_sized_lapack_goes_through_scipy(monkeypatch):
     evs = np.linalg.eigh(H.to_dense())[0]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("window-sized LAPACK call on NumPy's OpenBLAS")
+        raise AssertionError("forbidden window-sized LAPACK call")
 
     for name in ("eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, forbidden)
@@ -532,6 +532,14 @@ def test_window_sized_lapack_goes_through_scipy(monkeypatch):
     Hc = represent(builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), chain)
     dirac1 = position_dirac(chain, chain.window_center, block_dim=2)
     assert localizer_index_odd(Hc, dirac1, 0.1, np.diag([1.0, -1.0])).index == -1
+    # Given the H eigenvalues, the odd localizer makes no dense LAPACK call:
+    # it shares the even one's sparse margin solve and LU inertia.
+    evs_c = scipy.linalg.eigvalsh(Hc.to_dense())
+    with monkeypatch.context() as scipy_lapack:
+        for name in ("eigh", "eigvalsh"):
+            scipy_lapack.setattr(scipy.linalg, name, forbidden)
+        assert localizer_index_odd(Hc, dirac1, 0.1, np.diag([1.0, -1.0]),
+                                   hdata=evs_c).index == -1
 
     rep = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]},
                          experiment={"n_trials": 3, "strength_rel": 0.2})
@@ -542,7 +550,7 @@ def test_window_sized_lapack_goes_through_scipy(monkeypatch):
 def test_window_sized_lapack_overwrites_fortran_buffers(monkeypatch):
     # eig_hermitian (MRRR, from 1000 rows) must hand LAPACK a Fortran-ordered
     # buffer it may overwrite; a C-ordered one, or overwrite_a=False, costs an
-    # m x m copy.  (The even localizer makes no dense LAPACK call at all.)
+    # m x m copy.  (Neither localizer makes a dense LAPACK call.)
     calls = []
 
     def spy(name, fn):

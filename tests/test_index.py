@@ -401,12 +401,24 @@ def test_even_localizer_single_site_closed_form(monkeypatch):
         assert (r.status, r.index) == ("ok", 0)
 
 
-def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12):
-    _, H = chern_12
-    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+def _certified_localizer(kind, z2_12, chern_12, **kwargs):
+    """The even localizer on the 12^2 Chern window (index 1), or the odd one
+    on a 40-site SSH chain (index -1), at kappa = 0.1: the odd localizer
+    runs on the even one's margin solve and certified signature, so each
+    test of that engine below runs both."""
+    if kind == "even":
+        dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+        return localizer_index_even(chern_12[1], 0.0, dirac, 0.1, **kwargs)
+    omega = z1(40)
+    dirac = position_dirac(omega, omega.window_center, block_dim=2)
+    return localizer_index_odd(represent(SSH, omega), dirac, 0.1, GRADING, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12, kind):
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", _failing_eigsh)
     with pytest.raises(LocalizerUnreliable, match="did not converge"):
-        localizer_index_even(H, 0.0, dirac, 0.1)
+        _certified_localizer(kind, z2_12, chern_12)
 
 
 def _edit_lu(monkeypatch, edit):
@@ -450,30 +462,32 @@ def _second_inertia_off_by_one(lu, k):
     return _lu(lu, U=lu.U - sparse.diags(flip, format="csc"))
 
 
-@pytest.mark.parametrize("edit, reason", [
-    (_row_pivoting, "pivoted off the diagonal"),
-    (_complex_pivots, "complex pivot"),
-    (_huge_multipliers, "backward error bound"),
-    (_second_inertia_off_by_one, "inertias .* disagree"),
-], ids=["perm", "complex-pivot", "backward-error", "inertia"])
+LU_EDITS = [(_row_pivoting, "pivoted off the diagonal", "perm"),
+            (_complex_pivots, "complex pivot", "complex-pivot"),
+            (_huge_multipliers, "backward error bound", "backward-error"),
+            (_second_inertia_off_by_one, "inertias .* disagree", "inertia")]
+
+
+@pytest.mark.parametrize("kind, edit, reason", [
+    pytest.param(kind, edit, reason, id=name if kind == "even" else f"odd-{name}")
+    for kind in ("even", "odd") for edit, reason, name in LU_EDITS])
 def test_even_localizer_uncertified_signature_raises(monkeypatch, z2_12, chern_12,
-                                                     edit, reason):
-    _, H = chern_12
-    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+                                                     kind, edit, reason):
     _edit_lu(monkeypatch, edit)
     with pytest.raises(LocalizerUnreliable, match=f"signature not certified: .*{reason}"):
-        localizer_index_even(H, 0.0, dirac, 0.1)
+        _certified_localizer(kind, z2_12, chern_12)
 
 
+@pytest.mark.parametrize("kind, half_signature", [("even", 1.0), ("odd", -1.0)],
+                         ids=["even", "odd"])
 def test_even_localizer_below_margin_min_skips_the_certificate(monkeypatch, z2_12,
-                                                              chern_12):
+                                                              chern_12, kind,
+                                                              half_signature):
     # An unreliable margin already withholds the index, so a failed guard
     # leaves the record unreliable instead of raising.
-    _, H = chern_12
-    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
     _edit_lu(monkeypatch, _huge_multipliers)
-    r = localizer_index_even(H, 0.0, dirac, 0.1, margin_min=1.0)
-    assert (r.status, r.index, r.half_signature) == ("unreliable", None, 1.0)
+    r = _certified_localizer(kind, z2_12, chern_12, margin_min=1.0)
+    assert (r.status, r.index, r.half_signature) == ("unreliable", None, half_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +540,18 @@ ODD_CHAINS = {
                              gen_cut_and_project("fibonacci_1d", ([0.0], [48.0]))),
     "ssh_200": lambda: (builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), z1(200)),
     "dimer_120": lambda: (builtin_model("dimer_chain_1d", t1=0.7), z1(120)),
+    # the 2 x 2 closed-form margin, and the smallest L that ARPACK solves
+    "one_site": lambda: (builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), z1(1)),
+    "two_sites": lambda: (builtin_model("chiral_ssh_1d", t1=0.5, t2=1.0), z1(2)),
 }
 
 
 @pytest.mark.parametrize("noise", [False, True], ids=["clean", "chiral-noise"])
 @pytest.mark.parametrize("chain", sorted(ODD_CHAINS))
 def test_odd_localizer_matches_chiral_basis_reference(chain, noise):
-    # L read off H + k (X - x0) G in the grading's +- order is the
-    # chiral-basis block matrix, entry for entry: the same eigenvalues.
+    # The sparse L = H + k (X - x0) G in site-major order is the chiral-basis
+    # block matrix up to a permutation: the same inertia, and the margin to
+    # the even localizer's 1e-9 relative.
     f, omega = ODD_CHAINS[chain]()
     H = represent(f, omega).to_dense()
     if noise:
@@ -542,8 +560,9 @@ def test_odd_localizer_matches_chiral_basis_reference(chain, noise):
     for kappa in (0.05, 0.1, 0.2):
         r = localizer_index_odd(H, dirac, kappa, GRADING)
         want = reference_localizer_odd(H, omega.points, dirac.x0, GRADING, kappa)
-        assert (r.index, r.status, r.half_signature, r.margin) == (
-            want["index"], want["status"], want["half_signature"], want["margin"])
+        assert (r.index, r.status, r.half_signature) == (
+            want["index"], want["status"], want["half_signature"])
+        assert abs(r.margin - want["margin"]) <= 1e-9 * want["margin"]
 
 
 def test_odd_localizer_rejects_broken_symmetry():
