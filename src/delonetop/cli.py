@@ -263,8 +263,13 @@ def load_config(path, command: str | None = None) -> dict:
 
 
 def _materialize(cfg: dict, command: str) -> dict:
-    """Fill defaults so the echoed config shows every effective setting."""
-    out = {sec: {**defaults, **cfg.get(sec, {})} for sec, defaults in DEFAULTS.items()}
+    """Fill defaults so the echoed config shows every effective setting, and
+    only those: a section or key the command does not read (_COMMAND_KEYS)
+    is left out."""
+    unread = {key for key, commands in _COMMAND_KEYS.items() if command not in commands}
+    out = {sec: {k: v for k, v in {**defaults, **cfg.get(sec, {})}.items()
+                 if (sec, k) not in unread}
+           for sec, defaults in DEFAULTS.items() if (sec, None) not in unread}
     out["experiment"] = {**EXPERIMENT_DEFAULTS.get(command, {}),
                          **cfg.get("experiment", {})}
     return out
@@ -394,12 +399,12 @@ def _cmd_spectrum(cfg: dict) -> ExperimentReport:
 
 
 def _dispatch(command: str, cfg: dict, workers: int) -> ExperimentReport:
-    lattice, model, index = cfg["lattice"], cfg["model"], cfg["index"]
-    exp = cfg["experiment"]
     if command == "generate":
         return _cmd_generate(cfg)
     if command == "spectrum":
         return _cmd_spectrum(cfg)
+    lattice, model, index = cfg["lattice"], cfg["model"], cfg["index"]
+    exp = cfg["experiment"]
     if command == "quantization":
         return run_quantization(lattice, model, index, workers=workers)
     if command == "robustness":

@@ -526,16 +526,17 @@ STACKING_EXPERIMENT = {"control": True, "control_window": [0, 12],
         "index": {"kappa_list": [0.1], "x0": "center"},
         "lattice": {"dim": 1, "generator": "periodic", "seed": 0, "window": [0, 34]},
         "model": {"mu": "largest-gap", "name": "chiral_ssh_1d", "t1": 0.5, "t2": 1}}),
+    # omega moves x0 over its base sites, spectrum reads no [index] and
+    # generate neither [model] nor [index]: none of them echoes what it
+    # does not read
     ("omega", QUANT_INI, 0, {
-        "experiment": {"base_sites": 5}, "index": QUANT_INDEX,
+        "experiment": {"base_sites": 5}, "index": {"kappa_list": [0.15]},
         "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
     ("spectrum", CHERN_INI, 0, {
-        "experiment": {}, "index": {"kappa_list": [], "x0": "center"},
-        "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
+        "experiment": {}, "lattice": QUANT_LATTICE, "model": CHERN_MODEL}),
     ("generate", "[lattice]\nwindow = [0.0, 4.0]\n", 0, {
-        "experiment": {}, "index": {"kappa_list": [], "x0": "center"},
-        "lattice": {"generator": "periodic", "seed": 0, "window": [0, 4]},
-        "model": {"mu": "largest-gap", "name": "chern_2band_2d"}}),
+        "experiment": {},
+        "lattice": {"generator": "periodic", "seed": 0, "window": [0, 4]}}),
     # a failure report echoes the materialized config, experiment defaults too
     ("stacking", QUANT_INI, 1, {
         "experiment": STACKING_EXPERIMENT, "index": QUANT_INDEX,
