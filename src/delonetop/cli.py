@@ -1,22 +1,20 @@
 """Batch front-end: config ingestion, experiment dispatch, artifact emission.
 
 Configs are INI-style section/key files (JSON accepted interchangeably);
-every key is schema-checked, a list value element by element, and unknown
-keys and keys that the section's model, generator or command does not read
-(experiments declares every default; a model's keys are its factory's
-parameters) are rejected with a line-anchored message (exit code 2).  Every
-run writes each artifact its report has: report.json, spectrum.csv,
-trials.csv, lattice.svg (points.csv for generate) and a run_meta.json holding
-timestamps and timings, which is excluded from golden comparisons.
-Exit code 0 iff the experiment verdict is pass; runtime failures exit 1 with
-the failure recorded in report.json.
+every key is schema-checked, a list value element by element, and an
+unknown key or one the run does not read (experiments.unread_key, the key
+rule the drivers apply too) is rejected with a line-anchored message (exit
+code 2).  Every run writes each artifact its report has: report.json,
+spectrum.csv, trials.csv, lattice.svg (points.csv for generate) and a
+run_meta.json holding timestamps and timings, which is excluded from golden
+comparisons.  Exit code 0 iff the experiment verdict is pass; runtime
+failures exit 1 with the failure recorded in report.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import inspect
 import json
 import sys
 import time
@@ -26,13 +24,12 @@ import numpy as np
 
 from . import __version__
 from .errors import GapUndefined, LocalizerUnreliable, ToolkitError
-from .experiments import (DEFAULTS, EVERY_GENERATOR_KEYS, EXPERIMENT_DEFAULTS,
-                          LATTICE_DEFAULTS, OPTIONAL_EXPERIMENT_KEYS, ExperimentReport,
-                          _experiment_keys, _model_from_cfg, _mu_gap, build_lattice,
-                          run_omega_independence, run_quantization, run_robustness,
-                          run_stacking)
+from .experiments import (_COMMAND_KEYS, _COMMANDS, _MODEL_PARAMS, DEFAULTS,
+                          EXPERIMENT_DEFAULTS, LATTICE_DEFAULTS, ExperimentReport,
+                          _model_from_cfg, _mu_gap, build_lattice, run_omega_independence,
+                          run_quantization, run_robustness, run_stacking, unread_key)
 from .geometry import validate_delone, write_pointset
-from .groupoid import BUILTIN_MODELS, represent
+from .groupoid import represent
 from .serialize import dumps17, format_float, to_plain
 from .spectral import eig_hermitian, write_spectrum_csv
 
@@ -101,38 +98,11 @@ _SCHEMA = {
         "control_window": "window",
     },
 }
-
-# A model's keys and kinds: its factory's parameters and their annotations.
-_MODEL_PARAMS = {
-    name: {p.name: p.annotation.__name__
-           for p in inspect.signature(factory, eval_str=True).parameters.values()}
-    for name, factory in BUILTIN_MODELS.items()
-}
+# A model key's kind is its factory parameter's annotation.
 _SCHEMA["model"].update(kv for params in _MODEL_PARAMS.values() for kv in params.items())
 # A generator key's kind is its default's; the one list default is a window.
 _SCHEMA["lattice"].update((k, "window" if isinstance(v, list) else type(v).__name__)
                           for keys in LATTICE_DEFAULTS.values() for k, v in keys.items())
-
-_COMMANDS = ("generate", "spectrum", "quantization", "robustness", "stacking", "omega")
-
-# A section whose keys depend on a choice (its model, its generator, the
-# command): the key naming the choice, the phrase naming it, and the keys
-# each choice reads; read without a command, [experiment] takes any key.
-_READS = {
-    "model": ("name", "does not apply to model",
-              {m: {*DEFAULTS["model"], *p} for m, p in _MODEL_PARAMS.items()}),
-    "lattice": ("generator", "does not apply to generator",
-                {g: {*EVERY_GENERATOR_KEYS, *d} for g, d in LATTICE_DEFAULTS.items()}),
-    "experiment": (None, "in [experiment] does not apply to command", {
-        None: set(_SCHEMA["experiment"]), **{c: _experiment_keys(c) for c in _COMMANDS}}),
-}
-# Keys of other sections that only some commands read (None: every key of
-# the section): every other command runs one lattice seed, omega moves x0
-# over its base_sites, generate reads no model and neither reads [index].
-_COMMAND_KEYS = {("lattice", "seeds"): {"quantization"},
-                 ("index", "x0"): set(_COMMANDS) - {"omega"},
-                 ("model", None): set(_COMMANDS) - {"generate"},
-                 ("index", None): set(_COMMANDS) - {"generate", "spectrum"}}
 
 
 def _parse_scalar(text: str):
@@ -203,13 +173,10 @@ def _read_json_config(path: Path) -> dict:
 def load_config(path, command: str | None = None) -> dict:
     """Read and schema-check a config file; returns {section: {key: value}}.
 
-    An unknown model or generator, a key that the section's model, generator
-    or (given one) command does not read (seeds outside quantization, x0
-    under omega, any [model] key under generate, any [index] key under
-    generate and spectrum), and a cut-and-project dim other than the
-    generator's own are rejected; an omitted model or generator is the one
-    DEFAULTS names.
-    The stack_* keys of stacking are held against stack_generator."""
+    A key of an unknown section, an unknown key and a value of the wrong
+    kind are rejected, and then the first key experiments.unread_key finds
+    a run of command (None: any command) does not read, with its message;
+    each is anchored at its line."""
     path = Path(path)
     if command not in (None, *_COMMANDS):
         raise SchemaError(f"unknown command {command!r}")
@@ -230,35 +197,9 @@ def load_config(path, command: str | None = None) -> dict:
                     f"got {value!r}")
             out[sec][key] = value
 
-    def fail(sec, key, message):
+    if unread := unread_key(command, out):
+        sec, key, message = unread
         raise SchemaError(f"{path}:{raw[sec][key][1]}: {message}")
-
-    lattice = {**DEFAULTS["lattice"], **out.get("lattice", {})}
-    choice = {"model": {**DEFAULTS["model"], **out.get("model", {})}["name"],
-              "lattice": lattice["generator"], "experiment": command}
-    for sec, (choice_key, phrase, reads) in _READS.items():
-        if choice[sec] not in reads:
-            fail(sec, choice_key, f"unknown {sec} {choice_key} {choice[sec]!r}")
-        for key in out.get(sec, ()):
-            if key not in reads[choice[sec]]:
-                fail(sec, key, f"key {key!r} {phrase} {choice[sec]!r}")
-    for (sec, only), commands in _COMMAND_KEYS.items():
-        if command in (None, *commands):
-            continue
-        for key in out.get(sec, ()):
-            if only in (None, key):
-                fail(sec, key, f"key {key!r} in [{sec}] does not apply to command {command!r}")
-    own = LATTICE_DEFAULTS[lattice["generator"]]
-    if "window" not in own and lattice.get("dim", own["dim"]) != own["dim"]:
-        fail("lattice", "dim", f"generator {lattice['generator']!r} makes "
-             f"{own['dim']}D sets, not {lattice['dim']}D")
-    if command == "stacking":  # the stack set's keys against its generator
-        exp = {**EXPERIMENT_DEFAULTS["stacking"], **out.get("experiment", {})}
-        gen = exp["stack_generator"]
-        for key in ("stack_window", *OPTIONAL_EXPERIMENT_KEYS["stacking"]):
-            if key in exp and key.removeprefix("stack_") not in LATTICE_DEFAULTS.get(gen, ()):
-                fail("experiment", key if key in out["experiment"] else "stack_generator",
-                     f"key {key!r} does not apply to stack_generator {gen!r}")
     return out
 
 

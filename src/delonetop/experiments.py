@@ -23,12 +23,14 @@ each subcommand; those read without a default are OPTIONAL_EXPERIMENT_KEYS).
 The robustness, stacking and omega drivers take the CLI's [experiment]
 section as one dict, merge it over EXPERIMENT_DEFAULTS of their subcommand
 and echo the run it makes; the CLI passes the section through unchanged.
-Every driver raises InvalidInput, before any solve, on an [index] key
-outside INDEX_KEYS and on an [experiment] key its subcommand does not read.
+One key rule, unread_key, names the first key a command's run does not
+read: cli.load_config anchors its message at the key's line, and every
+driver and build_lattice raise it as InvalidInput before any solve.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,8 +40,8 @@ import numpy as np
 from .errors import GapUndefined, InvalidInput
 from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
                        gen_periodic, gen_perturbed_lattice)
-from .groupoid import (BlockOperator, HoppingFunction, bloch_hamiltonian,
-                       builtin_model, represent, stack_operator)
+from .groupoid import (BUILTIN_MODELS, BlockOperator, HoppingFunction,
+                       bloch_hamiltonian, builtin_model, represent, stack_operator)
 from .index import (IndexResult, PositionDirac, _components, angular_sectors,
                     bloch_chern_fhs, bloch_winding, chiral_bloch_block,
                     kappa_stability, kitaev_chern, localizer_index_even,
@@ -55,6 +57,7 @@ __all__ = [
     "run_robustness",
     "run_stacking",
     "run_omega_independence",
+    "unread_key",
 ]
 
 _LARGEST_GAP = "largest-gap"
@@ -87,6 +90,36 @@ EXPERIMENT_DEFAULTS = {
 OPTIONAL_EXPERIMENT_KEYS = {"stacking": ("stack_min_dist", "stack_target_R")}
 # The [index] keys every driver reads; margin_min has no default.
 INDEX_KEYS = (*DEFAULTS["index"], "margin_min")
+_COMMANDS = ("generate", "spectrum", "quantization", "robustness", "stacking", "omega")
+# A model's keys and kinds: its factory's parameters and their annotations.
+_MODEL_PARAMS = {
+    name: {p.name: p.annotation.__name__
+           for p in inspect.signature(factory, eval_str=True).parameters.values()}
+    for name, factory in BUILTIN_MODELS.items()
+}
+_EXPERIMENT_KEYS = {c: {*EXPERIMENT_DEFAULTS.get(c, ()),
+                        *OPTIONAL_EXPERIMENT_KEYS.get(c, ())} for c in _COMMANDS}
+# A section whose keys depend on a choice (its model, its generator, the
+# command): the key naming the choice, the phrase naming it, and the keys
+# each choice reads; every command reads the same [index] keys, and read
+# without a command, [experiment] takes the keys of every command.
+_READS = {
+    "model": ("name", "does not apply to model",
+              {m: {*DEFAULTS["model"], *p} for m, p in _MODEL_PARAMS.items()}),
+    "lattice": ("generator", "does not apply to generator",
+                {g: {*EVERY_GENERATOR_KEYS, *d} for g, d in LATTICE_DEFAULTS.items()}),
+    "index": (None, "in [index] does not apply to command",
+              dict.fromkeys((None, *_COMMANDS), set(INDEX_KEYS))),
+    "experiment": (None, "in [experiment] does not apply to command", {
+        None: set().union(*_EXPERIMENT_KEYS.values()), **_EXPERIMENT_KEYS}),
+}
+# Keys of other sections that only some commands read (None: every key of
+# the section): every other command runs one lattice seed, omega moves x0
+# over its base_sites, generate reads no model and neither reads [index].
+_COMMAND_KEYS = {("lattice", "seeds"): {"quantization"},
+                 ("index", "x0"): set(_COMMANDS) - {"omega"},
+                 ("model", None): set(_COMMANDS) - {"generate"},
+                 ("index", None): set(_COMMANDS) - {"generate", "spectrum"}}
 
 # fraction of the smallest window half-extent used for the Kitaev sector disk
 SECTOR_RADIUS_FRAC = 0.45
@@ -140,21 +173,50 @@ def _pmap(fn, items, workers: int = 1):
 # Config materialization
 # ---------------------------------------------------------------------------
 
-def _experiment_keys(command) -> set:
-    """The [experiment] keys a subcommand reads."""
-    return {*EXPERIMENT_DEFAULTS.get(command, ()), *OPTIONAL_EXPERIMENT_KEYS.get(command, ())}
+def unread_key(command: str | None, cfg: dict):
+    """The first key of cfg ({section: {key: value}}) a run of command (None:
+    any command) does not read, as (section, key, message), or None.  In
+    order: an unknown model or generator, a key its section's model,
+    generator or command does not read (_READS, then _COMMAND_KEYS), a
+    cut-and-project dim other than the generator's own, and a stack_* key
+    stack_generator does not read; cfg holds the key returned."""
+    lattice = {**DEFAULTS["lattice"], **cfg.get("lattice", {})}
+    choice = {"model": {**DEFAULTS["model"], **cfg.get("model", {})}["name"],
+              "lattice": lattice["generator"], "index": command, "experiment": command}
+    for sec, (choice_key, phrase, reads) in _READS.items():
+        if choice[sec] not in reads:
+            return sec, choice_key, f"unknown {sec} {choice_key} {choice[sec]!r}"
+        for key in cfg.get(sec, ()):
+            if key not in reads[choice[sec]]:
+                return sec, key, f"key {key!r} {phrase} {choice[sec]!r}"
+    for (sec, only), commands in _COMMAND_KEYS.items():
+        if command in (None, *commands):
+            continue
+        for key in cfg.get(sec, ()):
+            if only in (None, key):
+                return sec, key, f"key {key!r} in [{sec}] does not apply to command {command!r}"
+    own = LATTICE_DEFAULTS[lattice["generator"]]
+    if "window" not in own and lattice.get("dim", own["dim"]) != own["dim"]:
+        return "lattice", "dim", (f"generator {lattice['generator']!r} makes "
+                                  f"{own['dim']}D sets, not {lattice['dim']}D")
+    if command == "stacking":  # the stack set's keys against its generator
+        exp = {**EXPERIMENT_DEFAULTS["stacking"], **cfg.get("experiment", {})}
+        gen = exp["stack_generator"]
+        for key in ("stack_window", *OPTIONAL_EXPERIMENT_KEYS["stacking"]):
+            if key in exp and key.removeprefix("stack_") not in LATTICE_DEFAULTS.get(gen, ()):
+                return ("experiment", key if key in cfg["experiment"] else "stack_generator",
+                        f"key {key!r} does not apply to stack_generator {gen!r}")
+    return None
 
 
-def _driver_config(command: str, index_cfg, experiment=None) -> tuple[dict, dict]:
-    """index_cfg as a dict, and experiment merged over EXPERIMENT_DEFAULTS of
-    the command; a key the driver does not read is an InvalidInput, raised
-    before any solve."""
+def _driver_config(command: str, lattice_cfg, model_cfg, index_cfg,
+                   experiment=None) -> tuple[dict, dict]:
+    """index_cfg as a dict and experiment merged over EXPERIMENT_DEFAULTS of
+    the command; the key unread_key finds is an InvalidInput."""
     index_cfg, experiment = dict(index_cfg or {}), dict(experiment or {})
-    for section, cfg, keys in (("index", index_cfg, INDEX_KEYS),
-                               ("experiment", experiment, _experiment_keys(command))):
-        for key in cfg:
-            if key not in keys:
-                raise InvalidInput(f"key {key!r} in [{section}] does not apply to {command}")
+    if unread := unread_key(command, {"lattice": lattice_cfg, "model": model_cfg,
+                                      "index": index_cfg, "experiment": experiment}):
+        raise InvalidInput(unread[2])
     return index_cfg, {**EXPERIMENT_DEFAULTS.get(command, {}), **experiment}
 
 
@@ -172,25 +234,19 @@ def _window_pair(spec, dim: int):
 
 
 def build_lattice(cfg: dict) -> DeloneSet:
-    """Construct the point set described by a lattice config section; a key
-    its generator does not read, a cut-and-project dim other than the
-    generator's own, or seeds (one set has one seed; run_quantization reads
-    seeds) is an InvalidInput."""
-    gen = cfg.get("generator", DEFAULTS["lattice"]["generator"])
-    if gen not in LATTICE_DEFAULTS:
-        raise InvalidInput(f"unknown lattice generator {gen!r}")
+    """Construct the point set a lattice config section describes; a key
+    unread_key rejects, or seeds (one set has one seed; run_quantization
+    reads seeds), is an InvalidInput."""
+    if unread := unread_key(None, {"lattice": cfg}):
+        raise InvalidInput(unread[2])
     if "seeds" in cfg:
         raise InvalidInput("build_lattice builds one set from seed; only "
                            "run_quantization reads seeds")
+    gen = cfg.get("generator", DEFAULTS["lattice"]["generator"])
     reads = LATTICE_DEFAULTS[gen]
-    for key in cfg:
-        if key not in reads and key not in EVERY_GENERATOR_KEYS:
-            raise InvalidInput(f"key {key!r} does not apply to generator {gen!r}")
     cfg = {**DEFAULTS["lattice"], **reads, **cfg}
     dim, seed = int(cfg["dim"]), int(cfg["seed"])
     if "window" not in reads:  # cut and project
-        if dim != reads["dim"]:
-            raise InvalidInput(f"generator {gen!r} makes {reads['dim']}D sets, not {dim}D")
         if gen == "fibonacci_1d":
             return gen_cut_and_project(gen, ([0.0], [float(cfg["length"])]))
         r = float(cfg["radius"])
@@ -366,7 +422,7 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     one integer, the three-sector value sits within 0.1 of it, and the Bloch
     oracle (periodic lattices) returns the same integer.
     """
-    index_cfg, _ = _driver_config("quantization", index_cfg)
+    index_cfg, _ = _driver_config("quantization", lattice_cfg, model_cfg, index_cfg)
     t0 = time.perf_counter()
     seeds = list(lattice_cfg.get("seeds")
                  or [int(lattice_cfg.get("seed", DEFAULTS["lattice"]["seed"]))])
@@ -441,7 +497,8 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     grading), is resolved before any solve.  The noise strength is
     strength_rel times the base gap.
     """
-    index_cfg, exp = _driver_config("robustness", index_cfg, experiment)
+    index_cfg, exp = _driver_config("robustness", lattice_cfg, model_cfg, index_cfg,
+                                    experiment)
     n_trials, master_seed = int(exp["n_trials"]), int(exp["master_seed"])
     pert = {k: exp[k] for k in ("strength_rel", "range", "symmetry")}
     t0 = time.perf_counter()
@@ -534,7 +591,8 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     that is not 1D, a model without a grading or a stack set build_lattice
     rejects fails before any solve.
     """
-    index_cfg, exp = _driver_config("stacking", index_cfg, experiment)
+    index_cfg, exp = _driver_config("stacking", chain_lattice_cfg, model_cfg, index_cfg,
+                                    experiment)
     stack_cfg = {"generator": exp["stack_generator"], "dim": 1,
                  "window": exp["stack_window"], "seed": int(exp["stack_seed"])}
     for key in OPTIONAL_EXPERIMENT_KEYS["stacking"]:
@@ -628,7 +686,7 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     is a count or a list of site indices (_chosen_sites).  A gap closed at
     mu makes every record gap_closed.
     """
-    index_cfg, exp = _driver_config("omega", index_cfg, experiment)
+    index_cfg, exp = _driver_config("omega", lattice_cfg, model_cfg, index_cfg, experiment)
     base_sites = exp["base_sites"]
     t0 = time.perf_counter()
     report = ExperimentReport(

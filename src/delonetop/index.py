@@ -302,16 +302,9 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     """
     if dirac.sites.dim != 2:
         raise InvalidInput("even localizer needs a 2-dimensional point set")
-    H = _csr(H, complex)
-    m = H.shape[0]
-    n = len(dirac.sites)
-    if n and m % n:
-        raise InvalidInput("H dimension is not a multiple of the site count")
-    N = m // n if n else 0
-    evs = _h_eigenvalues(H, hdata)
+    H, N, _, evs, margin_min = _localizer_input(H, dirac, mu, kappa, margin_min, hdata)
     spectral_gap(evs, mu)  # raises GapUndefined when mu hits the spectrum
-    if margin_min is None:
-        margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
+    m = H.shape[0]
     if m == 0:
         return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min)
     rel = dirac.sites.points - dirac.x0
@@ -327,6 +320,26 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
           np.concatenate([A.col, A.col + m, diag + m, diag]))),
         shape=(2 * m, 2 * m))
     return _certified_result(L, kappa, dirac.x0, mu, margin_min)
+
+
+def _localizer_input(H, dirac: PositionDirac, mu: float, kappa: float, margin_min,
+                     hdata, grading=None):
+    """What both localizers read first: H as one CSR matrix, the orbitals per
+    site N, the grading's sign per orbital g (None without a grading), the
+    spectrum of H and margin_min, by default 1e-3 of _localizer_scale.  The
+    odd localizer's grading is checked, GHG = -H, before any eigensolve."""
+    H = _csr(H, complex)
+    m, n = H.shape[0], len(dirac.sites)
+    if (n == 0 and grading is not None) or (n and m % n):
+        raise InvalidInput("H dimension is not a multiple of the site count")
+    N = m // n if n else 0
+    g = None if grading is None else np.tile(_chiral_signs(grading, N), n)
+    if g is not None and (chir_res := _chirality_residual(H, g)) > 1e-13:
+        raise SymmetryViolation(f"GHG = -H fails: residual {chir_res:.3e}")
+    evs = _h_eigenvalues(H, hdata)
+    if margin_min is None:
+        margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
+    return H, N, g, evs, margin_min
 
 
 def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,
@@ -365,25 +378,12 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")
-    H = _csr(H, complex)
-    m = H.shape[0]
-    n = len(dirac.sites)
-    if n == 0 or m % n:
-        raise InvalidInput("H dimension is not a multiple of the site count")
-    N = m // n
-    g = np.tile(_chiral_signs(grading, N), n)
-    chir_res = _chirality_residual(H, g)
-    if chir_res > 1e-13:
-        raise SymmetryViolation(f"GHG = -H fails: residual {chir_res:.3e}")
-
     # No spectral-collision abort here: an open chiral chain in a nontrivial
     # phase carries boundary modes pinned at 0 to machine precision, yet the
     # localizer stays invertible (the position term lifts them).  Reliability
     # is delegated to the margin test below.
-    evs = _h_eigenvalues(H, hdata)
-    if margin_min is None:
-        margin_min = 1e-3 * _localizer_scale(evs, 0.0, dirac, kappa)
-
+    H, N, g, _, margin_min = _localizer_input(H, dirac, 0.0, kappa, margin_min, hdata,
+                                              grading)
     x = kappa * np.repeat(dirac.sites.points[:, 0] - dirac.x0[0], N)
     L = sparse.csc_matrix(H + sparse.diags_array(g * x))
     return _certified_result(L, kappa, dirac.x0, 0.0, margin_min)

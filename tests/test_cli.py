@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from delonetop import experiments
 from delonetop.cli import SchemaError, load_config, main
-from delonetop.experiments import run_robustness, run_stacking
+from delonetop.errors import InvalidInput
+from delonetop.experiments import (run_omega_independence, run_quantization,
+                                   run_robustness, run_stacking)
 from delonetop.serialize import dumps17
 
 # QUANT_INI without the [index] section, which spectrum does not read
@@ -186,19 +189,21 @@ def test_experiment_key_of_another_command_is_rejected(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, section, key, value", [
-    *[(command, "lattice", "seeds", [3, 4])
+# (command, section, key, value): a one-key config the command does not read.
+_COMMAND_DOES_NOT_READ = [
+    *[pytest.param(command, "lattice", "seeds", [3, 4], id=f"seeds-{command}")
       for command in ("robustness", "stacking", "omega", "spectrum", "generate")],
-    ("omega", "index", "x0", [5.0, 5.0]),
-    ("omega", "index", "x0", "center"),
-    ("generate", "model", "M", 3.0),
-    ("generate", "model", "name", "chern_2band_2d"),
-    *[(command, "index", key, value) for command in ("generate", "spectrum")
+    pytest.param("omega", "index", "x0", [5.0, 5.0], id="x0-omega"),
+    pytest.param("omega", "index", "x0", "center", id="x0-center-omega"),
+    pytest.param("generate", "model", "M", 3.0, id="M-generate"),
+    pytest.param("generate", "model", "name", "chern_2band_2d", id="name-generate"),
+    *[pytest.param(command, "index", key, value, id=f"{key}-{command}")
+      for command in ("generate", "spectrum")
       for key, value in (("margin_min", 0.5), ("kappa_list", [0.1]), ("x0", "center"))],
-], ids=["seeds-robustness", "seeds-stacking", "seeds-omega", "seeds-spectrum",
-        "seeds-generate", "x0-omega", "x0-center-omega", "M-generate", "name-generate",
-        "margin_min-generate", "kappa_list-generate", "x0-generate",
-        "margin_min-spectrum", "kappa_list-spectrum", "x0-spectrum"])
+]
+
+
+@pytest.mark.parametrize("command, section, key, value", _COMMAND_DOES_NOT_READ)
 def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, section, key,
                                                value):
     # Only quantization runs several seeds, omega moves x0 over its sites,
@@ -247,20 +252,28 @@ def test_optional_experiment_keys_are_accepted(tmp_path):
         load_config(stack, "robustness")
 
 
-@pytest.mark.parametrize("command, body, key, message", [
-    ("spectrum", "[model]\nname = kagome\n", "name", "unknown model name 'kagome'"),
-    ("generate", "[lattice]\ngenerator = penrose\n", "generator",
-     "unknown lattice generator 'penrose'"),
-    ("generate", "[lattice]\ngenerator = fibonacci_1d\ndim = 2\n", "dim",
-     "generator 'fibonacci_1d' makes 1D sets, not 2D"),
-    ("stacking", SSH_INI + "[experiment]\nstack_min_dist = 0.8\n", "stack_min_dist",
-     "key 'stack_min_dist' does not apply to stack_generator 'periodic'"),
+# (command, body, key, message): a config the run would reject, the key
+# its message is anchored at and the message.
+_RUN_WOULD_REJECT = [
+    pytest.param("spectrum", "[model]\nname = kagome\n", "name",
+                 "unknown model name 'kagome'", id="model-name"),
+    pytest.param("generate", "[lattice]\ngenerator = penrose\n", "generator",
+                 "unknown lattice generator 'penrose'", id="generator"),
+    pytest.param("generate", "[lattice]\ngenerator = fibonacci_1d\ndim = 2\n", "dim",
+                 "generator 'fibonacci_1d' makes 1D sets, not 2D",
+                 id="cut-and-project-dim"),
+    pytest.param("stacking", SSH_INI + "[experiment]\nstack_min_dist = 0.8\n",
+                 "stack_min_dist",
+                 "key 'stack_min_dist' does not apply to stack_generator 'periodic'",
+                 id="stack_min_dist"),
     # a cut-and-project stack set reads no stack_window, not even its default
-    ("stacking", SSH_INI + "[experiment]\nstack_generator = fibonacci_1d\n",
-     "stack_generator", "key 'stack_window' does not apply to stack_generator "
-     "'fibonacci_1d'"),
-], ids=["model-name", "generator", "cut-and-project-dim", "stack_min_dist",
-        "stack-generator"])
+    pytest.param("stacking", SSH_INI + "[experiment]\nstack_generator = fibonacci_1d\n",
+                 "stack_generator", "key 'stack_window' does not apply to stack_generator "
+                 "'fibonacci_1d'", id="stack-generator"),
+]
+
+
+@pytest.mark.parametrize("command, body, key, message", _RUN_WOULD_REJECT)
 def test_config_the_run_would_reject_exits_2(tmp_path, capsys, command, body, key,
                                              message):
     cfg = write(tmp_path, "run.ini", body)
@@ -269,6 +282,37 @@ def test_config_the_run_would_reject_exits_2(tmp_path, capsys, command, body, ke
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"run.ini:{line}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_DRIVERS = {"quantization": run_quantization, "robustness": run_robustness,
+            "stacking": run_stacking, "omega": run_omega_independence}
+
+
+@pytest.mark.parametrize("command, body", [
+    *[pytest.param(*p.values[:2], id=p.id) for p in _RUN_WOULD_REJECT
+      if p.values[0] in _DRIVERS],
+    *[pytest.param(command, f"[{section}]\n{key} = {json.dumps(value)}\n", id=p.id)
+      for p in _COMMAND_DOES_NOT_READ
+      for command, section, key, value in [p.values] if command in _DRIVERS],
+])
+def test_cli_and_library_reject_a_config_with_one_message(tmp_path, monkeypatch, command,
+                                                          body):
+    # load_config and the command's driver hold the config to one key rule
+    # (experiments.unread_key): the same message, the CLI's anchored at a line.
+    def no_solve(*args):
+        raise AssertionError("the driver represented H before its key check")
+
+    monkeypatch.setattr(experiments, "represent", no_solve)
+    cfg = write(tmp_path, "run.ini", body)
+    with pytest.raises(SchemaError) as cli_err:
+        load_config(cfg, command)
+    sections = load_config(cfg)
+    kwargs = {} if command == "quantization" else {"experiment": sections.get("experiment")}
+    with pytest.raises(InvalidInput) as lib_err:
+        _DRIVERS[command](sections.get("lattice", {}), sections.get("model", {}),
+                          sections.get("index"), **kwargs)
+    line, _, message = str(cli_err.value).removeprefix(f"{cfg}:").partition(": ")
+    assert line.isdigit() and message == str(lib_err.value)
 
 
 def test_load_config_rejects_an_unknown_command(tmp_path):

@@ -86,10 +86,12 @@ def test_seeds_are_read_by_quantization_alone(monkeypatch):
         build_lattice({"window": [0.0, 6.0], "seeds": [3, 4]})
     monkeypatch.setattr(experiments, "represent", _no_eigensolve)
     lattice = {"window": [0.0, 12.0], "seeds": [3, 4]}
-    for run in (lambda: run_robustness(lattice, CHERN, KAPPAS),
-                lambda: run_omega_independence(lattice, CHERN, KAPPAS),
-                lambda: run_stacking({**lattice, "dim": 1}, SSH, KAPPAS)):
-        with pytest.raises(InvalidInput, match="only run_quantization reads seeds"):
+    for command, run in (("robustness", lambda: run_robustness(lattice, CHERN, KAPPAS)),
+                         ("omega", lambda: run_omega_independence(lattice, CHERN, KAPPAS)),
+                         ("stacking", lambda: run_stacking({**lattice, "dim": 1}, SSH,
+                                                           KAPPAS))):
+        with pytest.raises(InvalidInput, match=rf"^key 'seeds' in \[lattice\] does not "
+                                               rf"apply to command '{command}'$"):
             run()
 
 
@@ -219,29 +221,44 @@ def _no_eigensolve(*args, **kwargs):
 _WINDOW, _CHAIN = {"window": [0.0, 10.0]}, {"dim": 1, "window": [0.0, 20.0]}
 
 
-@pytest.mark.parametrize("driver, lattice, model, index_cfg, experiment, section, key", [
-    (run_quantization, _WINDOW, CHERN, {"kapa_list": [0.1]}, None, "index", "kapa_list"),
-    (run_quantization, _WINDOW, CHERN, {"fhs_grid": 16}, None, "index", "fhs_grid"),
-    (run_robustness, _WINDOW, CHERN, KAPPAS, {"n_trails": 2}, "experiment", "n_trails"),
-    (run_robustness, _WINDOW, CHERN, KAPPAS, {"strength": 0.0}, "experiment", "strength"),
-    (run_robustness, _WINDOW, CHERN, {"sector_radius": 3.0}, {}, "index", "sector_radius"),
-    (run_stacking, _CHAIN, SSH, {"winding_samples": 512}, {}, "index", "winding_samples"),
-    (run_stacking, _CHAIN, SSH, KAPPAS, {"n_trials": 2}, "experiment", "n_trials"),
+@pytest.mark.parametrize(
+        "driver, lattice, model, index_cfg, experiment, section, key, reader", [
+    (run_quantization, _WINDOW, CHERN, {"kapa_list": [0.1]}, None, "index", "kapa_list",
+     None),
+    (run_quantization, _WINDOW, CHERN, {"fhs_grid": 16}, None, "index", "fhs_grid", None),
+    (run_robustness, _WINDOW, CHERN, KAPPAS, {"n_trails": 2}, "experiment", "n_trails",
+     None),
+    (run_robustness, _WINDOW, CHERN, KAPPAS, {"strength": 0.0}, "experiment", "strength",
+     None),
+    (run_robustness, _WINDOW, CHERN, {"sector_radius": 3.0}, {}, "index", "sector_radius",
+     None),
+    (run_stacking, _CHAIN, SSH, {"winding_samples": 512}, {}, "index", "winding_samples",
+     None),
+    (run_stacking, _CHAIN, SSH, KAPPAS, {"n_trials": 2}, "experiment", "n_trials", None),
     (run_omega_independence, _WINDOW, CHERN, {"sector_theta0": 0.5}, {}, "index",
-     "sector_theta0"),
+     "sector_theta0", None),
     (run_omega_independence, _WINDOW, CHERN, {"x0": "center"}, {"stack_window": [0, 3]},
-     "experiment", "stack_window"),
+     "experiment", "stack_window", None),
+    # omega moves x0 over its base sites and reads no [index] x0
+    (run_omega_independence, _WINDOW, CHERN, {"x0": [99.0, 99.0]}, {}, "index", "x0", None),
+    (run_stacking, _CHAIN, SSH, KAPPAS, {"stack_min_dist": 0.8}, "experiment",
+     "stack_min_dist", "stack_generator 'periodic'"),
+    (run_quantization, _WINDOW, {**CHERN, "t1": 0.5}, KAPPAS, None, "model", "t1",
+     "model 'chern_2band_2d'"),
 ], ids=["quantization-typo", "quantization-fhs_grid", "robustness-typo",
         "robustness-strength", "robustness-sector_radius", "stacking-winding_samples",
-        "stacking-n_trials", "omega-sector_theta0", "omega-stack_window"])
+        "stacking-n_trials", "omega-sector_theta0", "omega-stack_window", "omega-x0",
+        "stacking-stack_min_dist", "quantization-model-t1"])
 def test_driver_rejects_a_key_it_does_not_read_before_any_solve(
-        monkeypatch, driver, lattice, model, index_cfg, experiment, section, key):
+        monkeypatch, driver, lattice, model, index_cfg, experiment, section, key, reader):
     # A misspelt or removed key would otherwise run the defaults and pass.
+    # The message is the one cli.load_config anchors at the key's line.
     monkeypatch.setattr(experiments, "represent", _no_eigensolve)
     kwargs = {} if experiment is None else {"experiment": experiment}
     command = driver.__name__.removeprefix("run_").removesuffix("_independence")
-    with pytest.raises(InvalidInput,
-                       match=rf"key '{key}' in \[{section}\] does not apply to {command}$"):
+    message = (rf"^key '{key}' in \[{section}\] does not apply to command '{command}'$"
+               if reader is None else rf"^key '{key}' does not apply to {reader}$")
+    with pytest.raises(InvalidInput, match=message):
         driver(lattice, model, index_cfg, **kwargs)
 
 
@@ -377,8 +394,8 @@ def test_stacking_rejects_a_stack_set_without_a_window_before_any_solve(monkeypa
     represented = []
     monkeypatch.setattr(experiments, "represent", lambda *args: represented.append(args))
     for generator in ("fibonacci_1d", "ammann_beenker_2d"):
-        with pytest.raises(InvalidInput, match=f"'window' does not apply to generator "
-                                               f"'{generator}'"):
+        with pytest.raises(InvalidInput, match=f"^key 'stack_window' does not apply to "
+                                               f"stack_generator '{generator}'$"):
             run_stacking({"generator": "periodic", "dim": 1, "window": [0.0, 20.0]}, SSH,
                          KAPPAS, experiment={"stack_generator": generator,
                                              "control": False})
