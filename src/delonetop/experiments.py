@@ -48,7 +48,7 @@ from .index import (IndexResult, PositionDirac, _components, angular_sectors,
                     localizer_index_odd, position_dirac)
 from .roe import random_perturbation
 from .spectral import (GapInfo, eig_hermitian, eigenvalues, fermi_projection,
-                       largest_gap, spectral_gap, symmetric_gap)
+                       largest_gap, near_spectrum, spectral_gap, symmetric_gap)
 
 __all__ = [
     "ExperimentReport",
@@ -495,7 +495,10 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     included trial returns exactly the base integer.  The perturbation's
     symmetry, "none" or "chiral" (noise anticommuting with the model's
     grading), is resolved before any solve.  The noise strength is
-    strength_rel times the base gap.
+    strength_rel times the base gap.  A trial solves only the spectrum it
+    reads, spectral.near_spectrum of H + V around the base mu: the gap, the
+    collision check and ||H + V - mu|| for the default margin_min; the base
+    window alone has a full eigensolve.
     """
     index_cfg, exp = _driver_config("robustness", lattice_cfg, model_cfg, index_cfg,
                                     experiment)
@@ -540,7 +543,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
                                 seed=seed)
         # Each stored entry equal bit for bit to base.H.add(V).to_sparse()'s.
         Hp = Hs + V.to_sparse()
-        evs = eigenvalues(Hp)
+        evs = near_spectrum(Hp, base.mu)
         try:
             _, gap = _mu_gap(evs, base.mu, f.grading)
         except GapUndefined:

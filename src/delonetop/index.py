@@ -36,7 +36,7 @@ from .errors import (GapUndefined, InvalidInput, LocalizerUnreliable,
                      SymmetryViolation)
 from .geometry import DeloneSet, neighbor_pairs
 from .groupoid import _chiral_signs
-from .spectral import (FermiProjection, SpectralData, _csr, eigenvalues,
+from .spectral import (FermiProjection, SpectralData, _csr, _splu, eigenvalues,
                        spectral_gap)
 
 __all__ = [
@@ -132,7 +132,9 @@ class IndexResult:
 
 def _h_eigenvalues(H, hdata) -> np.ndarray:
     """The spectrum of the CSR matrix H: hdata's, or eigenvalues(H) when
-    hdata is None."""
+    hdata is None.  hdata may be the whole spectrum or a slice of it such as
+    spectral.near_spectrum's: the localizers read only the eigenvalues
+    nearest mu and the largest |eigenvalue - mu|."""
     if hdata is None:
         return eigenvalues(H)
     if isinstance(hdata, SpectralData):
@@ -181,15 +183,6 @@ def _components(m: int, rows: np.ndarray,
     members = np.split(np.argsort(labels, kind="stable"),
                        np.cumsum(np.bincount(labels))[:-1])
     return labels, members
-
-
-def _splu(A):
-    """SuperLU factor of the sparse CSC matrix A with diagonal pivots in a
-    symmetric MMD_AT_PLUS_A ordering, as far as the diagonal allows."""
-    from scipy.sparse.linalg import splu
-
-    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
 
 
 def _margin(L) -> float:
@@ -293,10 +286,11 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     space.  H is read as one CSR matrix (a BlockOperator, or a dense or
     sparse matrix) and L is assembled sparse from the entries of H - mu;
     _certified_result takes its margin, the smallest |eigenvalue| (Loring &
-    Schulz-Baldes, NYJM 2017), and its certified signature.  hdata must be
-    the spectrum of H (computed when None); it serves the gap check and
-    margin_min.  Reliability requires the margin to exceed margin_min,
-    which defaults to 1e-3 of the localizer's natural scale
+    Schulz-Baldes, NYJM 2017), and its certified signature.  hdata is the
+    spectrum of H (computed when None) or a slice of it holding the
+    eigenvalues nearest mu and the one farthest from mu; it serves the gap
+    check and margin_min.  Reliability requires the margin to exceed
+    margin_min, which defaults to 1e-3 of the localizer's natural scale
     max(||H - mu||, kappa * max|x - x0|); the second term catches the
     absurd-kappa regime where the position part dwarfs the Hamiltonian.
     """
@@ -373,8 +367,8 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     assembled sparse in site-major order, the CSR matrix H plus a diagonal,
     and read by _certified_result, the engine of localizer_index_even: the
     same margin, certified signature and LocalizerUnreliable.  The pairing
-    is at mu = 0; hdata (the spectrum of H) and the default margin_min are
-    as in localizer_index_even.
+    is at mu = 0; hdata (the spectrum of H, or a slice of it) and the
+    default margin_min are as in localizer_index_even.
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")

@@ -13,7 +13,7 @@ from delonetop.geometry import gen_periodic, translate
 from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.index import (kappa_stability, localizer_index_even,
                              localizer_index_odd, position_dirac)
-from delonetop.spectral import eig_hermitian
+from delonetop.spectral import eig_hermitian, eigenvalues
 
 CHERN = {"name": "chern_2band_2d", "M": 1.0, "mu": 0.0}
 SSH = {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}
@@ -212,6 +212,57 @@ def test_robustness_chiral_class_perturbations():
     assert rep.passed
     assert rep.summary["base_index"] == -1
     assert rep.summary["agreeing"] == 5
+
+
+def _same_records(got, want):
+    """Equal records, floats within 1e-9 relative."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key, value in w.items():
+            if isinstance(value, float):
+                assert g[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+            else:
+                assert g[key] == value, key
+
+
+@pytest.mark.parametrize("lattice, model, experiment", [
+    ({"window": [0.0, 16.0]}, CHERN, {"n_trials": 3, "strength_rel": 0.2}),
+    # Split end modes: every trial is gap_closed, on both paths.
+    ({"dim": 1, "window": [0.0, 20.0]}, SSH,
+     {"n_trials": 6, "strength_rel": 0.2, "symmetry": "chiral", "master_seed": 0}),
+    ({"dim": 1, "window": [0.0, 50.0]}, SSH,
+     {"n_trials": 3, "strength_rel": 0.2, "symmetry": "chiral", "master_seed": 0}),
+], ids=["periodic-16", "ssh-20-split-modes", "ssh-50"])
+def test_robustness_trials_match_the_dense_oracle(monkeypatch, lattice, model, experiment):
+    # A trial reads its gap and ||H + V - mu|| off near_spectrum's slice;
+    # with the whole dense spectrum instead every record is the same.
+    rep = run_robustness(lattice, model, {"kappa_list": [0.1]}, experiment=experiment)
+    monkeypatch.setattr(experiments, "near_spectrum", lambda S, mu: eigenvalues(S))
+    dense = run_robustness(lattice, model, {"kappa_list": [0.1]}, experiment=experiment)
+    _same_records(rep.records, dense.records)
+    assert rep.summary == dense.summary and rep.passed == dense.passed
+    if lattice["window"][1] == 20.0:
+        assert rep.summary["excluded_gap_closed"] == 6
+
+
+def test_robustness_trials_make_no_dense_eigensolve(monkeypatch):
+    # The base window is the run's one window-sized eigh; the trials solve
+    # their spectrum near mu by sparse shift-invert, with no eigvalsh.
+    solved = []
+
+    def counted(name, fn):
+        def wrapped(a, *args, **kwargs):
+            solved.append((name, a.shape[0]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    rep = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]},
+                         experiment={"n_trials": 3, "strength_rel": 0.2})
+    assert solved == [("eigh", 98)]
+    assert rep.passed and rep.summary["agreeing"] == 3
 
 
 def _no_eigensolve(*args, **kwargs):

@@ -5,12 +5,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import delonetop.spectral as spectral
 from delonetop.errors import GapUndefined, InvalidInput
+from delonetop.experiments import build_lattice
 from delonetop.geometry import gen_periodic
 from delonetop.groupoid import BlockOperator, builtin_model, represent
-from delonetop.spectral import (_MRRR_MIN_DIM, SpectralData, eig_hermitian,
-                                eigenvalues, fermi_projection, largest_gap, spectral_gap,
-                                symmetric_gap, write_spectrum_csv)
+from delonetop.roe import random_perturbation
+from delonetop.spectral import (_MRRR_MIN_DIM, GapInfo, SpectralData, eig_hermitian,
+                                eigenvalues, fermi_projection, largest_gap, near_spectrum,
+                                spectral_gap, symmetric_gap, write_spectrum_csv)
 from oracles import path_graph_eigenvalues, reference_fermi_projection
 
 
@@ -213,6 +216,20 @@ def test_largest_gap_picks_widest():
         largest_gap(eig_hermitian(np.eye(4)))
 
 
+def test_gap_functions_read_unsorted_eigenvalues():
+    # A localizer's hdata may be any array of eigenvalues, in any order.
+    gap = spectral_gap(np.array([0.3, -0.1, 0.2, -0.4]), 0.0)
+    assert (gap.below, gap.above) == (-0.1, 0.2)
+    assert gap.width == pytest.approx(0.3, abs=1e-15)
+    rng = np.random.default_rng(5)
+    vals = np.array([-2.0, -1.9, -1.5, 0.25, 0.3, 1.5, 1.6])
+    for _ in range(5):
+        shuffled = rng.permutation(vals)
+        assert spectral_gap(shuffled, 0.0) == spectral_gap(vals, 0.0)
+        assert largest_gap(shuffled) == largest_gap(vals) == GapInfo(-1.5, 0.25, 1.75)
+        assert symmetric_gap(shuffled) == symmetric_gap(vals)
+
+
 def test_chern_half_filling_gap_frozen_value():
     """Finite-size gap of the two-band model on a 20x20 window with open edges.
 
@@ -250,6 +267,132 @@ def test_symmetric_gap_dimer_has_no_zero_modes():
 def test_symmetric_gap_all_zero_raises():
     with pytest.raises(GapUndefined):
         symmetric_gap(np.zeros(6))
+
+
+# ---------------------------------------------------------------------------
+# near_spectrum against the dense oracle
+# ---------------------------------------------------------------------------
+
+CHERN = {"name": "chern_2band_2d", "M": 1.0}
+
+
+def _trials(lattice, model, strength_rel, chiral, master_seed, n_trials):
+    """(H + V, mu) of robustness trials built as run_robustness builds them:
+    the noise strength is strength_rel times the window's gap at mu = 0."""
+    sites = build_lattice(lattice)
+    f = builtin_model(**model)
+    Hs = represent(f, sites).to_sparse()
+    evs = eigenvalues(Hs)
+    width = (symmetric_gap(evs)[0] if chiral else spectral_gap(evs, 0.0)).width
+    grading = f.grading if chiral else None
+    for t in range(n_trials):
+        seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
+        V = random_perturbation(sites, 2.0, strength_rel * width, f.N, grading=grading,
+                                seed=seed)
+        yield Hs + V.to_sparse(), 0.0
+
+
+def _matrices(case):
+    if case == "periodic-16":
+        for master_seed in (0, 1, 2):
+            yield from _trials({"window": [0.0, 16.0]}, CHERN, 0.2, False, master_seed, 1)
+    elif case == "hardcore-27":
+        yield from _trials({"generator": "hardcore_random", "window": [0.0, 27.0],
+                            "min_dist": 0.8, "target_R": 1.2, "seed": 1},
+                           CHERN, 0.2, False, 0, 1)
+    elif case == "ssh-20-chiral-noise":
+        # Chiral noise splits the end modes above the zero-mode filter: every
+        # trial's gap is the split, below the gap_closed floor.
+        yield from _trials({"dim": 1, "window": [0.0, 20.0]},
+                           {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}, 0.2, True, 0, 6)
+    elif case == "ssh-t1-0":
+        # Exactly decoupled end orbitals: SuperLU finds H exactly singular.
+        yield from _trials({"dim": 1, "window": [0.0, 20.0]},
+                           {"name": "chiral_ssh_1d", "t1": 0.0, "t2": 1.0}, 0.0, True, 0, 1)
+    elif case == "below-arpack":
+        # 6 rows: ARPACK cannot ask for 2 eigenvalues of a 6-row matrix with
+        # room to restart.
+        yield from _trials({"dim": 1, "window": [0.0, 2.0]},
+                           {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}, 0.2, True, 0, 2)
+    elif case == "mu-on-eigenvalue":
+        S = represent(builtin_model(**CHERN), gen_periodic(np.eye(2), ([0.0] * 2, [8.0] * 2)))
+        S = S.to_sparse()
+        evs = eigenvalues(S)
+        for j in (5, 17, len(evs) // 2):
+            yield S, float(evs[j])
+
+
+def _reads(evs, mu):
+    """What the drivers and localizers read off a spectrum: the gap at mu,
+    the chiral gap and zero-mode count around mu (None on GapUndefined),
+    and ||H - mu||."""
+    out = []
+    for read in (lambda: spectral_gap(evs, mu).width,
+                 lambda: symmetric_gap(evs - mu)):
+        try:
+            out.append(read())
+        except GapUndefined:
+            out.append(None)
+    gap, sym = out
+    return gap, sym and sym[0].width, sym and sym[1], float(np.abs(evs - mu).max())
+
+
+@pytest.mark.parametrize("case, dense_fallback", [
+    ("periodic-16", False), ("hardcore-27", False), ("ssh-20-chiral-noise", False),
+    ("ssh-t1-0", True), ("below-arpack", True), ("mu-on-eigenvalue", False)])
+def test_near_spectrum_reads_as_the_dense_spectrum(monkeypatch, case, dense_fallback):
+    fallbacks = []
+    real = spectral.eigenvalues
+
+    def spy(S):
+        fallbacks.append(S.shape[0])
+        return real(S)
+
+    monkeypatch.setattr(spectral, "eigenvalues", spy)
+    n = 0
+    for S, mu in _matrices(case):
+        dense = real(S)
+        fallbacks.clear()
+        part = near_spectrum(S, mu)
+        assert bool(fallbacks) == dense_fallback
+        assert np.all(np.diff(part) >= 0)
+        got, want = _reads(part, mu), _reads(dense, mu)
+        # GapUndefined where dense raises it, and the same zero-mode count.
+        assert [v is None for v in got] == [v is None for v in want]
+        assert got[2] == want[2]
+        for g, w in zip(got, want):
+            if w is not None:
+                assert abs(g - w) <= 1e-9 * abs(w), (case, got, want)
+        n += 1
+    assert n > 0
+
+
+def test_near_spectrum_brackets_mu_outside_a_zero_mode_cluster():
+    # Four zero modes and a bulk at +-1, +-2, ...: the first 2-eigenvalue
+    # slice holds zero modes only, so the count doubles until the slice
+    # reaches the bulk.
+    vals = np.concatenate([[-1e-9, -1e-10, 1e-10, 1e-9], np.arange(1.0, 17.0),
+                           -np.arange(1.0, 17.0)])
+    S = scipy.sparse.csr_array(np.diag(vals))
+    part = near_spectrum(S, 0.0)
+    gap, nzero = symmetric_gap(part)
+    assert nzero == 4
+    assert gap.width == pytest.approx(2.0, rel=1e-12)
+    assert float(np.abs(part).max()) == pytest.approx(16.0, rel=1e-12)
+    assert spectral_gap(part, 0.0).width == pytest.approx(2e-10, rel=1e-9)
+
+
+def test_near_spectrum_falls_back_to_the_dense_spectrum_without_arpack(monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    S = represent(builtin_model(**CHERN), gen_periodic(np.eye(2), ([0.0] * 2, [6.0] * 2)))
+    S = S.to_sparse()
+    np.testing.assert_array_equal(near_spectrum(S, 0.0), eigenvalues(S))
 
 
 # ---------------------------------------------------------------------------
