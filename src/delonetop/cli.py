@@ -26,12 +26,11 @@ from . import __version__
 from .errors import GapUndefined, LocalizerUnreliable, ToolkitError
 from .experiments import (_COMMAND_KEYS, _COMMANDS, _MODEL_PARAMS, DEFAULTS,
                           EXPERIMENT_DEFAULTS, LATTICE_DEFAULTS, ExperimentReport,
-                          _model_from_cfg, _mu_gap, build_lattice, run_omega_independence,
+                          _model_from_cfg, _window, build_lattice, run_omega_independence,
                           run_quantization, run_robustness, run_stacking, unread_key)
 from .geometry import validate_delone, write_pointset
-from .groupoid import represent
 from .serialize import dumps17, format_float, to_plain
-from .spectral import eig_hermitian, write_spectrum_csv
+from .spectral import write_spectrum_csv
 
 __all__ = ["main", "entry", "load_config", "emit_report", "SchemaError"]
 
@@ -324,18 +323,14 @@ def _cmd_generate(cfg: dict) -> ExperimentReport:
 
 def _cmd_spectrum(cfg: dict) -> ExperimentReport:
     sites = build_lattice(cfg["lattice"])
-    f, mu_policy = _model_from_cfg(cfg["model"])
-    hdata = eig_hermitian(represent(f, sites))
-    mu, gap = _mu_gap(hdata.eigenvalues, mu_policy, f.grading)
     report = ExperimentReport("spectrum", cfg)
+    w = _window(sites, *_model_from_cfg(cfg["model"]), report=report)
     report.records.append({
-        "n_sites": len(sites), "mu": mu, "gap_below": gap.below,
-        "gap_above": gap.above, "gap": gap.width,
+        "n_sites": len(sites), "mu": w.mu, "gap_below": w.gap.below,
+        "gap_above": w.gap.above, "gap": w.gap.width,
     })
-    report.summary = {"mu": mu, "gap": gap.width}
+    report.summary = {"mu": w.mu, "gap": w.gap.width}
     report.passed = True
-    report.artifacts["sites"] = sites
-    report.artifacts["spectrum"] = np.asarray(hdata.eigenvalues)
     return report
 
 

@@ -7,11 +7,12 @@ verdict is recomputable from its records.  Reports are pure functions of
 collection order, so the serialized report is byte-identical for any worker
 count.
 
-The base window, every perturbed trial and the omega window at each x0 pair H
-with the position spectral triple through the same two steps: _mu_gap
-resolves mu and the gap (a trial passes the base mu as its policy), and
-_localize runs index.kappa_stability with the configured margin_min, which
-also judges the stacked window of run_stacking.  The dimension d of the
+Every command takes its window through one pipeline, _window: represent,
+the spectrum, mu and the gap (_mu_gap, which a perturbed trial also calls
+with the base mu), x0 and its Dirac, the kappas and the sweep (_localize,
+index.kappa_stability with the configured margin_min, which also judges the
+trials, the omega window at each site and the stacked window).  Only the
+Kitaev oracle of run_quantization reads eigenvectors.  The dimension d of the
 point set picks the pairing: even d the even pairing (class A: Chern
 localizer, Kitaev and FHS oracles), odd d the odd pairing, which needs the
 model's chiral grading (class AIII: winding localizer and oracle).  A model
@@ -269,22 +270,17 @@ def _model_from_cfg(model_cfg: dict) -> tuple[HoppingFunction, object]:
     return builtin_model(name, **cfg), mu_policy
 
 
-def _resolve_mu(evs: np.ndarray, mu_policy, grading) -> float:
-    """The number a mu policy names.  The one string policy, 'largest-gap',
-    is the centre of the widest gap, or for a chiral model (grading not
-    None) the symmetry point 0 the pairing is pinned to."""
-    if not isinstance(mu_policy, str):
-        return float(mu_policy)
-    if mu_policy != _LARGEST_GAP:
-        raise InvalidInput(f"mu must be a number or {_LARGEST_GAP!r}, got {mu_policy!r}")
-    return 0.0 if grading is not None else largest_gap(evs).center
-
-
 def _mu_gap(evs: np.ndarray, mu_policy, grading) -> tuple[float, GapInfo]:
-    """mu and the spectral gap around it, for a model with this chiral
-    grading.  A chiral model's gap is measured around 0 after filtering
-    machine-zero boundary modes; GapUndefined propagates."""
-    mu = _resolve_mu(evs, mu_policy, grading)
+    """The mu a policy names and the spectral gap around it, for a model with
+    this chiral grading.  The one string policy, 'largest-gap' (_window
+    checks the form before any solve), names the centre of the widest gap,
+    or for a chiral model the symmetry point 0 the pairing is pinned to; a
+    chiral model's gap is measured around 0 after filtering machine-zero
+    boundary modes.  GapUndefined propagates."""
+    if isinstance(mu_policy, str):
+        mu = 0.0 if grading is not None else largest_gap(evs).center
+    else:
+        mu = float(mu_policy)
     if grading is not None:
         return mu, symmetric_gap(evs)[0]
     return mu, spectral_gap(evs, mu)
@@ -308,28 +304,18 @@ def _resolve_x0(index_cfg: dict, sites: DeloneSet) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
-def _default_kappa(gap: GapInfo, sites: DeloneSet, evs: np.ndarray) -> float:
-    """kappa = gap width / window radius rho.  Loring & Schulz-Baldes (NYJM
-    2017) need rho >= 2 g / kappa, g the distance from mu to the spectrum;
-    2 g <= width, so this kappa meets it; a tenth of it reads a reliable-
-    looking index 0 on the [0, 12]^2 to [0, 27]^2 Chern windows.  An
-    unbounded gap uses the spectrum's width instead."""
+def _kappa_list(index_cfg: dict, gap: GapInfo, sites: DeloneSet, evs: np.ndarray):
+    """The configured kappa_list, by default [gap width / window radius rho].
+    Loring & Schulz-Baldes (NYJM 2017) need rho >= 2 g / kappa, g the
+    distance from mu to the spectrum; 2 g <= width, so the default meets it;
+    a tenth of it reads a reliable-looking index 0 on the [0, 12]^2 to
+    [0, 27]^2 Chern windows.  An unbounded gap uses the spectrum's width."""
+    if index_cfg.get("kappa_list"):
+        return [float(k) for k in index_cfg["kappa_list"]]
     width = gap.width
     if not np.isfinite(width):
         width = float(evs[-1] - evs[0]) if evs.size else 1.0
-    return width / max(sites.window_radius, 1e-9)
-
-
-def _kappa_list(index_cfg: dict, gap: GapInfo, sites: DeloneSet, evs: np.ndarray):
-    kl = index_cfg.get("kappa_list")
-    if kl:
-        return [float(k) for k in kl]
-    return [_default_kappa(gap, sites, evs)]
-
-
-def _min_half_extent(sites: DeloneSet) -> float:
-    lo, hi = sites.window
-    return float((hi - lo).min() / 2.0)
+    return [width / max(sites.window_radius, 1e-9)]
 
 
 def _interior_mask(sites: DeloneSet, margin: float) -> np.ndarray:
@@ -338,64 +324,80 @@ def _interior_mask(sites: DeloneSet, margin: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Single-window pipeline shared by the experiment drivers
+# The one window pipeline of every command
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _BaseRun:
+class _Window:
+    """One window through _window: H, as a BlockOperator and as CSR, its
+    spectrum, mu and the gap; given an index_cfg, also the Dirac at x0, the
+    kappas and the sweep's results and plateau; kitaev is the three-sector
+    value, None unless the caller reads it."""
+
     sites: DeloneSet
     H: BlockOperator
+    Hs: object
     evs: np.ndarray
     mu: float
     gap: GapInfo
-    x0: np.ndarray
-    dirac: PositionDirac
-    kappas: list
-    results: list
-    plateau: bool
-    oracles: dict
+    dirac: PositionDirac | None = None
+    kappas: list = field(default_factory=list)
+    results: list = field(default_factory=list)
+    plateau: bool = False
+    kitaev: float | None = None
 
 
-def _base_pipeline(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: dict,
-                   periodic_basis=None) -> _BaseRun:
-    """Represent, locate the gap, attach the oracles, sweep the localizer.
+def _window(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: dict | None = None,
+            kitaev: bool = False, report: ExperimentReport | None = None) -> _Window:
+    """The one represent -> spectrum -> mu/gap -> x0/Dirac -> kappa path.
 
-    H is held as one CSR matrix; its only dense form is the buffer
-    eig_hermitian hands LAPACK.  The three-sector oracle, the only reader of
-    eigenvectors, runs straight after the eigensolve; from then on only the
-    eigenvalues are kept, so no eigenvector matrix is alive during the
-    kappa sweep.
+    Before represent, the mu policy's form is checked and, for a caller that
+    reads x0 (index_cfg given), x0 is resolved into its PositionDirac, which
+    checks its shape and finiteness.  H is held as one CSR matrix and its
+    spectrum is spectral.eigenvalues of it, unless the caller reads the
+    three-sector Kitaev oracle (kitaev, a 2D window): then the asserted
+    eig_hermitian, whose eigenvectors feed fermi_projection and kitaev_chern
+    and are freed before the kappa sweep.  report, if given, keeps the sites
+    and the spectrum as artifacts as soon as they exist, so a window whose
+    gap closes at mu (GapUndefined propagates) still has them.  Without
+    index_cfg (spectrum and omega, which read no x0) the run ends at the gap.
     """
+    if isinstance(mu_policy, str) and mu_policy != _LARGEST_GAP:
+        raise InvalidInput(f"mu must be a number or {_LARGEST_GAP!r}, got {mu_policy!r}")
+    dirac = None if index_cfg is None else position_dirac(
+        sites, _resolve_x0(index_cfg, sites), f.N)
     H = represent(f, sites)
     Hs = H.to_sparse()
-    hdata = eig_hermitian(Hs)
-    evs = hdata.eigenvalues
-    mu, gap = _mu_gap(evs, mu_policy, f.grading)
-    x0 = _resolve_x0(index_cfg, sites)
-
-    oracles: dict = {}
-    if sites.dim == 2:
-        sectors = angular_sectors(sites, x0, SECTOR_RADIUS_FRAC * _min_half_extent(sites), f.N)
-        oracles["kitaev"] = kitaev_chern(fermi_projection(hdata, mu), sectors)
-    del hdata
-
-    dirac = position_dirac(sites, x0, f.N)
-    kappas = _kappa_list(index_cfg, gap, sites, evs)
-    results, plateau = _localize(Hs, mu, dirac, kappas, f.grading, index_cfg, evs)
-    if periodic_basis is not None:
-        hk = bloch_hamiltonian(f, periodic_basis)
-        if sites.dim == 2:
-            oracles["bloch"] = bloch_chern_fhs(hk, mu)
-        else:
-            oracles["bloch"] = bloch_winding(chiral_bloch_block(hk, f.grading))
-    return _BaseRun(sites, H, evs, mu, gap, x0, dirac, kappas,
-                    results, plateau, oracles)
+    hdata = eig_hermitian(Hs) if kitaev else None
+    evs = eigenvalues(Hs) if hdata is None else hdata.eigenvalues
+    if report is not None:
+        _stash_artifacts(report, sites, evs)
+    w = _Window(sites, H, Hs, evs, *_mu_gap(evs, mu_policy, f.grading), dirac)
+    if hdata is not None:
+        lo, hi = sites.window
+        sectors = angular_sectors(sites, dirac.x0, SECTOR_RADIUS_FRAC * (hi - lo).min() / 2.0,
+                                  f.N)
+        w.kitaev = kitaev_chern(fermi_projection(hdata, w.mu), sectors)
+        del hdata
+    if index_cfg is not None:
+        w.kappas = _kappa_list(index_cfg, w.gap, sites, evs)
+        w.results, w.plateau = _localize(Hs, w.mu, dirac, w.kappas, f.grading, index_cfg, evs)
+    return w
 
 
 def _periodic_basis(sites: DeloneSet):
     if sites.metadata.get("generator") != "periodic":
         return None
     return np.asarray(sites.metadata["basis"])
+
+
+def _bloch_oracle(f: HoppingFunction, basis, mu: float):
+    """The Bloch oracle of the periodic set with this basis: the FHS Chern
+    number at mu in 2D, the winding of the chiral block in 1D."""
+    hk = bloch_hamiltonian(f, basis)
+    if len(basis) == 2:
+        return bloch_chern_fhs(hk, mu)
+    return bloch_winding(chiral_bloch_block(hk, f.grading))
 
 
 def _result_record(res: IndexResult, **extra) -> dict:
@@ -438,34 +440,31 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
     def one_seed(seed: int):
         sites = build_lattice({**one_set, "seed": seed})
         try:
-            base = _base_pipeline(sites, f, mu_policy, index_cfg,
-                                  periodic_basis=_periodic_basis(sites))
+            w = _window(sites, f, mu_policy, index_cfg, kitaev=sites.dim == 2)
         except GapUndefined as err:
-            return seed, None, [{"seed": seed, "status": "gap_closed",
-                                 "error": str(err)}], None
-        records = [
-            _result_record(res, seed=seed, gap=base.gap.width, n_sites=len(sites))
-            for res in base.results
-        ]
-        integer = base.results[0].index if base.plateau else None
-        return seed, base, records, integer
+            return [{"seed": seed, "status": "gap_closed", "error": str(err)}], None, None
+        basis = _periodic_basis(sites)
+        return ([_result_record(res, seed=seed, gap=w.gap.width, n_sites=len(sites))
+                 for res in w.results],
+                w, None if basis is None else _bloch_oracle(f, basis, w.mu))
 
     outcomes = _pmap(one_seed, seeds, workers)
     integers, kitaevs, blochs = [], [], []
     ok = True
-    for seed, base, records, integer in outcomes:
+    for records, w, bloch in outcomes:
         report.records.extend(records)
-        if base is None or not base.plateau or integer is None:
+        integer = w.results[0].index if w is not None and w.plateau else None
+        if integer is None:
             ok = False
             continue
         integers.append(integer)
-        if "kitaev" in base.oracles:
-            kitaevs.append(base.oracles["kitaev"])
-            if abs(base.oracles["kitaev"] - integer) > 0.1:
+        if w.kitaev is not None:
+            kitaevs.append(w.kitaev)
+            if abs(w.kitaev - integer) > 0.1:
                 ok = False
-        if "bloch" in base.oracles:
-            blochs.append(base.oracles["bloch"])
-            if base.oracles["bloch"] != integer:
+        if bloch is not None:
+            blochs.append(bloch)
+            if bloch != integer:
                 ok = False
     if not integers or len(set(integers)) != 1:
         ok = False
@@ -477,9 +476,9 @@ def run_quantization(lattice_cfg: dict, model_cfg: dict,
         "seeds": seeds,
     }
     report.passed = ok
-    first_base = next((b for _, b, _, _ in outcomes if b is not None), None)
-    if first_base is not None:
-        _stash_artifacts(report, first_base.sites, first_base.evs)
+    first = next((w for _, w, _ in outcomes if w is not None), None)
+    if first is not None:
+        _stash_artifacts(report, first.sites, first.evs)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -497,8 +496,9 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     grading), is resolved before any solve.  The noise strength is
     strength_rel times the base gap.  A trial solves only the spectrum it
     reads, spectral.near_spectrum of H + V around the base mu: the gap, the
-    collision check and ||H + V - mu|| for the default margin_min; the base
-    window alone has a full eigensolve.
+    collision check and ||H + V - mu|| for the default margin_min.  The base
+    window's whole spectrum is its eigenvalues alone (_window): no oracle of
+    this run reads eigenvectors, and the trials add V to its CSR H.
     """
     index_cfg, exp = _driver_config("robustness", lattice_cfg, model_cfg, index_cfg,
                                     experiment)
@@ -519,7 +519,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     if symmetry == "chiral" and f.grading is None:
         raise InvalidInput("chiral symmetry needs the on-site grading")
     noise_grading = f.grading if symmetry == "chiral" else None
-    base = _base_pipeline(sites, f, mu_policy, index_cfg)
+    base = _window(sites, f, mu_policy, index_cfg, report=report)
     base_int = base.results[0].index if base.plateau else None
     report.records.append(_result_record(
         base.results[0], trial="base",
@@ -528,21 +528,19 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     if base_int is None:
         report.summary = {"base_index": None, "note": "base run unreliable"}
         report.passed = False
-        _stash_artifacts(report, sites, base.evs)
         report.timings["total"] = time.perf_counter() - t0
         return report
 
     strength = float(exp["strength_rel"]) * base.gap.width
     prange = float(exp["range"])
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
-    Hs = base.H.to_sparse()
 
     def one_trial(t: int) -> dict:
         seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
         V = random_perturbation(sites, prange, strength, f.N, grading=noise_grading,
                                 seed=seed)
         # Each stored entry equal bit for bit to base.H.add(V).to_sparse()'s.
-        Hp = Hs + V.to_sparse()
+        Hp = base.Hs + V.to_sparse()
         evs = near_spectrum(Hp, base.mu)
         try:
             _, gap = _mu_gap(evs, base.mu, f.grading)
@@ -571,7 +569,6 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         "agreeing": sum(1 for r in included
                         if r["status"] == "ok" and r["index"] == base_int),
     }
-    _stash_artifacts(report, sites, base.evs)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -621,12 +618,11 @@ def run_stacking(chain_lattice_cfg: dict, model_cfg: dict,
     if chain.dim != 1 or f.grading is None:
         raise InvalidInput("stacking needs a chiral 1D model")
     L = build_lattice(stack_cfg)
+    base = _window(chain, f, mu_policy, index_cfg)
+    winding = base.results[0].index if base.plateau else None
     # The winding oracle of an aperiodic chain is that of the unit chain.
     basis = _periodic_basis(chain)
-    base = _base_pipeline(chain, f, mu_policy, index_cfg,
-                          periodic_basis=np.eye(1) if basis is None else basis)
-    winding = base.results[0].index if base.plateau else None
-    ref_oracle = base.oracles["bloch"]
+    ref_oracle = _bloch_oracle(f, np.eye(1) if basis is None else basis, base.mu)
     for res in base.results:
         report.records.append(_result_record(res, stage="chain", gap=base.gap.width))
 
@@ -683,11 +679,12 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     """The index must not depend on the transversal point.
 
     One window, x0 at each chosen site; the index at x0 = x on Lambda is the
-    index at 0 on Lambda - x (represent is covariant), so the window is
-    represented and solved once, for its spectrum, mu, gap, first kappa and
-    artifacts.  Passes iff all integers agree and are reliable.  base_sites
-    is a count or a list of site indices (_chosen_sites).  A gap closed at
-    mu makes every record gap_closed.
+    index at 0 on Lambda - x (represent is covariant), so the window goes
+    once through _window, without x0, for its eigenvalues, mu, gap and
+    artifacts, and x0 moves over the sites at its first kappa.  Passes iff
+    all integers agree and are reliable.  base_sites is a count or a list
+    of site indices (_chosen_sites).  A gap closed at mu makes every record
+    gap_closed.
     """
     index_cfg, exp = _driver_config("omega", lattice_cfg, model_cfg, index_cfg, experiment)
     base_sites = exp["base_sites"]
@@ -703,20 +700,17 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     interior = np.flatnonzero(_interior_mask(sites, margin))
     chosen = _chosen_sites(base_sites, len(sites), interior)
 
-    Hs = represent(f, sites).to_sparse()
-    evs = eigenvalues(Hs)
-    _stash_artifacts(report, sites, evs)
     try:
-        mu, gap = _mu_gap(evs, mu_policy, f.grading)
+        w = _window(sites, f, mu_policy, report=report)
     except GapUndefined as err:
         records = [{"site": i, "status": "gap_closed", "error": str(err)} for i in chosen]
     else:
-        kappas = _kappa_list(index_cfg, gap, sites, evs)[:1]
+        kappas = _kappa_list(index_cfg, w.gap, sites, w.evs)[:1]
 
         def one_site(i: int) -> dict:
             dirac = position_dirac(sites, sites.points[i], f.N)
-            (res,), _ = _localize(Hs, mu, dirac, kappas, f.grading, index_cfg, evs)
-            return _result_record(res, site=i, gap=gap.width)
+            (res,), _ = _localize(w.Hs, w.mu, dirac, kappas, f.grading, index_cfg, w.evs)
+            return _result_record(res, site=i, gap=w.gap.width)
 
         records = _pmap(one_site, chosen, workers)
     report.records.extend(records)

@@ -2,12 +2,13 @@
 Fermi projections.
 
 Window sizes stay at desk scale (matrices up to a few thousand), so a
-window whose eigenvectors or whole spectrum are read gets a full dense
-eigensolve; projections are built from eigenvectors, which is exact at
-finite dimension.  A perturbed robustness trial reads only the eigenvalues
-nearest mu and ||H - mu||: near_spectrum computes just those, by ARPACK
-shift-invert on one sparse LU of H - mu.  Every eigendecomposition
-is ``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR
+window whose whole spectrum is read gets a dense eigenvalue solve,
+eigenvalues(S).  Eigenvectors are formed, by eig_hermitian, only for the one
+reader of them, the Kitaev oracle of a 2D quantization window: projections
+are built from eigenvectors, which is exact at finite dimension.  A
+perturbed robustness trial reads only the eigenvalues nearest mu and
+||H - mu||: near_spectrum computes just those, by ARPACK shift-invert on one
+sparse LU of H - mu.  Every eigendecomposition is ``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR
 driver (Dhillon & Parlett, SIMAX 2004), ``driver="evr"``, below it with
 divide and conquer, ``driver="evd"``.
 

@@ -698,14 +698,77 @@ mu = 0.0
                  id="quantization"),
     # [model] is the last section of SSH_INI
     pytest.param("quantization", SSH_INI + "mu = widest\n", id="ssh"),
+    pytest.param("omega", QUANT_INI.replace("mu = 0.0", "mu = widest"), id="omega"),
 ])
-def test_unknown_mu_policy_exits_1(tmp_path, capsys, command, text):
+def test_unknown_mu_policy_exits_1(tmp_path, capsys, monkeypatch, command, text):
+    # The policy's form is checked before H is represented.
+    def no_solve(*args):
+        raise AssertionError("H was represented before the mu policy check")
+
+    monkeypatch.setattr(experiments, "represent", no_solve)
     cfg = write(tmp_path, "run.ini", text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert "mu must be a number or 'largest-gap'" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["status"] == "error"
+
+
+@pytest.mark.parametrize("command", ["quantization", "robustness"])
+def test_x0_of_another_dimension_exits_1(tmp_path, capsys, monkeypatch, command):
+    # A 3-vector x0 passes the schema; on a 2D window the run rejects it
+    # before H is represented, with a failure report, not a traceback.
+    def no_solve(*args):
+        raise AssertionError("H was represented before the x0 check")
+
+    monkeypatch.setattr(experiments, "represent", no_solve)
+    cfg = write(tmp_path, "run.ini", QUANT_INI + "x0 = [3.0, 3.0, 3.0]\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("error [error]: x0 must be a finite point of the ambient dimension"
+            in capsys.readouterr().err)
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == "fail"
+    assert report["summary"]["status"] == "error"
+
+
+_STACK = "[experiment]\nstack_window = [0.0, 3.0]\n"
+
+
+@pytest.mark.parametrize("command, text, solves", [
+    pytest.param("quantization", QUANT_INI, [("eigh", 242)], id="quantization-2d"),
+    pytest.param("quantization", SSH_INI, [("eigvalsh", 70)], id="quantization-1d"),
+    pytest.param("robustness", QUANT_INI + "[experiment]\nn_trials = 2\n",
+                 [("eigvalsh", 242)], id="robustness"),
+    pytest.param("stacking", SSH_INI + _STACK + "control = false\n",
+                 [("eigvalsh", 70)] * 5, id="stacking"),
+    pytest.param("stacking", SSH_INI + _STACK + "control_window = [0.0, 6.0]\n",
+                 [("eigvalsh", 70)] * 5 + [("eigh", 98)], id="stacking-control"),
+    pytest.param("omega", QUANT_INI + "[experiment]\nbase_sites = 2\n",
+                 [("eigvalsh", 242)], id="omega"),
+    pytest.param("spectrum", CHERN_INI, [("eigvalsh", 242)], id="spectrum"),
+])
+def test_each_command_forms_eigenvectors_only_for_kitaev(tmp_path, monkeypatch, command,
+                                                         text, solves):
+    # Every window is represented and solved through one pipeline: one
+    # window-sized eigvalsh per window (the stacked chain's layers are
+    # windows too), and an eigh only where the Kitaev oracle reads the
+    # eigenvectors, a 2D quantization window (the stacking control's).
+    import scipy.linalg
+
+    solved = []
+
+    def counted(name, fn):
+        def wrapped(a, *args, **kwargs):
+            solved.append((name, a.shape[0]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    cfg = write(tmp_path, "run.ini", text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert solved == solves
 
 
 def test_unconverged_localizer_margin_exits_1_unreliable(tmp_path, capsys,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -247,8 +248,9 @@ def test_robustness_trials_match_the_dense_oracle(monkeypatch, lattice, model, e
 
 
 def test_robustness_trials_make_no_dense_eigensolve(monkeypatch):
-    # The base window is the run's one window-sized eigh; the trials solve
-    # their spectrum near mu by sparse shift-invert, with no eigvalsh.
+    # The base window is the run's one window-sized solve, an eigvalsh: no
+    # oracle of robustness reads eigenvectors.  The trials solve their
+    # spectrum near mu by sparse shift-invert.
     solved = []
 
     def counted(name, fn):
@@ -261,7 +263,7 @@ def test_robustness_trials_make_no_dense_eigensolve(monkeypatch):
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
     rep = run_robustness({"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]},
                          experiment={"n_trials": 3, "strength_rel": 0.2})
-    assert solved == [("eigh", 98)]
+    assert solved == [("eigvalsh", 98)]
     assert rep.passed and rep.summary["agreeing"] == 3
 
 
@@ -313,15 +315,45 @@ def test_driver_rejects_a_key_it_does_not_read_before_any_solve(
         driver(lattice, model, index_cfg, **kwargs)
 
 
+_X0_3D = "x0 must be a finite point of the ambient dimension"
+_CORNER = "x0 must be 'center' or coordinates, got 'corner'"
+_WIDEST = "mu must be a number or 'largest-gap', got 'widest'"
+
+
+@pytest.mark.parametrize("driver, lattice, model, index_cfg, message", [
+    (run_quantization, _WINDOW, CHERN, {**KAPPAS, "x0": [3.0, 3.0, 3.0]}, _X0_3D),
+    (run_robustness, _WINDOW, CHERN, {**KAPPAS, "x0": [3.0, 3.0, 3.0]}, _X0_3D),
+    (run_quantization, _CHAIN, SSH, {**KAPPAS, "x0": [3.0, 3.0]}, _X0_3D),
+    (run_stacking, _CHAIN, SSH, {**KAPPAS, "x0": [float("nan")]}, _X0_3D),
+    (run_quantization, _WINDOW, CHERN, {**KAPPAS, "x0": "corner"}, _CORNER),
+    (run_robustness, _WINDOW, CHERN, {**KAPPAS, "x0": "corner"}, _CORNER),
+    (run_stacking, _CHAIN, SSH, {**KAPPAS, "x0": "corner"}, _CORNER),
+    (run_quantization, _WINDOW, {**CHERN, "mu": "widest"}, KAPPAS, _WIDEST),
+    (run_robustness, _WINDOW, {**CHERN, "mu": "widest"}, KAPPAS, _WIDEST),
+    (run_stacking, _CHAIN, {**SSH, "mu": "widest"}, KAPPAS, _WIDEST),
+    (run_omega_independence, _WINDOW, {**CHERN, "mu": "widest"}, KAPPAS, _WIDEST),
+], ids=["quantization-x0-3d", "robustness-x0-3d", "chain-x0-2d", "stacking-x0-nan",
+        "quantization-corner", "robustness-corner", "stacking-corner",
+        "quantization-widest", "robustness-widest", "stacking-widest", "omega-widest"])
+def test_x0_and_mu_policy_are_checked_before_any_solve(monkeypatch, driver, lattice,
+                                                       model, index_cfg, message):
+    # The window pipeline resolves x0 into its PositionDirac and checks the
+    # mu policy's form before it represents H: a 3-vector x0 on a 2D window
+    # once crashed in the Kitaev sectors after the eigensolve.
+    monkeypatch.setattr(experiments, "represent", _no_eigensolve)
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        driver(lattice, model, index_cfg)
+
+
 def test_robustness_chiral_noise_needs_a_chiral_model(monkeypatch):
     # chern_2band_2d carries no chiral grading to draw anticommuting noise for.
     with pytest.raises(InvalidInput, match="grading"):
         run_robustness({"window": [0.0, 10.0]}, CHERN, KAPPAS,
                        experiment={"n_trials": 2, "symmetry": "chiral"})
-    # The symmetry string is resolved before the base run: no eigensolve
-    # runs first, and a base run left unreliable by margin_min = 1e6 does
-    # not skip the check.
-    monkeypatch.setattr(experiments, "eig_hermitian", _no_eigensolve)
+    # The symmetry string is resolved before the base run: the base window
+    # is not even represented first, and a base run left unreliable by
+    # margin_min = 1e6 does not skip the check.
+    monkeypatch.setattr(experiments, "represent", _no_eigensolve)
     unreliable = {**KAPPAS, "margin_min": 1e6}
     with pytest.raises(InvalidInput, match="unknown symmetry 'weird'"):
         run_robustness({"window": [0.0, 10.0]}, CHERN, unreliable,
@@ -429,9 +461,9 @@ def test_stacking_aperiodic_chain_uses_reference_oracle():
 
 
 def test_stacking_rejects_even_models(monkeypatch):
-    # Rejected before the chain's eigensolve: a 2D Chern chain and a 1D
+    # Rejected before the chain is represented: a 2D Chern chain and a 1D
     # model without a chiral grading.
-    monkeypatch.setattr(experiments, "eig_hermitian", _no_eigensolve)
+    monkeypatch.setattr(experiments, "represent", _no_eigensolve)
     with pytest.raises(InvalidInput, match="stacking needs a chiral 1D model"):
         run_stacking({"window": [0.0, 8.0]}, CHERN)
     with pytest.raises(InvalidInput, match="stacking needs a chiral 1D model"):
