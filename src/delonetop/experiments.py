@@ -48,8 +48,11 @@ from .index import (IndexResult, PositionDirac, _components, angular_sectors,
                     kappa_stability, kitaev_chern, localizer_index_even,
                     localizer_index_odd, position_dirac)
 from .roe import random_perturbation
-from .spectral import (GapInfo, eig_hermitian, eigenvalues, fermi_projection,
-                       largest_gap, near_spectrum, spectral_gap, symmetric_gap)
+from .spectral import (GapInfo, eigenvalues, largest_gap, near_spectrum,
+                       reduce_hermitian, spectral_gap, symmetric_gap)
+# Not called here: perfbench/tracer.py wraps these two names on this module
+# (getattr), so a traced run keeps its spectral.* spans.
+from .spectral import eig_hermitian, fermi_projection  # noqa: F401
 
 __all__ = [
     "ExperimentReport",
@@ -356,11 +359,13 @@ def _window(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: dict | N
     checks its shape and finiteness.  H is held as one CSR matrix and its
     spectrum is spectral.eigenvalues of it, unless the caller reads the
     three-sector Kitaev oracle (kitaev, a 2D window): then the asserted
-    eig_hermitian, whose eigenvectors feed fermi_projection and kitaev_chern
-    and are freed before the kappa sweep.  report, if given, keeps the sites
-    and the spectrum as artifacts as soon as they exist, so a window whose
-    gap closes at mu (GapUndefined propagates) still has them.  Without
-    index_cfg (spectrum and omega, which read no x0) the run ends at the gap.
+    spectral.reduce_hermitian, whose Fermi projection at the resolved mu
+    forms only the occupied frame for kitaev_chern (and the two eigenvectors
+    that bound the spectrum the run reads), all freed before the kappa
+    sweep.  report, if given, keeps the sites and the spectrum as artifacts
+    as soon as they exist, so a window whose gap closes at mu (GapUndefined
+    propagates) still has them.  Without index_cfg (spectrum and omega,
+    which read no x0) the run ends at the gap.
     """
     if isinstance(mu_policy, str) and mu_policy != _LARGEST_GAP:
         raise InvalidInput(f"mu must be a number or {_LARGEST_GAP!r}, got {mu_policy!r}")
@@ -368,17 +373,17 @@ def _window(sites: DeloneSet, f: HoppingFunction, mu_policy, index_cfg: dict | N
         sites, _resolve_x0(index_cfg, sites), f.N)
     H = represent(f, sites)
     Hs = H.to_sparse()
-    hdata = eig_hermitian(Hs) if kitaev else None
-    evs = eigenvalues(Hs) if hdata is None else hdata.eigenvalues
+    reduction = reduce_hermitian(Hs) if kitaev else None
+    evs = eigenvalues(Hs) if reduction is None else reduction.eigenvalues
     if report is not None:
         _stash_artifacts(report, sites, evs)
     w = _Window(sites, H, Hs, evs, *_mu_gap(evs, mu_policy, f.grading), dirac)
-    if hdata is not None:
+    if reduction is not None:
         lo, hi = sites.window
         sectors = angular_sectors(sites, dirac.x0, SECTOR_RADIUS_FRAC * (hi - lo).min() / 2.0,
                                   f.N)
-        w.kitaev = kitaev_chern(fermi_projection(hdata, w.mu), sectors)
-        del hdata
+        w.kitaev = kitaev_chern(reduction.fermi_projection(w.mu), sectors)
+        del reduction
     if index_cfg is not None:
         w.kappas = _kappa_list(index_cfg, w.gap, sites, evs)
         w.results, w.plateau = _localize(Hs, w.mu, dirac, w.kappas, f.grading, index_cfg, evs)

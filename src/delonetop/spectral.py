@@ -3,24 +3,31 @@ Fermi projections.
 
 Window sizes stay at desk scale (matrices up to a few thousand), so a
 window whose whole spectrum is read gets a dense eigenvalue solve,
-eigenvalues(S).  Eigenvectors are formed, by eig_hermitian, only for the one
-reader of them, the Kitaev oracle of a 2D quantization window: projections
+eigenvalues(S).  Eigenvectors are formed only for the one reader of them,
+the Kitaev oracle of a 2D quantization window, and only the ones it reads:
+reduce_hermitian splits the eigensolve as LAPACK does (one zhetrd
+Householder reduction to a real tridiagonal T, dstevd for T's whole
+spectrum and eigenvectors), and its fermi_projection, once mu is resolved
+from the eigenvalues, back-transforms (zunmqr) only the occupied frame and
+the two eigenvectors that bound the spectrum the run reads.  Projections
 are built from eigenvectors, which is exact at finite dimension.  A
 perturbed robustness trial reads only the eigenvalues nearest mu and
-||H - mu||: near_spectrum computes just those, by ARPACK shift-invert on one
-sparse LU of H - mu.  Every eigendecomposition is ``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR
-driver (Dhillon & Parlett, SIMAX 2004), ``driver="evr"``, below it with
-divide and conquer, ``driver="evd"``.
+||H - mu||: near_spectrum computes just those, by ARPACK shift-invert on
+one sparse LU of H - mu.  eig_hermitian, the full eigendecomposition, is
+``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR driver
+(Dhillon & Parlett, SIMAX 2004), ``driver="evr"``, below it with divide and
+conquer, ``driver="evd"``; it and fermi_projection are the public full
+solve and the test oracle of the reduction.
 
 Only the m x m arrays an output reads are allocated.  H, a BlockOperator
 or a dense or sparse matrix, is read as one CSR matrix (Hamiltonians are
-finite-range): eig_hermitian checks Hermiticity and symmetrizes on it,
-densifies it once, into the Fortran-ordered buffer that LAPACK overwrites,
-and checks every column's residual against the same CSR matrix and its
-orthonormality in column blocks.  A FermiProjection holds the occupied
-frame V, a view of the eigenvectors: P = V V^dag is formed only when
-.matrix is read, and the three-sector Chern oracle forms just the sector
-blocks of P from the frame.
+finite-range): eig_hermitian and reduce_hermitian check Hermiticity and
+symmetrize on it, densify it once, into the Fortran-ordered buffer that
+LAPACK overwrites, and check every eigenvector they form: its residual
+against the same CSR matrix and its orthonormality.  A FermiProjection
+holds the occupied frame V: P = V V^dag is formed only when .matrix is
+read, and the three-sector Chern oracle forms just the sector blocks of P
+from the frame.
 
 Every whole-spectrum eigenvalue-only solve of the package is
 eigenvalues(S): one scipy.linalg.eigvalsh of S's _fortran_buffer, which
@@ -47,7 +54,9 @@ __all__ = [
     "SpectralData",
     "GapInfo",
     "FermiProjection",
+    "HermitianReduction",
     "eig_hermitian",
+    "reduce_hermitian",
     "eigenvalues",
     "near_spectrum",
     "spectral_gap",
@@ -72,6 +81,11 @@ _BLOCK = 256
 # Eigenvalues near_spectrum first asks ARPACK for around mu; the count
 # doubles until the slice brackets mu.
 _NEAR_K = 2
+# Reflectors per zunmqr call of HermitianReduction.fermi_projection:
+# LAPACK's largest block (NBMAX), so a panel costs what one call over all
+# of them would, and the panels' triangles add only m x _PANEL / 2 entries
+# to the reflectors' m^2 / 2.
+_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,8 @@ class FermiProjection:
     """Spectral projection P = V V^dag onto the eigenvalues below mu.
 
     frame is the occupied frame V = eigenvectors[:, :rank]: a read-only
-    view of the eigendecomposition, not a copy.  matrix forms the m x m P
+    view of the eigenvectors (an eig_hermitian solve's, or the columns a
+    HermitianReduction formed), not a copy.  matrix forms the m x m P
     on first access (read-only); consumers that need only some blocks of P,
     such as index.kitaev_chern, read them off the frame.
     """
@@ -149,6 +164,36 @@ def _fortran_buffer(S) -> np.ndarray:
     return out
 
 
+def _symmetrized(H) -> scipy.sparse.csr_array:
+    """H read as one CSR matrix (_csr), checked Hermitian within 1e-10
+    elementwise and symmetrized exactly, (H + H^dag) / 2."""
+    H = _csr(H)
+    Hdag = H.conj().T.tocsr()
+    herm_res = float(np.abs((H - Hdag).data).max(initial=0.0))
+    if herm_res > 1e-10:
+        raise InvalidInput(f"matrix is not Hermitian: max |H - H^dag| = {herm_res:.3e}")
+    return (Hdag + H) * 0.5
+
+
+def _max_residual(Hsp, vecs, vals) -> float:
+    """max_k |H v_k - lambda_k v_k| against the CSR matrix Hsp, one block of
+    _BLOCK columns at a time."""
+    resid = 0.0
+    for j in range(0, vecs.shape[1], _BLOCK):
+        j = slice(j, j + _BLOCK)
+        R = Hsp @ vecs[:, j]
+        R -= vecs[:, j] * vals[j]
+        resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
+    return resid
+
+
+def _assert_idempotent(e: float) -> None:
+    """The idempotency bound of P = V V^dag from e = ||E||_F, the Frobenius
+    norm of the frame's Gram defect E = V^dag V - 1: P^2 - P = V E V^dag, so
+    max|P^2 - P| <= ||V||^2 ||E|| <= e (1 + e), asserted <= 1e-9."""
+    assert e * (1.0 + e) <= 1e-9, f"projection idempotency bound {e * (1.0 + e):.3e}"
+
+
 def eig_hermitian(H) -> SpectralData:
     """Eigendecomposition with asserted residual and orthonormality bounds.
 
@@ -163,29 +208,21 @@ def eig_hermitian(H) -> SpectralData:
     max(|lambda|, 1)), and its inner products with all columns on SciPy's
     BLAS (|V^dag V - 1| <= 1e-9).
     """
-    H = _csr(H)
-    n = H.shape[0]
+    Hsp = _symmetrized(H)
+    n = Hsp.shape[0]
     if n == 0:
         return SpectralData(np.zeros(0), np.zeros((0, 0)), 0)
-    blocks = [slice(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
-    Hdag = H.conj().T.tocsr()
-    herm_res = float(np.abs((H - Hdag).data).max(initial=0.0))
-    if herm_res > 1e-10:
-        raise InvalidInput(f"matrix is not Hermitian: max |H - H^dag| = {herm_res:.3e}")
-    Hsp = (Hdag + H) * 0.5
-    del H, Hdag
     Hs = _fortran_buffer(Hsp)
     driver = "evr" if n >= _MRRR_MIN_DIM else "evd"
     vals, vecs = scipy.linalg.eigh(Hs, driver=driver, overwrite_a=True)
     del Hs
 
     scale = max(float(np.abs(vals).max()), 1.0)
+    resid = _max_residual(Hsp, vecs, vals)
     gemm = scipy.linalg.get_blas_funcs("gemm", (vecs,))
-    resid = ortho = 0.0
-    for j in blocks:
-        R = Hsp @ vecs[:, j]
-        R -= vecs[:, j] * vals[j]
-        resid = max(resid, float(np.linalg.norm(R, axis=0).max()))
+    ortho = 0.0
+    for j in range(0, n, _BLOCK):
+        j = slice(j, min(j + _BLOCK, n))
         # V^dag V is Hermitian: its upper triangle covers every pair.
         G = gemm(1.0, vecs[:, :j.stop], vecs[:, j], trans_a=2)
         G[j] -= np.eye(j.stop - j.start)
@@ -326,9 +363,131 @@ def fermi_projection(spec: SpectralData, mu: float) -> FermiProjection:
     V.setflags(write=False)
     E = scipy.linalg.get_blas_funcs("gemm", (V,))(1.0, V, V, trans_a=2)
     E[np.diag_indices(rank)] -= 1.0
-    e = float(np.linalg.norm(E))
-    assert e * (1.0 + e) <= 1e-9, f"projection idempotency bound {e * (1.0 + e):.3e}"
+    _assert_idempotent(float(np.linalg.norm(E)))
     return FermiProjection(V, float(mu), (gap.below, gap.above), rank)
+
+
+class HermitianReduction:
+    """The whole spectrum of a Hermitian H from one Householder reduction,
+    and the Fermi projection at a mu resolved from it.
+
+    reduce_hermitian builds it (LAPACK's split of the eigensolve, Anderson
+    et al., LAPACK Users' Guide, SIAM 1999): zhetrd reduces H = Q T Q^dag,
+    T real tridiagonal, and dstevd (divide and conquer) gives
+    T = Z diag(l) Z^T.  eigenvalues, ascending and read-only, are every l;
+    the eigenvectors of H are Q Z, and fermi_projection forms only the
+    columns a window reads.  Q is held as its reflectors, in panels of
+    _PANEL.  A reduction projects once: that call releases Z and the
+    reflectors as soon as its columns no longer need them.
+    """
+
+    def __init__(self, eigenvalues, matrix, panels, tvecs):
+        self.eigenvalues = eigenvalues
+        self._matrix = matrix
+        self._panels = panels
+        self._tvecs = tvecs
+
+    def fermi_projection(self, mu: float) -> FermiProjection:
+        """The spectral projection onto the eigenvalues below mu, as
+        fermi_projection gives it from an eig_hermitian solve.
+
+        Q is applied (zunmqr) to the columns of Z the run reads: the
+        occupied frame, the eigenvector just above mu (the gap edge) and
+        the one farthest from mu (||H - mu||, the default margin_min scale).
+        Each formed column is checked as eig_hermitian checks its columns,
+        its residual against the symmetrized CSR matrix and its inner
+        products with every formed column, from one Gram matrix, whose
+        frame block also gives fermi_projection's idempotency bound.
+        GapUndefined if mu collides with an eigenvalue.
+        """
+        if self._tvecs is None:
+            raise RuntimeError("this reduction was already projected")
+        vals = self.eigenvalues
+        gap = spectral_gap(vals, mu)
+        m = vals.size
+        rank = int((vals < mu).sum())
+        far = int(np.argmax(np.abs(vals - mu))) if m else 0
+        extra = [k for k in dict.fromkeys((rank, far)) if rank <= k < m]
+        # V is row-major, so V^T is a Fortran array whose trailing columns
+        # are contiguous: each panel of reflectors, which acts on the
+        # trailing rows of V, is applied from the right in place, last
+        # panel first, V^T := V^T Q^dag = (Q Z)^dag for the real Z, and
+        # conjugation leaves V = Q Z.
+        V = np.empty((m, rank + len(extra)), dtype=complex)
+        V[:, :rank] = self._tvecs[:, :rank]
+        for i, k in enumerate(extra):
+            V[:, rank + i] = self._tvecs[:, k]
+        self._tvecs = None
+        unmqr = scipy.linalg.lapack.zunmqr
+        # zunmqr's optimal workspace, NW * NB + TSIZE: NW the rows of V^T,
+        # NB at most NBMAX = _PANEL, TSIZE = (NBMAX + 1) * NBMAX.
+        lwork = max(1, V.shape[1]) * _PANEL + (_PANEL + 1) * _PANEL
+        for a, tau in reversed(self._panels):
+            c = V.T[:, m - a.shape[0]:]
+            info = unmqr("R", "C", a, tau, c, lwork, overwrite_c=1)[2]
+            assert info == 0, f"zunmqr info {info}"
+        self._panels = None
+        np.conjugate(V, out=V)
+
+        lam = np.concatenate([vals[:rank], vals[extra]])
+        scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)
+        resid = _max_residual(self._matrix, V, lam)
+        assert resid <= 1e-9 * scale, f"eigen residual {resid:.3e} exceeds tolerance"
+        # herk forms the upper triangle of V^T conj(V), the conjugate of the
+        # Hermitian V^dag V, and leaves the lower one zero: with the diagonal
+        # it covers every pair, and conjugation keeps every norm.
+        E = scipy.linalg.blas.zherk(1.0, V.T) if V.size else np.zeros((0, 0))
+        E[np.diag_indices(E.shape[0])] -= 1.0
+        ortho = float(np.abs(E).max(initial=0.0))
+        assert ortho <= 1e-9, f"orthonormality defect {ortho:.3e} exceeds tolerance"
+        up, diag = np.linalg.norm(E[:rank, :rank]), np.linalg.norm(E.diagonal()[:rank])
+        _assert_idempotent(float(np.sqrt(2.0 * up * up - diag * diag)))
+        del E
+
+        V.setflags(write=False)
+        return FermiProjection(V[:, :rank], float(mu), (gap.below, gap.above), rank)
+
+
+def reduce_hermitian(H) -> HermitianReduction:
+    """The HermitianReduction of H, a BlockOperator or a dense or sparse
+    matrix, read, checked Hermitian and symmetrized as eig_hermitian does.
+
+    The symmetrized CSR matrix is densified once, into the buffer zhetrd
+    (lower) overwrites.  Reflector j of Q = H_0 ... H_{m-2} then lies below
+    the subdiagonal of column j; the reflectors are copied out in panels of
+    _PANEL columns, half the buffer, which is freed before dstevd, so its
+    m^2 workspace and T's eigenvectors take the buffer's place: the peak is
+    about 1.56 m x m complex arrays (23^2 window), where the buffer kept
+    through dstevd made it 2.56 and eig_hermitian holds 2.07.  The whole
+    spectrum is checked in O(m): sum l = tr H and sum l^2 = ||H||_F^2, each
+    within 1e-9 relative.
+    """
+    Hsp = _symmetrized(H).astype(complex, copy=False)
+    m = Hsp.shape[0]
+    vals, Z, panels = np.zeros(0), np.zeros((0, 0)), []
+    if m:
+        lapack = scipy.linalg.lapack
+        buf = _fortran_buffer(Hsp)
+        lwork = int(lapack.zhetrd_lwork(m, lower=1)[0].real)
+        # [1:] drops zhetrd's returned alias of buf, which would keep it alive.
+        d, e, tau, info = lapack.zhetrd(buf, lower=1, lwork=lwork, overwrite_a=1)[1:]
+        assert info == 0, f"zhetrd info {info}"
+        panels = [(np.array(buf[j + 1:, j:min(j + _PANEL, m - 1)], order="F"),
+                   tau[j:j + _PANEL]) for j in range(0, m - 1, _PANEL)]
+        del buf
+        vals, Z, info = lapack.dstevd(d, e if m > 1 else np.zeros(1),
+                                      overwrite_d=1, overwrite_e=1)
+        assert info == 0, f"dstevd info {info}"
+
+    trace = float(Hsp.diagonal().real.sum())
+    frob2 = float(np.vdot(Hsp.data, Hsp.data).real)
+    t1, t2 = float(vals.sum()), float(vals @ vals)
+    assert abs(t1 - trace) <= 1e-9 * float(np.abs(vals).sum()), (
+        f"trace identity: sum of eigenvalues {t1!r} against tr H {trace!r}")
+    assert abs(t2 - frob2) <= 1e-9 * frob2, (
+        f"trace identity: sum of squared eigenvalues {t2!r} against ||H||_F^2 {frob2!r}")
+    vals.setflags(write=False)
+    return HermitianReduction(vals, Hsp, panels, Z)
 
 
 def write_spectrum_csv(path, eigenvalues) -> None:

@@ -177,6 +177,54 @@ def dvector_chern_lower(hk, n=96):
     return -nearest
 
 
+class ReferenceGapUndefined(Exception):
+    """The reference Bloch oracle found no gap at mu, or no admissible grid."""
+
+
+def reference_bloch_chern_fhs(hk, mu, n=16):
+    """Plaquette field-strength Chern number, one np.linalg.eigh per k-point.
+
+    Oracle of the batched index.bloch_chern_fhs: the same grid, frames,
+    link determinants U_dir(k) = det(V_k^dag V_{k+e_dir}) and plaquette sum,
+    scanned point by point in row-major order; each gap failure raises
+    ReferenceGapUndefined with the package's GapUndefined message.
+    """
+    ks = 2.0 * np.pi * np.arange(n) / n
+    frames = np.empty((n, n), dtype=object)
+    occ_count = None
+    for i in range(n):
+        for j in range(n):
+            vals, vecs = np.linalg.eigh(hk(np.array([ks[i], ks[j]])))
+            if float(np.abs(vals - mu).min()) <= 1e-9:
+                raise ReferenceGapUndefined(f"gap closes at grid point ({i}, {j})")
+            occ = vals < mu
+            cnt = int(occ.sum())
+            if occ_count is None:
+                occ_count = cnt
+            elif cnt != occ_count:
+                raise ReferenceGapUndefined("occupied band count varies across the grid")
+            frames[i, j] = vecs[:, occ]
+
+    def link(i, j, di, dj):
+        u = np.linalg.det(frames[i, j].conj().T @ frames[(i + di) % n, (j + dj) % n])
+        if abs(u) < 1e-12:
+            raise ReferenceGapUndefined("degenerate link variable on the grid")
+        return u
+
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            plaq = (link(i, j, 1, 0) * link((i + 1) % n, j, 0, 1)
+                    / (link(i, (j + 1) % n, 1, 0) * link(i, j, 0, 1)))
+            total += float(np.angle(plaq))
+    c = total / (2.0 * np.pi)
+    nearest = round(c)
+    if abs(c - nearest) > 1e-6:
+        raise ReferenceGapUndefined(
+            f"field-strength sum {c!r} is not integral; refine the grid")
+    return int(nearest)
+
+
 def winding_unwrap(ak, n=4096):
     """Winding of det A(k) over [0, 2pi) via phase unwrapping of dense samples."""
     ks = 2.0 * np.pi * np.arange(n + 1) / n

@@ -736,14 +736,14 @@ _STACK = "[experiment]\nstack_window = [0.0, 3.0]\n"
 
 
 @pytest.mark.parametrize("command, text, solves", [
-    pytest.param("quantization", QUANT_INI, [("eigh", 242)], id="quantization-2d"),
+    pytest.param("quantization", QUANT_INI, [("zhetrd", 242)], id="quantization-2d"),
     pytest.param("quantization", SSH_INI, [("eigvalsh", 70)], id="quantization-1d"),
     pytest.param("robustness", QUANT_INI + "[experiment]\nn_trials = 2\n",
                  [("eigvalsh", 242)], id="robustness"),
     pytest.param("stacking", SSH_INI + _STACK + "control = false\n",
                  [("eigvalsh", 70)] * 5, id="stacking"),
     pytest.param("stacking", SSH_INI + _STACK + "control_window = [0.0, 6.0]\n",
-                 [("eigvalsh", 70)] * 5 + [("eigh", 98)], id="stacking-control"),
+                 [("eigvalsh", 70)] * 5 + [("zhetrd", 98)], id="stacking-control"),
     pytest.param("omega", QUANT_INI + "[experiment]\nbase_sites = 2\n",
                  [("eigvalsh", 242)], id="omega"),
     pytest.param("spectrum", CHERN_INI, [("eigvalsh", 242)], id="spectrum"),
@@ -752,8 +752,10 @@ def test_each_command_forms_eigenvectors_only_for_kitaev(tmp_path, monkeypatch, 
                                                          text, solves):
     # Every window is represented and solved through one pipeline: one
     # window-sized eigvalsh per window (the stacked chain's layers are
-    # windows too), and an eigh only where the Kitaev oracle reads the
-    # eigenvectors, a 2D quantization window (the stacking control's).
+    # windows too), and where the Kitaev oracle reads eigenvectors, a 2D
+    # quantization window (the stacking control's), one Householder
+    # reduction (zhetrd) and no eigh: the Bloch oracle's grid solves go
+    # through NumPy.
     import scipy.linalg
 
     solved = []
@@ -766,6 +768,8 @@ def test_each_command_forms_eigenvectors_only_for_kitaev(tmp_path, monkeypatch, 
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(scipy.linalg.lapack, "zhetrd",
+                        counted("zhetrd", scipy.linalg.lapack.zhetrd))
     cfg = write(tmp_path, "run.ini", text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert solved == solves

@@ -19,8 +19,9 @@ from delonetop.index import (_chirality_residual, _components, angular_sectors,
                              kappa_stability, kitaev_chern, localizer_index_even,
                              localizer_index_odd, position_dirac)
 from delonetop.roe import random_perturbation
-from delonetop.spectral import eig_hermitian, fermi_projection
-from oracles import (dvector_chern_lower, reference_fermi_projection,
+from delonetop.spectral import eig_hermitian, fermi_projection, reduce_hermitian
+from oracles import (ReferenceGapUndefined, dvector_chern_lower,
+                     reference_bloch_chern_fhs, reference_fermi_projection,
                      reference_localizer_even, reference_localizer_odd,
                      winding_unwrap)
 
@@ -705,16 +706,23 @@ def test_kitaev_zero_projection_gives_zero(z2_12):
 
 
 def _frame_matches_reference_projection(H, sites, x0, radius, block_dim):
-    """kitaev_chern from the frame-backed projection against the full
-    reference P, for every order of the three sectors."""
+    """kitaev_chern from the frame-backed projections of eig_hermitian and of
+    the Householder reduction against the full reference P, for every order
+    of the three sectors; the reduction's eigenvalues against eig_hermitian's."""
     spec = eig_hermitian(H)
     P = fermi_projection(spec, 0.0)
     ref = reference_fermi_projection(spec.eigenvalues, spec.eigenvectors, 0.0)
+    red = reduce_hermitian(H)
+    lam = spec.eigenvalues
+    assert (np.abs(red.eigenvalues - lam) <= 1e-12 * np.maximum(np.abs(lam), 1.0)).all()
+    Q = red.fermi_projection(0.0)
+    assert Q.rank == P.rank and Q.frame.shape == P.frame.shape
     A, B, C = angular_sectors(sites, x0, radius, block_dim)
     values = []
     for order in ((A, B, C), (B, A, C), (A, C, B), (C, A, B)):
         c, c_ref = kitaev_chern(P, order), kitaev_chern(ref, order)
         assert abs(c - c_ref) <= 1e-12 * max(1.0, abs(c_ref))
+        assert abs(kitaev_chern(Q, order) - c) <= 1e-12
         values.append(c)
     assert values[1] == pytest.approx(-values[0], abs=1e-12)
     assert values[2] == pytest.approx(-values[0], abs=1e-12)
@@ -730,6 +738,15 @@ def test_kitaev_chern_window_frozen_value(z2_12, chern_12):
     assert abs(c - 1.0) <= 0.1
 
 
+def test_kitaev_frame_matches_reference_projection_periodic_23():
+    # m = 1152, the MRRR path of eig_hermitian, read as CSR.
+    sites = gen_periodic(np.eye(2), ([0.0, 0.0], [23.0, 23.0]))
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites).to_sparse()
+    c = _frame_matches_reference_projection(H, sites, sites.window_center,
+                                            0.45 * 11.5, 2)
+    assert abs(c - 1.0) <= 0.1
+
+
 def test_kitaev_frame_matches_reference_projection_amorphous():
     # The 27^2 hard-core acceptance window (seed 1, m = 1552, MRRR path)
     # with the drivers' sector radius, 0.45 of the half-width.
@@ -737,6 +754,14 @@ def test_kitaev_frame_matches_reference_projection_amorphous():
     H = represent(builtin_model("chern_2band_2d", M=1.0), sites).to_dense()
     c = _frame_matches_reference_projection(H, sites, sites.window_center,
                                             0.45 * 13.5, 2)
+    assert abs(c - 1.0) <= 0.1
+
+
+def test_kitaev_frame_matches_reference_projection_amorphous_14():
+    sites = gen_hardcore_random(([0.0, 0.0], [14.0, 14.0]), 0.8, 1.2, 1)
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites).to_sparse()
+    c = _frame_matches_reference_projection(H, sites, sites.window_center,
+                                            0.45 * 7.0, 2)
     assert abs(c - 1.0) <= 0.1
 
 
@@ -773,6 +798,55 @@ def test_fhs_error_paths():
 
     with pytest.raises(GapUndefined):
         bloch_chern_fhs(swapping, 0.0, n=12)
+
+
+def _fhs_outcome(fhs, hk, mu, n):
+    try:
+        return fhs(hk, mu, n=n)
+    except (GapUndefined, ReferenceGapUndefined) as err:
+        return ("gap undefined", str(err))
+
+
+def _swapping(k):
+    return np.diag([-1.0, 1.0]) if k[0] < np.pi else np.diag([1.0, -1.0])
+
+
+def _chern_hk(**params):
+    return bloch_hamiltonian(builtin_model("chern_2band_2d", **params), np.eye(2))
+
+
+@pytest.mark.parametrize("hk, mu, n", [
+    pytest.param(lambda k: np.diag([-1.0, 1.0]), 0.0, 12, id="flat"),
+    *(pytest.param(_chern_hk(M=M), 0.0, 12, id=f"M={M}") for M in (-1.0, 1.0, 3.0)),
+    *(pytest.param(_chern_hk(M=1.0), 0.0, n, id=f"grid-{n}") for n in (12, 16, 24)),
+    pytest.param(lambda k: np.diag([0.0, 1.0]), 0.0, 12, id="gap-closes"),
+    pytest.param(lambda k: np.diag([np.cos(k[0]), 2.0]), 0.4, 12, id="count-varies"),
+    pytest.param(_swapping, 0.0, 12, id="degenerate-link"),
+    # The stacking control: the default Chern model on the unit square lattice.
+    pytest.param(_chern_hk(), 0.0, 16, id="stacking-control"),
+])
+def test_fhs_matches_the_per_point_oracle(hk, mu, n):
+    # The batched grid against one eigh per k-point: the same integer, or
+    # the same GapUndefined with the same message.
+    assert _fhs_outcome(bloch_chern_fhs, hk, mu, n) == _fhs_outcome(
+        reference_bloch_chern_fhs, hk, mu, n)
+
+
+@pytest.mark.parametrize("hk, message", [
+    (lambda k: np.diag([np.cos(k[0]) - 0.5, 1.0 + np.cos(k[1])]),
+     "gap closes at grid point (0, 6)"),
+    (lambda k: np.diag([np.cos(k[0]) - 0.9, np.cos(k[0])]),
+     "occupied band count varies across the grid"),
+], ids=["gap-first", "count-first"])
+def test_fhs_reports_the_first_failing_grid_point(hk, message):
+    # Each family both closes the gap and changes the occupied count on the
+    # 12-point grid, at (0, 6) before (2, 0), or at (1, 0) before (3, 0):
+    # the first failing point in row-major order names the error.
+    for fhs, error in ((bloch_chern_fhs, GapUndefined),
+                       (reference_bloch_chern_fhs, ReferenceGapUndefined)):
+        with pytest.raises(error) as info:
+            fhs(hk, 0.0, n=12)
+        assert str(info.value) == message
 
 
 def test_winding_closed_forms():

@@ -13,7 +13,8 @@ from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.roe import random_perturbation
 from delonetop.spectral import (_MRRR_MIN_DIM, GapInfo, SpectralData, eig_hermitian,
                                 eigenvalues, fermi_projection, largest_gap, near_spectrum,
-                                spectral_gap, symmetric_gap, write_spectrum_csv)
+                                reduce_hermitian, spectral_gap, symmetric_gap,
+                                write_spectrum_csv)
 from oracles import path_graph_eigenvalues, reference_fermi_projection
 
 
@@ -113,14 +114,14 @@ def _corrupting(solver, kind):
     first one (still orthonormal, wrong residual) or scaled by 1 + 1e-6
     (right direction, not normalized)."""
     def corrupted(*args, **kwargs):
-        vals, vecs = solver(*args, **kwargs)
+        vals, vecs, *rest = solver(*args, **kwargs)
         vecs = np.array(vecs)
         if kind == "rotate":
             c, s = np.cos(0.1), np.sin(0.1)
             vecs[:, [0, -1]] = vecs[:, [0, -1]] @ np.array([[c, -s], [s, c]])
         else:
             vecs[:, -1] *= 1.0 + 1e-6
-        return vals, vecs
+        return vals, vecs, *rest
     return corrupted
 
 
@@ -449,6 +450,110 @@ def test_fermi_projection_collision_raises():
     spec = eig_hermitian(np.diag([-1.0, 0.0, 1.0]))
     with pytest.raises(GapUndefined):
         fermi_projection(spec, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The Householder reduction and its Fermi projection
+# ---------------------------------------------------------------------------
+
+def _small_hermitian(m):
+    """An m x m complex Hermitian matrix with eigenvalues 1..m."""
+    rng = np.random.default_rng(m)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1.0j * rng.standard_normal((m, m)))
+    return (Q * np.arange(1.0, m + 1.0)) @ Q.conj().T
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("mu", [0.5, 10.0], ids=["rank-0", "rank-m"])
+def test_reduction_projection_matches_eig_hermitian_at_the_edges(m, mu):
+    H = _small_hermitian(m)
+    spec = eig_hermitian(H)
+    ref = fermi_projection(spec, mu)
+    red = reduce_hermitian(H)
+    assert np.abs(red.eigenvalues - spec.eigenvalues).max() <= 1e-12
+    P = red.fermi_projection(mu)
+    assert P.rank == ref.rank == (0 if mu < 1.0 else m)
+    assert P.frame.shape == (m, P.rank)
+    assert P.gap == pytest.approx(ref.gap, abs=1e-12)
+    assert np.abs(P.matrix - ref.matrix).max() <= 1e-12
+
+
+def test_reduction_of_an_empty_matrix():
+    red = reduce_hermitian(np.zeros((0, 0)))
+    assert red.eigenvalues.shape == (0,)
+    assert red.fermi_projection(0.0).frame.shape == (0, 0)
+
+
+def test_reduction_outputs_and_input():
+    H = _phased_path(60)
+    before = H.tobytes()
+    red = reduce_hermitian(H)
+    assert H.tobytes() == before
+    assert np.abs(red.eigenvalues - path_graph_eigenvalues(60)).max() <= 1e-12
+    P = red.fermi_projection(0.0)
+    assert P.rank == 30
+    for arr in (red.eigenvalues, P.frame):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    # The projection releases the reduction's m x m arrays: it runs once.
+    with pytest.raises(RuntimeError, match="already projected"):
+        red.fermi_projection(0.0)
+    with pytest.raises(GapUndefined):
+        reduce_hermitian(np.diag([-1.0, 0.0, 1.0])).fermi_projection(0.0)
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        reduce_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("kind,message", [("rotate", "eigen residual"),
+                                          ("scale", "orthonormality")])
+@pytest.mark.parametrize("n", [50, 600])
+def test_corrupted_back_transformed_column_raises(monkeypatch, n, kind, message):
+    # T's eigenvectors corrupted as _corrupting corrupts eigh's, so the
+    # back-transform forms the first and last columns rotated, or the last
+    # one scaled.  The shift puts the farthest eigenvalue from mu = 0 last:
+    # that column is formed, outside the occupied frame, and checked.
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
+                        _corrupting(scipy.linalg.lapack.dstevd, kind))
+    red = reduce_hermitian(_phased_path(n) + 0.5 * np.eye(n))
+    with pytest.raises(AssertionError, match=message):
+        red.fermi_projection(0.0)
+
+
+def test_lost_eigenvalue_trips_the_trace_identities(monkeypatch):
+    real = scipy.linalg.lapack.dstevd
+
+    def shifted(d, e, **kwargs):
+        vals, z, info = real(d, e, **kwargs)
+        vals[-1] += 1e-6
+        return vals, z, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", shifted)
+    with pytest.raises(AssertionError, match="trace identity"):
+        reduce_hermitian(_phased_path(50) + np.eye(50))
+
+
+def test_reduction_allocation_bound():
+    # The 23^2 periodic Chern window, m = 1152, given sparse: beyond its
+    # input, the reduction and its projection at mu = 0 hold at their peak
+    # about 1.56 m x m complex arrays (measured): the buffer zhetrd
+    # overwrites and the panels of reflectors copied out of it; then the
+    # panels, T's eigenvectors and dstevd's m^2 workspace; then the panels,
+    # T's eigenvectors and the formed columns.  eig_hermitian holds 2.07.
+    # The buffer kept until dstevd returns would read 2.56.
+    omega = gen_periodic(np.eye(2), ([0.0, 0.0], [23.0, 23.0]))
+    H = represent(builtin_model("chern_2band_2d", M=1.0), omega).to_sparse()
+    m = H.shape[0]
+    assert m == 1152
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        P = reduce_hermitian(H).fermi_projection(0.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert P.frame.shape == (m, m // 2)
+    assert peak <= 1.6 * m * m * 16, f"peak {peak / (m * m * 16):.2f} m x m arrays"
 
 
 # ---------------------------------------------------------------------------
