@@ -6,9 +6,9 @@ unknown key or one the run does not read (experiments.unread_key, the key
 rule the drivers apply too) is rejected with a line-anchored message (exit
 code 2).  Every run writes each artifact its report has: report.json,
 spectrum.csv, trials.csv, lattice.svg (points.csv for generate) and a
-run_meta.json holding timestamps and timings, which is excluded from golden
-comparisons.  Exit code 0 iff the experiment verdict is pass; runtime
-failures exit 1 with the failure recorded in report.json.
+run_meta.json holding timestamps, timings and the run's diagnostics, which
+is excluded from golden comparisons.  Exit code 0 iff the experiment verdict
+is pass; runtime failures exit 1 with the failure recorded in report.json.
 """
 
 from __future__ import annotations
@@ -270,7 +270,9 @@ def emit_report(report: ExperimentReport, outdir, meta: dict) -> Path:
     """Write report.json and sibling artifacts; bytes depend only on content.
 
     All wall-clock data lands in run_meta.json, never in report.json, so
-    identical (config, seed) runs compare byte-for-byte.
+    identical (config, seed) runs compare byte-for-byte; so do the report's
+    diagnostics (how the run reached its records, e.g. the robustness and
+    omega drivers' counts of Weyl-certified and solved localizers).
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,6 +296,7 @@ def emit_report(report: ExperimentReport, outdir, meta: dict) -> Path:
 
     meta = dict(meta)
     meta["timings"] = dict(report.timings)
+    meta["diagnostics"] = dict(report.diagnostics)
     _write_text(outdir / "run_meta.json", dumps17(to_plain(meta)))
     return report_path
 

@@ -43,10 +43,11 @@ from .geometry import (DeloneSet, gen_cut_and_project, gen_hardcore_random,
                        gen_periodic, gen_perturbed_lattice)
 from .groupoid import (BUILTIN_MODELS, BlockOperator, HoppingFunction,
                        bloch_hamiltonian, builtin_model, represent, stack_operator)
-from .index import (IndexResult, PositionDirac, _components, angular_sectors,
-                    bloch_chern_fhs, bloch_winding, chiral_bloch_block,
-                    kappa_stability, kitaev_chern, localizer_index_even,
-                    localizer_index_odd, position_dirac)
+from .index import (SIGNATURE_SHIFT, IndexResult, PositionDirac, _components, _extent,
+                    angular_sectors, bloch_chern_fhs, bloch_winding, chiral_bloch_block,
+                    default_margin_min, kappa_stability, kitaev_chern,
+                    localizer_index_even, localizer_index_odd, perturbation_bound,
+                    position_dirac, translation_bound, weyl_prior)
 from .roe import random_perturbation
 from .spectral import (GapInfo, eigenvalues, largest_gap, near_spectrum,
                        reduce_hermitian, spectral_gap, symmetric_gap)
@@ -137,9 +138,11 @@ GAP_FLOOR_FRAC = 0.1
 class ExperimentReport:
     """Inputs echo, per-trial records, and a verdict recomputable from them.
 
-    artifacts holds bulky arrays (spectra, site sets) for file emission and
-    timings holds wall-clock stage durations; neither enters the JSON body,
-    which must be a pure function of (config, seeds).
+    artifacts holds bulky arrays (spectra, site sets) for file emission,
+    timings holds wall-clock stage durations and diagnostics how the run
+    reached its records (the robustness and omega drivers' Weyl
+    certificates, _certificates); none of them enters the JSON body, which
+    must be a pure function of (config, seeds).
     """
 
     experiment: str
@@ -149,6 +152,7 @@ class ExperimentReport:
     passed: bool = False
     artifacts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -289,13 +293,26 @@ def _mu_gap(evs: np.ndarray, mu_policy, grading) -> tuple[float, GapInfo]:
     return mu, spectral_gap(evs, mu)
 
 
-def _localize(H, mu: float, dirac, kappas, grading, index_cfg: dict, evs):
+def _localize(H, mu: float, dirac, kappas, grading, index_cfg: dict, evs, prior=None):
     """The kappa sweep of one window: kappa_stability with the configured
-    margin_min.  The localizer names imported here are passed in, so
-    instrumentation that rebinds them (perfbench/tracer.py) sees every call."""
+    margin_min and the WeylPrior given.  The localizer names imported here
+    are passed in, so instrumentation that rebinds them (perfbench/tracer.py)
+    sees every call, a certified one included."""
     return kappa_stability(
         H, mu, dirac, kappas, grading, index_cfg.get("margin_min"), evs,
-        even=localizer_index_even, odd=localizer_index_odd)
+        even=localizer_index_even, odd=localizer_index_odd, prior=prior)
+
+
+def _certificates(outcomes) -> dict:
+    """The diagnostics of the Weyl certificates of a run's localizer
+    evaluations, one (prior, ran, headroom) per trial or site: certified
+    counts the localizers settled by a prior, solved those that factored
+    their signature, and min_headroom is the smallest t - b over the
+    evaluations that had a base to be certified from (None without one)."""
+    heads = [float(h) for _, _, h in outcomes if h is not None]
+    return {"certified": sum(1 for p, ran, _ in outcomes if ran and p is not None),
+            "solved": sum(1 for p, ran, _ in outcomes if ran and p is None),
+            "min_headroom": min(heads) if heads else None}
 
 
 def _resolve_x0(index_cfg: dict, sites: DeloneSet) -> np.ndarray:
@@ -309,10 +326,15 @@ def _resolve_x0(index_cfg: dict, sites: DeloneSet) -> np.ndarray:
 
 def _kappa_list(index_cfg: dict, gap: GapInfo, sites: DeloneSet, evs: np.ndarray):
     """The configured kappa_list, by default [gap width / window radius rho].
-    Loring & Schulz-Baldes (NYJM 2017) need rho >= 2 g / kappa, g the
-    distance from mu to the spectrum; 2 g <= width, so the default meets it;
-    a tenth of it reads a reliable-looking index 0 on the [0, 12]^2 to
-    [0, 27]^2 Chern windows.  An unbounded gap uses the spectrum's width."""
+    Loring & Schulz-Baldes (NYJM 2017) need rho >= 2 g / kappa, with g =
+    ||(H - mu)^-1||^-1 of the infinite-volume H.  The default meets that
+    only with g read as the window's own gap (the distance from mu to the
+    window's spectrum, 2 g <= width): edge modes set that gap, and the bulk
+    gap is 15-39x larger on the 16^2 and 27^2 Chern windows, where the
+    default falls short of the condition.  Their kappa condition,
+    kappa ||[D, H]|| <= g^3 / (12 ||H||), is not checked.  A tenth of the
+    default reads a reliable-looking index 0 on the [0, 12]^2 to [0, 27]^2
+    Chern windows.  An unbounded gap uses the spectrum's width."""
     if index_cfg.get("kappa_list"):
         return [float(k) for k in index_cfg["kappa_list"]]
     width = gap.width
@@ -499,11 +521,23 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     included trial returns exactly the base integer.  The perturbation's
     symmetry, "none" or "chiral" (noise anticommuting with the model's
     grading), is resolved before any solve.  The noise strength is
-    strength_rel times the base gap.  A trial solves only the spectrum it
-    reads, spectral.near_spectrum of H + V around the base mu: the gap, the
-    collision check and ||H + V - mu|| for the default margin_min.  The base
-    window's whole spectrum is its eigenvalues alone (_window): no oracle of
-    this run reads eigenvectors, and the trials add V to its CSR H.
+    strength_rel times the base gap.  The base window's whole spectrum is
+    its eigenvalues alone (_window): no oracle of this run reads
+    eigenvectors, and the trials add V to its CSR H.
+
+    Every trial is first held against the base localizer by Weyl's
+    inequality: b (index.perturbation_bound) bounds ||L' - L||_2 from V's
+    entries, and t = SIGNATURE_SHIFT * base margin is the radius the base
+    signature was certified at.  With b < t and t - b above margin_min (the
+    configured one, else an upper bound of the trial's own default, read
+    off the base spectrum padded by b) the trial's signature is the base's
+    and its record "ok" before any solve (index.weyl_prior): it solves the
+    eigenvalues of H + V nearest the base mu (spectral.near_spectrum with
+    far=False), which its gap and gap_closed read, and its localizer's
+    margin, which it reports, and factors no signature.  Any other trial
+    solves as the base does: near_spectrum adds ||H + V - mu|| for the
+    default margin_min, and the localizer factors its signature.  Both
+    paths give the same record.  diagnostics counts the two (_certificates).
     """
     index_cfg, exp = _driver_config("robustness", lattice_cfg, model_cfg, index_cfg,
                                     experiment)
@@ -532,6 +566,7 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
         gap=base.gap.width))
     if base_int is None:
         report.summary = {"base_index": None, "note": "base run unreliable"}
+        report.diagnostics = _certificates([])
         report.passed = False
         report.timings["total"] = time.perf_counter() - t0
         return report
@@ -539,27 +574,40 @@ def run_robustness(lattice_cfg: dict, model_cfg: dict,
     strength = float(exp["strength_rel"]) * base.gap.width
     prange = float(exp["range"])
     gap_floor = GAP_FLOOR_FRAC * base.gap.width
+    kappa, t_base = base.kappas[0], SIGNATURE_SHIFT * base.results[0].margin
+    # The modulus of the diagonal term each localizer adds to its H.
+    diagonal = abs(base.mu) + (abs(kappa) * _extent(base.dirac) if sites.dim % 2 else 0.0)
 
-    def one_trial(t: int) -> dict:
+    def one_trial(t: int):
         seed = int(np.random.SeedSequence([master_seed, t]).generate_state(1)[0])
         V = random_perturbation(sites, prange, strength, f.N, grading=noise_grading,
-                                seed=seed)
+                                seed=seed).to_sparse()
         # Each stored entry equal bit for bit to base.H.add(V).to_sparse()'s.
-        Hp = base.Hs + V.to_sparse()
-        evs = near_spectrum(Hp, base.mu)
+        Hp = base.Hs + V
+        b = perturbation_bound(V, base.Hs, diagonal)
+        margin_min = index_cfg.get("margin_min")
+        if margin_min is None:
+            margin_min = default_margin_min(base.evs, base.mu, base.dirac, kappa, pad=b)
+        prior = weyl_prior(base.results[0], b, margin_min)
+        headroom = t_base - b
+        evs = near_spectrum(Hp, base.mu, far=prior is None)
         try:
             _, gap = _mu_gap(evs, base.mu, f.grading)
         except GapUndefined:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
-                    "gap": 0.0, "status": "gap_closed"}
+                    "gap": 0.0, "status": "gap_closed"}, (prior, False, headroom)
         if gap.width < gap_floor:
             return {"trial": t, "seed": seed, "index": None, "margin": 0.0,
-                    "gap": gap.width, "status": "gap_closed"}
-        (res,), _ = _localize(Hp, base.mu, base.dirac, base.kappas[:1],
-                              f.grading, index_cfg, evs)
-        return _result_record(res, trial=t, seed=seed, gap=gap.width)
+                    "gap": gap.width, "status": "gap_closed"}, (prior, False, headroom)
+        # A certified trial is judged by the margin_min it was certified at:
+        # its slice of the spectrum holds no ||H + V - mu|| for the default.
+        cfg = index_cfg if prior is None else {**index_cfg, "margin_min": margin_min}
+        (res,), _ = _localize(Hp, base.mu, base.dirac, [kappa], f.grading, cfg, evs, prior)
+        return _result_record(res, trial=t, seed=seed, gap=gap.width), (prior, True, headroom)
 
-    trials = _pmap(one_trial, range(n_trials), workers)
+    outcomes = _pmap(one_trial, range(n_trials), workers)
+    trials = [rec for rec, _ in outcomes]
+    report.diagnostics = _certificates([cert for _, cert in outcomes])
     report.records.extend(trials)
     included = [r for r in trials if r["status"] != "gap_closed"]
     excluded = len(trials) - len(included)
@@ -690,6 +738,12 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
     all integers agree and are reliable.  base_sites is a count or a list
     of site indices (_chosen_sites).  A gap closed at mu makes every record
     gap_closed.
+
+    The first site is solved; every other site x is held against it by
+    Weyl's inequality, ||L_x - L_first||_2 = kappa |x - x_first| up to
+    rounding (index.translation_bound), and, certified by a reliable first
+    reading (index.weyl_prior, at the site's own margin_min), solves only
+    its margin.  Both paths give the same record; diagnostics counts them.
     """
     index_cfg, exp = _driver_config("omega", lattice_cfg, model_cfg, index_cfg, experiment)
     base_sites = exp["base_sites"]
@@ -709,15 +763,32 @@ def run_omega_independence(lattice_cfg: dict, model_cfg: dict,
         w = _window(sites, f, mu_policy, report=report)
     except GapUndefined as err:
         records = [{"site": i, "status": "gap_closed", "error": str(err)} for i in chosen]
+        report.diagnostics = _certificates([])
     else:
         kappas = _kappa_list(index_cfg, w.gap, sites, w.evs)[:1]
+        first = position_dirac(sites, sites.points[chosen[0]], f.N)
+        # Through the pool too: every site computes in the same threading context.
+        (first_res,) = _pmap(lambda d: _localize(w.Hs, w.mu, d, kappas, f.grading,
+                                                 index_cfg, w.evs)[0][0], [first], workers)
+        t_first = SIGNATURE_SHIFT * first_res.margin if first_res.status == "ok" else None
 
-        def one_site(i: int) -> dict:
+        def one_site(i: int):
             dirac = position_dirac(sites, sites.points[i], f.N)
-            (res,), _ = _localize(w.Hs, w.mu, dirac, kappas, f.grading, index_cfg, w.evs)
-            return _result_record(res, site=i, gap=w.gap.width)
+            b = translation_bound(w.Hs, first, dirac, kappas[0])
+            margin_min = index_cfg.get("margin_min")
+            if margin_min is None:
+                margin_min = default_margin_min(w.evs, w.mu, dirac, kappas[0])
+            prior = weyl_prior(first_res, b, margin_min)
+            (res,), _ = _localize(w.Hs, w.mu, dirac, kappas, f.grading, index_cfg, w.evs,
+                                  prior)
+            return (_result_record(res, site=i, gap=w.gap.width),
+                    (prior, True, None if t_first is None else t_first - b))
 
-        records = _pmap(one_site, chosen, workers)
+        outcomes = _pmap(one_site, chosen[1:], workers)
+        records = [_result_record(first_res, site=chosen[0], gap=w.gap.width)]
+        records += [rec for rec, _ in outcomes]
+        report.diagnostics = _certificates([(None, True, None)]
+                                           + [cert for _, cert in outcomes])
     report.records.extend(records)
     indices = [r.get("index") for r in records]
     report.passed = (all(r["status"] == "ok" for r in records)

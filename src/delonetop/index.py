@@ -12,9 +12,11 @@ Every localizer reads H as one CSR matrix: a BlockOperator through
 BlockOperator.to_sparse(), a dense or sparse matrix through one csr_array
 call at entry.  Both localizers assemble L sparse and share one inertia
 engine, forming no dense matrix: the margin is one shift-invert ARPACK
-eigenvalue of L, and the signature the inertia of L -+ t (t = 0.9 margin),
-read off the pivots of two symmetric sparse LU factorizations (Sylvester)
-and certified by their backward error.  The even (2D) L is
+eigenvalue of L, and the signature the inertia of L -+ t (t = SIGNATURE_SHIFT
+margin), read off the pivots of two symmetric sparse LU factorizations
+(Sylvester) and certified by their backward error.  A localizer within b < t
+of a certified one in norm has its signature by Weyl's inequality: given
+that WeylPrior, only its margin is solved.  The even (2D) L is
 [[H - mu, kappa D-], [kappa D-^dag, -(H - mu)]], the odd (1D) one
 H + kappa (X - x0) G with G the on-site grading.
 
@@ -52,6 +54,14 @@ __all__ = [
     "bloch_winding",
     "chiral_bloch_block",
 ]
+
+
+# The signature is read at L -+ t, t = SIGNATURE_SHIFT * margin
+# (_shifted_signature): the radius every WeylPrior is measured against.
+SIGNATURE_SHIFT = 0.9
+# A solved margin below (t - b)(1 - _PRIOR_RTOL) contradicts its WeylPrior.
+_PRIOR_RTOL = 1e-8
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -130,11 +140,120 @@ class IndexResult:
         }
 
 
+@dataclass(frozen=True)
+class WeylPrior:
+    """What a certified localizer L fixes for a localizer L' near it.
+
+    L has signature `signature` and no eigenvalue in [-t, t], t =
+    SIGNATURE_SHIFT * margin(L) (the certificate of _shifted_signature), and
+    ||L' - L||_2 <= b < t.  By Weyl's inequality (Bhatia, Matrix Analysis,
+    Springer 1997, III.2) each eigenvalue of L' lies within b of the
+    matching one of L, so L' has the same signature and margin(L') >= t - b.
+    floor is that bound less a 1e-8 relative allowance for the margin solve:
+    a solved margin below it contradicts the prior (_certified_result).
+    """
+
+    signature: int
+    t: float
+    b: float
+
+    @property
+    def floor(self) -> float:
+        return (self.t - self.b) * (1.0 - _PRIOR_RTOL)
+
+
+def weyl_prior(base: IndexResult, b: float, margin_min: float) -> WeylPrior | None:
+    """The WeylPrior a reliable base reading gives a localizer of the same
+    size within b of the base L in norm, or None unless it settles that
+    localizer's record: b < t and floor > margin_min, the margin_min the
+    record is judged by (or an upper bound of it), so the record is "ok"
+    with the base's signature before any solve.  A reliable base was
+    certified: _certified_result raises when a guard fails above margin_min."""
+    if base.status != "ok":
+        return None
+    prior = WeylPrior(int(round(2.0 * base.half_signature)),
+                      SIGNATURE_SHIFT * base.margin, float(b))
+    return prior if prior.b < prior.t and prior.floor > margin_min else None
+
+
+def perturbation_bound(V, H, diagonal: float) -> float:
+    """A rigorous upper bound b on ||L' - L||_2, L the localizer (either
+    pairing) of the CSR matrix H and L' that of H + V (the sparse sum), V
+    Hermitian CSR; diagonal bounds the modulus of the diagonal term each
+    localizer adds to its H (|mu|, plus kappa max|x - x0| for the odd one).
+
+    The even L holds A = H - mu and -A on its diagonal blocks, so
+    L' - L = diag(Delta, -Delta) with Delta = A' - A; the odd L = H +
+    kappa (X - x0) G, so L' - L = Delta with A = L.  Either way
+    ||L' - L||_2 = ||Delta||_2, and Delta is V plus the rounding of the
+    assembly.  ||V||_2^2 = ||V^2||_2 <= ||V^2||_inf: V^2 is Hermitian, so its
+    2-norm is its spectral radius, which no induced norm undercuts.  On the
+    16^2 robustness window sqrt(||V^2||_inf) reads 0.24-0.26, against
+    0.14-0.15 exact and 0.41-0.44 for the Schur test sqrt(||V||_1 ||V||_inf)
+    (Higham, "Accuracy and Stability of Numerical Algorithms", SIAM 2002).
+    Rounding, with u the unit roundoff and gamma = (n + 4) u / (1 - (n + 4) u):
+    each computed entry of V @ V is within 2 gamma (|V|^2)_ij of the exact
+    one and each computed row sum of moduli within gamma relative, so with
+    s and r the computed ||V^2||_inf and ||V||_inf, ||V^2||_inf <=
+    (1 + 2 gamma) s + 3 gamma r^2.  Each stored entry of H + V, and each
+    diagonal entry after the shift, is within u of its modulus; these
+    errors form a matrix whose moduli are dominated by a symmetric one, so
+    their 2-norm is at most 4 u (||H||_inf + r + diagonal).
+    """
+    n = V.shape[0]
+    if n == 0 or V.nnz == 0:
+        return 0.0
+    u = _UNIT_ROUNDOFF
+    gamma = (n + 4) * u / (1.0 - (n + 4) * u)
+    s = float(abs(V @ V).sum(axis=1).max())
+    r = float(abs(V).sum(axis=1).max())
+    h = float(abs(H).sum(axis=1).max()) if H.nnz else 0.0
+    assembly = 4.0 * u * (h + r + diagonal)
+    return (np.sqrt((1.0 + 2.0 * gamma) * s + 3.0 * gamma * r * r) + assembly) * (1.0 + gamma)
+
+
+def translation_bound(H, dirac: PositionDirac, other: PositionDirac,
+                      kappa: float) -> float:
+    """A rigorous upper bound b on ||L' - L||_2 for the localizers (either
+    pairing) of the CSR matrix H at one kappa and two centres on the same
+    sites: L at dirac.x0, L' at other.x0.
+
+    Moving x0 by d moves the position term kappa (X - x0) by the constant
+    -kappa d, so ||L' - L||_2 = kappa |d| exactly.  As stored, the two
+    localizers differ by the difference of their _position_term entries: in
+    the even L they sit off the diagonal blocks, whose difference
+    [[0, C], [C^dag, 0]] has 2-norm max|C_ii|, read off the entries up to
+    the rounding of one subtraction and one modulus; the odd L adds them to
+    the diagonal of H, each sum within u of its modulus.
+    """
+    m, n = H.shape[0], len(dirac.sites)
+    if m == 0 or n == 0:
+        return 0.0
+    u = _UNIT_ROUNDOFF
+    N = m // n
+    p, q = _position_term(dirac, kappa, N), _position_term(other, kappa, N)
+    h = float(np.abs(H.diagonal()).max())
+    rounding = 2.0 * u * (h + float(np.abs(p).max()) + float(np.abs(q).max()))
+    return float(np.abs(q - p).max()) * (1.0 + 4.0 * u) + rounding
+
+
+def _position_term(dirac: PositionDirac, kappa: float, N: int) -> np.ndarray:
+    """kappa (X - x0) as the localizers store it, one entry per orbital (N
+    per site): kappa D- = kappa ((X1 - x01) - i (X2 - x02)) in 2D, kappa
+    (X - x0) in 1D."""
+    rel = dirac.sites.points - dirac.x0
+    if dirac.sites.dim == 1:
+        return kappa * np.repeat(rel[:, 0], N)
+    return kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
+
+
 def _h_eigenvalues(H, hdata) -> np.ndarray:
     """The spectrum of the CSR matrix H: hdata's, or eigenvalues(H) when
     hdata is None.  hdata may be the whole spectrum or a slice of it such as
     spectral.near_spectrum's: the localizers read only the eigenvalues
-    nearest mu and the largest |eigenvalue - mu|."""
+    nearest mu and, for the default margin_min, the largest
+    |eigenvalue - mu|; a slice without the farthest eigenvalue
+    (near_spectrum(far=False)) serves a call that is given margin_min."""
     if hdata is None:
         return eigenvalues(H)
     if isinstance(hdata, SpectralData):
@@ -226,10 +345,11 @@ def _shifted_signature(L, margin: float) -> tuple[int, str | None]:
     """Signature of the sparse Hermitian L, and the first of its guards that
     failed (None when all hold).
 
-    SuperLU factors L - t and L + t, t = 0.9 margin, with diagonal pivots in
-    a symmetric ordering: P (L - s) P^T = L'U', U' = D L'^dag, so In(L - s)
-    = In(D) (Sylvester) counts the signs of Re diag U'.  The shift also
-    makes the zero diagonal of a chiral window nonzero.  Guards per LU:
+    SuperLU factors L - t and L + t, t = SIGNATURE_SHIFT margin, with
+    diagonal pivots in a symmetric ordering: P (L - s) P^T = L'U', U' =
+    D L'^dag, so In(L - s) = In(D) (Sylvester) counts the signs of
+    Re diag U'.  The shift also makes the zero diagonal of a chiral window
+    nonzero.  Guards per LU:
     perm_r == perm_c; each pivot real to 1e-4 of its own real part (pivots
     span 6 orders of magnitude, so a bound on max|d| misjudges); the
     backward error |E| <= gamma_{n+2} |L'||U'| (Higham, "Accuracy and
@@ -238,7 +358,7 @@ def _shifted_signature(L, margin: float) -> tuple[int, str | None]:
     Last, In(L - t) == In(L + t) bars every eigenvalue of L from (-t, t].
     """
     n = L.shape[0]
-    t = 0.9 * margin
+    t = SIGNATURE_SHIFT * margin
     u = np.finfo(float).eps / 2
     gamma = (n + 2) * u / (1.0 - (n + 2) * u)
     ones = np.ones(n)
@@ -264,14 +384,23 @@ def _shifted_signature(L, margin: float) -> tuple[int, str | None]:
     return inertia[0][0] - inertia[0][1], (doubts + [None])[0]
 
 
-def _certified_result(L, kappa: float, x0, mu: float,
-                       margin_min: float) -> IndexResult:
+def _certified_result(L, kappa: float, x0, mu: float, margin_min: float,
+                      prior: WeylPrior | None = None) -> IndexResult:
     """The IndexResult of the sparse Hermitian localizer L: its _margin and
     its certified signature (_shifted_signature).  LocalizerUnreliable is
     raised when the margin solve does not converge or a guard of the
     signature fails on a margin above margin_min; below it the record is
-    unreliable anyway and keeps its uncertified half-signature."""
+    unreliable anyway and keeps its uncertified half-signature.  Given a
+    prior (weyl_prior), the signature is the prior's and no signature is
+    factored; a margin below prior.floor contradicts the prior and raises
+    LocalizerUnreliable instead of being trusted."""
     margin = _margin(L)
+    if prior is not None:
+        if margin < prior.floor:
+            raise LocalizerUnreliable(
+                f"Weyl prior contradicted: margin {margin:.6e} below (t - b)(1 - "
+                f"{_PRIOR_RTOL:g}) = {prior.floor:.6e} (t = {prior.t:.6e}, b = {prior.b:.6e})")
+        return _index_result(0.5 * prior.signature, margin, kappa, x0, mu, margin_min)
     sig, doubt = _shifted_signature(L, margin)
     if doubt is not None and margin > margin_min:
         raise LocalizerUnreliable(f"signature not certified: {doubt}")
@@ -279,7 +408,8 @@ def _certified_result(L, kappa: float, x0, mu: float,
 
 
 def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
-                         margin_min: float | None = None, hdata=None) -> IndexResult:
+                         margin_min: float | None = None, hdata=None,
+                         prior: WeylPrior | None = None) -> IndexResult:
     """Half-signature index of L = [[H - mu, k D-], [k D-^dag, -(H - mu)]].
 
     D- = (X1 - x01) - i (X2 - x02) acts site-diagonally on the internal
@@ -293,6 +423,8 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     margin_min, which defaults to 1e-3 of the localizer's natural scale
     max(||H - mu||, kappa * max|x - x0|); the second term catches the
     absurd-kappa regime where the position part dwarfs the Hamiltonian.
+    prior, a WeylPrior of a certified localizer near this one, replaces the
+    signature solve (_certified_result).
     """
     if dirac.sites.dim != 2:
         raise InvalidInput("even localizer needs a 2-dimensional point set")
@@ -301,8 +433,7 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
     m = H.shape[0]
     if m == 0:
         return _index_result(0.0, np.inf, kappa, dirac.x0, mu, margin_min)
-    rel = dirac.sites.points - dirac.x0
-    kd = kappa * np.repeat(rel[:, 0] - 1.0j * rel[:, 1], N)
+    kd = _position_term(dirac, kappa, N)
     # A = H - mu stores no zero: the subtraction drops a diagonal entry it
     # cancels.  kd is stored in full, zero or not, so the pattern of L does
     # not depend on where x0 sits.
@@ -313,14 +444,14 @@ def localizer_index_even(H, mu: float, dirac: PositionDirac, kappa: float,
          (np.concatenate([A.row, A.row + m, diag, diag + m]),
           np.concatenate([A.col, A.col + m, diag + m, diag]))),
         shape=(2 * m, 2 * m))
-    return _certified_result(L, kappa, dirac.x0, mu, margin_min)
+    return _certified_result(L, kappa, dirac.x0, mu, margin_min, prior)
 
 
 def _localizer_input(H, dirac: PositionDirac, mu: float, kappa: float, margin_min,
                      hdata, grading=None):
     """What both localizers read first: H as one CSR matrix, the orbitals per
     site N, the grading's sign per orbital g (None without a grading), the
-    spectrum of H and margin_min, by default 1e-3 of _localizer_scale.  The
+    spectrum of H and margin_min, by default default_margin_min.  The
     odd localizer's grading is checked, GHG = -H, before any eigensolve."""
     H = _csr(H, complex)
     m, n = H.shape[0], len(dirac.sites)
@@ -332,18 +463,24 @@ def _localizer_input(H, dirac: PositionDirac, mu: float, kappa: float, margin_mi
         raise SymmetryViolation(f"GHG = -H fails: residual {chir_res:.3e}")
     evs = _h_eigenvalues(H, hdata)
     if margin_min is None:
-        margin_min = 1e-3 * _localizer_scale(evs, mu, dirac, kappa)
+        margin_min = default_margin_min(evs, mu, dirac, kappa)
     return H, N, g, evs, margin_min
 
 
-def _localizer_scale(evs: np.ndarray, mu: float, dirac: PositionDirac,
-                     kappa: float) -> float:
-    """Natural scale of the localizer: the larger of ||H - mu|| and the
-    position term kappa * max|x - x0|."""
-    hscale = float(np.abs(evs - mu).max()) if evs.size else 0.0
+def default_margin_min(evs: np.ndarray, mu: float, dirac: PositionDirac,
+                       kappa: float, pad: float = 0.0) -> float:
+    """1e-3 of the localizer's natural scale, the larger of ||H - mu||
+    (from the eigenvalues evs, plus pad) and the position term
+    kappa * max|x - x0|.  With pad >= ||V||_2 it bounds the default of
+    H + V from above, read off the spectrum of H."""
+    hscale = float(np.abs(evs - mu).max()) + pad if evs.size else pad
+    return 1e-3 * max(hscale, abs(kappa) * _extent(dirac))
+
+
+def _extent(dirac: PositionDirac) -> float:
+    """max |x - x0| over the sites, 0 for none."""
     pts = dirac.sites.points
-    dmax = float(np.linalg.norm(pts - dirac.x0, axis=1).max()) if len(pts) else 0.0
-    return max(hscale, abs(kappa) * dmax)
+    return float(np.linalg.norm(pts - dirac.x0, axis=1).max()) if len(pts) else 0.0
 
 
 def _chirality_residual(H, g: np.ndarray) -> float:
@@ -356,7 +493,8 @@ def _chirality_residual(H, g: np.ndarray) -> float:
 
 def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
                         grading: np.ndarray,
-                        margin_min: float | None = None, hdata=None) -> IndexResult:
+                        margin_min: float | None = None, hdata=None,
+                        prior: WeylPrior | None = None) -> IndexResult:
     """Winding index of a chiral 1D Hamiltonian via the odd localizer.
 
     L = H + k (X - x0) G with G the on-site grading (an N x N diagonal,
@@ -367,8 +505,8 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     assembled sparse in site-major order, the CSR matrix H plus a diagonal,
     and read by _certified_result, the engine of localizer_index_even: the
     same margin, certified signature and LocalizerUnreliable.  The pairing
-    is at mu = 0; hdata (the spectrum of H, or a slice of it) and the
-    default margin_min are as in localizer_index_even.
+    is at mu = 0; hdata (the spectrum of H, or a slice of it), the default
+    margin_min and prior are as in localizer_index_even.
     """
     if dirac.sites.dim != 1:
         raise InvalidInput("odd localizer needs a 1-dimensional point set")
@@ -378,21 +516,22 @@ def localizer_index_odd(H, dirac: PositionDirac, kappa: float,
     # is delegated to the margin test below.
     H, N, g, _, margin_min = _localizer_input(H, dirac, 0.0, kappa, margin_min, hdata,
                                               grading)
-    x = kappa * np.repeat(dirac.sites.points[:, 0] - dirac.x0[0], N)
+    x = _position_term(dirac, kappa, N)
     L = sparse.csc_matrix(H + sparse.diags_array(g * x))
-    return _certified_result(L, kappa, dirac.x0, 0.0, margin_min)
+    return _certified_result(L, kappa, dirac.x0, 0.0, margin_min, prior)
 
 
 def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
                     grading: np.ndarray | None = None,
                     margin_min: float | None = None,
-                    hdata=None, *, even=None,
-                    odd=None) -> tuple[list[IndexResult], bool]:
+                    hdata=None, *, even=None, odd=None,
+                    prior: WeylPrior | None = None) -> tuple[list[IndexResult], bool]:
     """One localizer run per kappa; plateau iff all reliable runs agree.
 
     Even d = dirac.sites.dim runs the even localizer, odd d the odd one with
     the grading.  H, a BlockOperator or a dense or sparse matrix, is read as
-    one CSR matrix and its spectrum resolved once for the whole sweep.
+    one CSR matrix and its spectrum resolved once for the whole sweep.  A
+    prior (WeylPrior) settles the signature of a one-kappa sweep.
     even and odd stand in for localizer_index_even and localizer_index_odd
     (same signatures); the experiment drivers pass the names they import,
     so instrumentation that rebinds those names (perfbench/tracer.py) sees
@@ -401,6 +540,8 @@ def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
     kappa_list = list(kappa_list)
     if not kappa_list:
         raise InvalidInput("kappa_list must be nonempty")
+    if prior is not None and len(kappa_list) != 1:
+        raise InvalidInput("a Weyl prior settles a one-kappa sweep")
     odd_d = dirac.sites.dim % 2
     if odd_d and grading is None:
         raise InvalidInput("the odd pairing needs the on-site chiral grading")
@@ -411,11 +552,11 @@ def kappa_stability(H, mu: float, dirac: PositionDirac, kappa_list,
     H = _csr(H, complex)
     evs = _h_eigenvalues(H, hdata)
     if odd_d:
-        results = [odd(H, dirac, kappa, grading, margin_min=margin_min, hdata=evs)
-                   for kappa in kappa_list]
+        results = [odd(H, dirac, kappa, grading, margin_min=margin_min, hdata=evs,
+                       prior=prior) for kappa in kappa_list]
     else:
-        results = [even(H, mu, dirac, kappa, margin_min=margin_min, hdata=evs)
-                   for kappa in kappa_list]
+        results = [even(H, mu, dirac, kappa, margin_min=margin_min, hdata=evs,
+                        prior=prior) for kappa in kappa_list]
     valid = [r.index for r in results if r.status == "ok"]
     plateau = bool(valid) and len(set(valid)) == 1
     return results, plateau

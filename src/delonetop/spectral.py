@@ -12,12 +12,13 @@ from the eigenvalues, back-transforms (zunmqr) only the occupied frame and
 the two eigenvectors that bound the spectrum the run reads.  Projections
 are built from eigenvectors, which is exact at finite dimension.  A
 perturbed robustness trial reads only the eigenvalues nearest mu and
-||H - mu||: near_spectrum computes just those, by ARPACK shift-invert on
-one sparse LU of H - mu.  eig_hermitian, the full eigendecomposition, is
-``scipy.linalg.eigh``: from _MRRR_MIN_DIM rows up with LAPACK's MRRR driver
-(Dhillon & Parlett, SIMAX 2004), ``driver="evr"``, below it with divide and
-conquer, ``driver="evd"``; it and fermi_projection are the public full
-solve and the test oracle of the reduction.
+||H - mu|| (a Weyl-certified one not even that): near_spectrum computes
+just those, by ARPACK shift-invert on one sparse LU of H - mu.
+eig_hermitian, the full eigendecomposition, is ``scipy.linalg.eigh``: from
+_MRRR_MIN_DIM rows up with LAPACK's MRRR driver (Dhillon & Parlett, SIMAX
+2004), ``driver="evr"``, below it with divide and conquer,
+``driver="evd"``; it and fermi_projection are the public full solve and
+the test oracle of the reduction.
 
 Only the m x m arrays an output reads are allocated.  H, a BlockOperator
 or a dense or sparse matrix, is read as one CSR matrix (Hamiltonians are
@@ -254,10 +255,10 @@ def _splu(A):
                 options={"SymmetricMode": True})
 
 
-def near_spectrum(S, mu: float) -> np.ndarray:
+def near_spectrum(S, mu: float, far: bool = True) -> np.ndarray:
     """The part of the spectrum of the Hermitian sparse matrix S that the gap
     functions and the localizers read, ascending: the eigenvalues nearest mu
-    and the one farthest from it.
+    and, unless far is False, the one farthest from it.
 
     One _splu factor of S - mu serves ARPACK shift-invert (Lehoucq, Sorensen
     & Yang, ARPACK Users' Guide, SIAM 1998) at tol = 0 from a fixed-seed
@@ -274,8 +275,12 @@ def near_spectrum(S, mu: float) -> np.ndarray:
     max |slice - mu| = ||S - mu||, the localizers' default scale.  It stops
     at tol = 1e-10, as the localizer's margin solve does: on the same trials
     it took 7.1 against 10.9 ms at tol = 0, both within 1.4e-14 relative of
-    the dense value.  Where ARPACK cannot run (n <= 2k + 2), S - mu is
-    exactly singular or ARPACK does not converge it returns eigenvalues(S).
+    the dense value.  That solve is more than half of the call on the 16^2
+    window (131-141 products: the band edge is clustered), so a caller that
+    reads no default scale, a Weyl-certified robustness trial, passes
+    far=False and gets the near eigenvalues alone.  Where ARPACK cannot run
+    (n <= 2k + 2), S - mu is exactly singular or ARPACK does not converge it
+    returns eigenvalues(S), whole.
     """
     n = S.shape[0]
     k = _NEAR_K
@@ -295,9 +300,10 @@ def near_spectrum(S, mu: float) -> np.ndarray:
                          return_eigenvectors=False)
             if ((near < 0).any() and (near >= 0).any()
                     and (np.abs(near) > _ZERO_MODE_TOL).any()):
-                far = eigsh(A, k=1, which="LM", v0=v0, tol=1e-10,
-                            return_eigenvectors=False)
-                return np.sort(np.concatenate([near, far]) + mu)
+                if far:
+                    near = np.concatenate([near, eigsh(
+                        A, k=1, which="LM", v0=v0, tol=1e-10, return_eigenvectors=False)])
+                return np.sort(near + mu)
             k *= 2
     except RuntimeError:  # SuperLU's "Factor is exactly singular"; ArpackError
         pass

@@ -496,6 +496,21 @@ master_seed = 1
     assert trials[1].startswith("base,")
 
 
+@pytest.mark.parametrize("text, certified, solved", [
+    (CHERN_INI + "[index]\nkappa_list = [0.1]\n[experiment]\nn_trials = 2\n", 2, 0),
+    (SSH_INI.replace("[0.0, 34.0]", "[0.0, 50.0]")
+     + "[experiment]\nn_trials = 3\nsymmetry = chiral\n", 0, 3),
+], ids=["chern-10", "ssh-chiral"])
+def test_robustness_diagnostics_land_in_run_meta_only(tmp_path, text, certified, solved):
+    cfg = write(tmp_path, "run.ini", text)
+    out = tmp_path / "out"
+    assert main(["robustness", "--config", str(cfg), "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "run_meta.json").read_text())["diagnostics"]
+    assert (diagnostics["certified"], diagnostics["solved"]) == (certified, solved)
+    assert (diagnostics["min_headroom"] > 0) == bool(certified)
+    assert "diagnostics" not in (out / "report.json").read_text()
+
+
 def test_stacking_command(tmp_path):
     cfg = write(tmp_path, "run.ini", """\
 [lattice]

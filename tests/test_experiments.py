@@ -239,7 +239,7 @@ def test_robustness_trials_match_the_dense_oracle(monkeypatch, lattice, model, e
     # A trial reads its gap and ||H + V - mu|| off near_spectrum's slice;
     # with the whole dense spectrum instead every record is the same.
     rep = run_robustness(lattice, model, {"kappa_list": [0.1]}, experiment=experiment)
-    monkeypatch.setattr(experiments, "near_spectrum", lambda S, mu: eigenvalues(S))
+    monkeypatch.setattr(experiments, "near_spectrum", lambda S, mu, far=True: eigenvalues(S))
     dense = run_robustness(lattice, model, {"kappa_list": [0.1]}, experiment=experiment)
     _same_records(rep.records, dense.records)
     assert rep.summary == dense.summary and rep.passed == dense.passed
@@ -605,6 +605,122 @@ def test_omega_independence_worker_determinism():
     b = run_omega_independence({"window": [0.0, 12.0]}, CHERN, **kw,
                                workers=4).as_dict()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Weyl certificates of robustness trials and omega sites
+# ---------------------------------------------------------------------------
+
+_SSH_CHIRAL = {"strength_rel": 0.2, "symmetry": "chiral"}
+# Every robustness and omega config of the tests and of CI, as (driver,
+# lattice, model, index_cfg, experiment).
+CERTIFIABLE_RUNS = {
+    "robustness-10-zero": (run_robustness, {"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                           {"n_trials": 3, "strength_rel": 0.0}),
+    "robustness-10": (run_robustness, {"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                      {"n_trials": 6, "strength_rel": 0.2, "master_seed": 1}),
+    "robustness-10-strong": (run_robustness, {"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                             {"n_trials": 6, "strength_rel": 5.0, "master_seed": 3}),
+    "robustness-10-seed-7": (run_robustness, {"window": [0.0, 10.0]}, CHERN, KAPPAS,
+                             {"n_trials": 4, "strength_rel": 0.2, "master_seed": 7}),
+    "robustness-10-cli": (run_robustness, {"window": [0.0, 10.0]}, CHERN,
+                          {"kappa_list": [0.15]},
+                          {"n_trials": 3, "strength_rel": 0.2, "master_seed": 1}),
+    "robustness-10-ci": (run_robustness, {"window": [0.0, 10.0]}, CHERN,
+                         {"kappa_list": [0.1]}, {"n_trials": 2}),
+    "robustness-6": (run_robustness, {"window": [0.0, 6.0]}, CHERN, {"kappa_list": [0.1]},
+                     {"n_trials": 3, "strength_rel": 0.2}),
+    "robustness-6-margin-min": (run_robustness, {"window": [0.0, 6.0]}, CHERN,
+                                {"kappa_list": [0.1], "margin_min": 0.3},
+                                {"n_trials": 3, "strength_rel": 0.2}),
+    "robustness-16": (run_robustness, {"window": [0.0, 16.0]}, CHERN, {"kappa_list": [0.1]},
+                      {"n_trials": 3, "strength_rel": 0.2}),
+    "criterion-5": (run_robustness, {"window": [0.0, 16.0]}, CHERN, {"kappa_list": [0.1]},
+                    {"n_trials": 30, "strength_rel": 0.2, "range": 2.0, "master_seed": 0}),
+    "ssh-20": (run_robustness, {"dim": 1, "window": [0.0, 20.0]}, SSH, {"kappa_list": [0.1]},
+               {"n_trials": 6, "master_seed": 0, **_SSH_CHIRAL}),
+    "ssh-50": (run_robustness, {"dim": 1, "window": [0.0, 50.0]}, SSH, {"kappa_list": [0.1]},
+               {"n_trials": 3, "master_seed": 0, **_SSH_CHIRAL}),
+    "ssh-60": (run_robustness, {"dim": 1, "window": [0.0, 60.0]}, SSH, {"kappa_list": [0.1]},
+               {"n_trials": 5, "master_seed": 2, **_SSH_CHIRAL}),
+    **{f"omega-{name}": (run_omega_independence, lattice, model, index_cfg,
+                         {"base_sites": 5})
+       for name, (lattice, model, index_cfg) in OMEGA_WINDOWS.items()},
+    "omega-10-ci": (run_omega_independence, {"window": [0.0, 10.0]}, CHERN,
+                    {"kappa_list": [0.15]}, {"base_sites": 3}),
+    "omega-12-kappas": (run_omega_independence, {"window": [0.0, 12.0]}, CHERN, KAPPAS,
+                        {"base_sites": 4}),
+    "omega-12-margin-min": (run_omega_independence, {"window": [0.0, 12.0]}, CHERN,
+                            {"kappa_list": [0.15], "margin_min": 0.3}, {"base_sites": 4}),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIABLE_RUNS))
+def test_certified_and_solved_paths_give_the_same_records(monkeypatch, name):
+    # The certificate settles only what Weyl's inequality fixes: a certified
+    # trial or site solves its margin with the same code as a solved one, so
+    # with the certificate forced off every record is equal, float for float.
+    driver, lattice, model, index_cfg, experiment = CERTIFIABLE_RUNS[name]
+    rep = driver(lattice, model, index_cfg, experiment=experiment)
+    monkeypatch.setattr(experiments, "weyl_prior", lambda *args: None)
+    solved = driver(lattice, model, index_cfg, experiment=experiment)
+    assert rep.as_dict() == solved.as_dict()
+    assert solved.diagnostics["certified"] == 0
+    d = rep.diagnostics
+    assert d["certified"] + d["solved"] == solved.diagnostics["solved"]
+
+
+def test_certificates_are_counted_where_they_hold():
+    counts = {name: CERTIFIABLE_RUNS[name] for name in
+              ("robustness-10-ci", "robustness-6", "ssh-50", "omega-periodic")}
+    got = {}
+    for name, (driver, lattice, model, index_cfg, experiment) in counts.items():
+        d = driver(lattice, model, index_cfg, experiment=experiment).diagnostics
+        got[name] = (d["certified"], d["solved"], d["min_headroom"] > 0)
+    # 10^2: sqrt(||V^2||_inf) ~ 0.35 against t ~ 0.42; on 6^2 and on the SSH
+    # chain t - b is negative; omega solves its first site only.
+    assert got == {"robustness-10-ci": (2, 0, True), "robustness-6": (0, 3, False),
+                   "ssh-50": (0, 3, False), "omega-periodic": (4, 1, True)}
+
+
+def _spy_signatures_and_far_solves(monkeypatch):
+    """Count index._shifted_signature calls and near_spectrum's far solves
+    (the eigsh call that asks for which="LM" without a shift)."""
+    import scipy.sparse.linalg
+
+    from delonetop import index
+
+    calls = {"signature": 0, "far": 0}
+    real_sig, real_eigsh = index._shifted_signature, scipy.sparse.linalg.eigsh
+
+    def signature(*args, **kwargs):
+        calls["signature"] += 1
+        return real_sig(*args, **kwargs)
+
+    def eigsh(*args, **kwargs):
+        calls["far"] += kwargs.get("which") == "LM" and "sigma" not in kwargs
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(index, "_shifted_signature", signature)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    return calls
+
+
+@pytest.mark.parametrize("lattice, model, experiment, certified", [
+    ({"window": [0.0, 16.0]}, CHERN, {"n_trials": 4, "strength_rel": 0.2}, True),
+    ({"window": [0.0, 16.0]}, CHERN, {"n_trials": 4, "strength_rel": 5.0}, False),
+    ({"dim": 1, "window": [0.0, 60.0]}, SSH,
+     {"n_trials": 4, "master_seed": 2, **_SSH_CHIRAL}, False),
+], ids=["16-certified", "16-strength-5", "ssh-chiral"])
+def test_certified_trials_factor_no_signature(monkeypatch, lattice, model, experiment,
+                                              certified):
+    calls = _spy_signatures_and_far_solves(monkeypatch)
+    rep = run_robustness(lattice, model, {"kappa_list": [0.1]}, experiment=experiment)
+    solved = sum(1 for r in rep.records[1:] if r["status"] != "gap_closed")
+    assert rep.diagnostics["certified"] == (solved if certified else 0)
+    # The base window is solved whole (eigenvalues) and factors its signature.
+    assert calls == ({"signature": 1, "far": 0} if certified
+                     else {"signature": 1 + solved, "far": 4})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,10 +15,13 @@ from delonetop.experiments import build_lattice
 from delonetop.geometry import gen_cut_and_project, gen_hardcore_random, gen_periodic
 from delonetop.groupoid import (bloch_hamiltonian, builtin_model, represent,
                                 stack_operator)
-from delonetop.index import (_chirality_residual, _components, angular_sectors,
-                             bloch_chern_fhs, bloch_winding, chiral_bloch_block,
-                             kappa_stability, kitaev_chern, localizer_index_even,
-                             localizer_index_odd, position_dirac)
+from delonetop import index
+from delonetop.index import (SIGNATURE_SHIFT, WeylPrior, _chirality_residual, _components,
+                             angular_sectors, bloch_chern_fhs, bloch_winding,
+                             chiral_bloch_block, kappa_stability, kitaev_chern,
+                             localizer_index_even, localizer_index_odd,
+                             perturbation_bound, position_dirac, translation_bound,
+                             weyl_prior)
 from delonetop.roe import random_perturbation
 from delonetop.spectral import eig_hermitian, fermi_projection, reduce_hermitian
 from oracles import (ReferenceGapUndefined, dvector_chern_lower,
@@ -489,6 +493,103 @@ def test_even_localizer_below_margin_min_skips_the_certificate(monkeypatch, z2_1
     _edit_lu(monkeypatch, _huge_multipliers)
     r = _certified_localizer(kind, z2_12, chern_12, margin_min=1.0)
     assert (r.status, r.index, r.half_signature) == ("unreliable", None, half_signature)
+
+
+# ---------------------------------------------------------------------------
+# Weyl priors: a certified localizer settles the signature of one near it
+# ---------------------------------------------------------------------------
+
+def _window_and_noise(kind, z2_12, chern_12, strength):
+    """(H, V, dirac) on the window of _certified_localizer: V is complex
+    block noise on the 12^2 Chern window, chiral noise on the SSH chain, or
+    a real symmetric sparse matrix on the Chern window."""
+    if kind == "chiral":
+        omega = z1(40)
+        V = random_perturbation(omega, 2.0, strength, 2, grading=GRADING, seed=3)
+        return (represent(SSH, omega).to_sparse(), V.to_sparse(),
+                position_dirac(omega, omega.window_center, block_dim=2))
+    H = chern_12[1].to_sparse()
+    if kind == "real":
+        M = sparse.random(H.shape[0], H.shape[0], density=0.02, random_state=5)
+        V = sparse.csr_array(strength * (M + M.T))
+    else:
+        V = random_perturbation(z2_12, 2.0, strength, 2, seed=3).to_sparse()
+    return H, V, position_dirac(z2_12, z2_12.window_center, block_dim=2)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "chiral"])
+@pytest.mark.parametrize("strength", [1e-6, 0.05, 2.0])
+def test_perturbation_bound_covers_the_dense_norm(z2_12, chern_12, kind, strength):
+    H, V, dirac = _window_and_noise(kind, z2_12, chern_12, strength)
+    b = perturbation_bound(V, H, 0.3)
+    # The difference the localizers store: A' - A with A = H - mu.
+    eye = sparse.identity(H.shape[0], format="csr")
+    delta = ((H + V) - 0.3 * eye) - (H - 0.3 * eye)
+    assert b >= np.linalg.norm(V.toarray(), 2)
+    assert b >= np.linalg.norm(delta.toarray(), 2)
+    # sqrt(||V^2||_inf) <= ||V||_inf, and the rounding allowances are tiny.
+    assert b <= abs(V).sum(axis=1).max() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+def test_translation_bound_is_the_shift_up_to_rounding(z2_12, chern_12, kind):
+    if kind == "even":
+        H, sites = chern_12[1].to_sparse(), z2_12
+    else:
+        sites = z1(40)
+        H = represent(SSH, sites).to_sparse()
+    a, b = sites.points[len(sites) // 2], sites.points[len(sites) // 2 + 3]
+    bound = translation_bound(H, position_dirac(sites, a, 2), position_dirac(sites, b, 2),
+                              0.15)
+    shift = 0.15 * np.linalg.norm(a - b)
+    assert shift <= bound <= shift * (1.0 + 1e-12) + 1e-12
+
+
+def _localizer(H, dirac, **kwargs):
+    if dirac.sites.dim == 2:
+        return localizer_index_even(H, 0.0, dirac, 0.1, **kwargs)
+    return localizer_index_odd(H, dirac, 0.1, GRADING, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["complex", "chiral"])
+def test_weyl_prior_reading_is_the_solved_reading(monkeypatch, z2_12, chern_12, kind):
+    H, V, dirac = _window_and_noise(kind, z2_12, chern_12, 0.05)
+    base = _localizer(H, dirac)
+    prior = weyl_prior(base, perturbation_bound(V, H, 0.0), 1e-3)
+    assert prior is not None and prior.t == SIGNATURE_SHIFT * base.margin
+    calls = []
+    real = index._shifted_signature
+    monkeypatch.setattr(index, "_shifted_signature",
+                        lambda *a: calls.append(1) or real(*a))
+    certified = _localizer(H + V, dirac, prior=prior, margin_min=1e-3)
+    assert calls == []
+    assert certified == _localizer(H + V, dirac, margin_min=1e-3)
+    assert calls == [1]
+    assert certified.margin >= prior.t - prior.b
+
+
+@pytest.mark.parametrize("kind", ["complex", "chiral"])
+def test_contradicted_weyl_prior_raises(z2_12, chern_12, kind):
+    # A base margin inflated fivefold promises margin(L) >= 4.5 margin.
+    H, _, dirac = _window_and_noise(kind, z2_12, chern_12, 0.05)
+    base = _localizer(H, dirac)
+    prior = weyl_prior(dataclasses.replace(base, margin=5.0 * base.margin), 0.0, 1e-3)
+    with pytest.raises(LocalizerUnreliable, match="Weyl prior contradicted"):
+        _localizer(H, dirac, prior=prior)
+
+
+def test_weyl_prior_settles_only_what_it_fixes(z2_12, chern_12):
+    dirac = position_dirac(z2_12, z2_12.window_center, block_dim=2)
+    base = localizer_index_even(chern_12[1], 0.0, dirac, 0.1)
+    t = SIGNATURE_SHIFT * base.margin
+    assert weyl_prior(base, 0.5 * t, 1e-3) == WeylPrior(2, t, 0.5 * t)
+    assert weyl_prior(base, t, 0.0) is None                      # b reaches t
+    assert weyl_prior(base, 0.5 * t, 0.5 * t) is None            # t - b at margin_min
+    unreliable = dataclasses.replace(base, status="unreliable", index=None)
+    assert weyl_prior(unreliable, 0.0, 0.0) is None
+    with pytest.raises(InvalidInput, match="one-kappa sweep"):
+        kappa_stability(chern_12[1], 0.0, dirac, [0.1, 0.2],
+                        prior=weyl_prior(base, 0.0, 1e-3))
 
 
 # ---------------------------------------------------------------------------
