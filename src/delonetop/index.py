@@ -11,8 +11,9 @@ plaquette Chern number, winding of det A(k)) for periodic models.
 Every localizer reads H as one CSR matrix: a BlockOperator through
 BlockOperator.to_sparse(), a dense or sparse matrix through one csr_array
 call at entry.  Both localizers assemble L sparse and share one inertia
-engine, forming no dense matrix: the margin is one shift-invert ARPACK
-eigenvalue of L, and the signature the inertia of L -+ t (t = SIGNATURE_SHIFT
+engine, forming no dense matrix: the margin is one Lanczos eigenvalue of
+L^2 (products with L only), or one shift-invert ARPACK eigenvalue of L where
+Lanczos stalls, and the signature the inertia of L -+ t (t = SIGNATURE_SHIFT
 margin), read off the pivots of two symmetric sparse LU factorizations
 (Sylvester) and certified by their backward error.  A localizer within b < t
 of a certified one in norm has its signature by Weyl's inequality: given
@@ -55,6 +56,18 @@ __all__ = [
     "chiral_bloch_block",
 ]
 
+
+# _lanczos_margin: ARPACK's Lanczos basis size, its restart cap and the true
+# residual it may leave, relative to theta, before the margin falls back to
+# shift-invert.  Over the test suite's 746 margins (536 tests), caps of 10,
+# 15, 20, 30 and 60 restarts left 225, 54, 45, 41 and 27 to the fallback and
+# cost about 18.1, 9.6, 8.8, 9.2 and 9.9 s of margin solves (shift-invert
+# alone 17.4 s); the 27^2 amorphous windows need 16-20.  Every Lanczos
+# margin accepted at 20 had a residual within 1.7e-12 theta; the two false
+# convergences seen at larger caps left 2.3e-8 and 6.3e-6 theta.
+_LANCZOS_NCV = 20
+_LANCZOS_RESTARTS = 20
+_LANCZOS_RESIDUAL = 1e-9
 
 # The signature is read at L -+ t, t = SIGNATURE_SHIFT * margin
 # (_shifted_signature): the radius every WeylPrior is measured against.
@@ -305,6 +318,72 @@ def _components(m: int, rows: np.ndarray,
 
 
 def _margin(L) -> float:
+    """Smallest |eigenvalue| of the sparse Hermitian localizer L: first by
+    _lanczos_margin, which neither forms L^2 nor factors L, and where that
+    stalls (small margins, where L^2 is ill-conditioned) by
+    _shift_invert_margin.  Both start from one fixed-seed random vector: a
+    constant vector can be orthogonal to the wanted eigenvector on a
+    symmetric window.  A 2 x 2 L (the even one of one orbital, the odd one
+    of one site) is [[a, b], [conj(b), -a]], below ARPACK's k < n - 1; its
+    spectrum is +-sqrt(a^2 + |b|^2).
+
+    On the 16^2 periodic Chern window (1,156 rows, kappa = 0.1) a margin
+    took 24-27 against 54-65 ms by shift-invert, on the 27^2 amorphous one
+    (3,104 rows) 88-98 against 244-303 ms (2 BLAS threads).  The test
+    suite's Lanczos margins of up to 1,400 rows lie within 8.6e-14 relative
+    of a dense eigvalsh; the diagonal-pivot factor put shift-invert's up to
+    3.5e-12 off on perturbed 16^2 windows.
+    """
+    if L.shape[0] == 2:
+        (a, b), _ = L.toarray()
+        return float(np.hypot(a.real, abs(b)))
+    rng = np.random.default_rng(0)
+    n = L.shape[0]
+    v0 = rng.standard_normal(n) + 1.0j * rng.standard_normal(n)
+    margin = _lanczos_margin(L.tocsr(), v0)
+    return _shift_invert_margin(L, v0) if margin is None else margin
+
+
+def _lanczos_margin(L, v0) -> float | None:
+    """sqrt(theta), theta the smallest eigenvalue of L^2 by ARPACK's
+    symmetric Lanczos (which="SA", tol = 1e-12), or None when ARPACK does
+    not converge within _LANCZOS_RESTARTS restarts or the true residual
+    ||L(Lz) - theta z|| of the unit Ritz vector z exceeds
+    _LANCZOS_RESIDUAL theta.
+
+    ARPACK runs on the real 2n x 2n form [[Re M, -Im M], [Im M, Re M]] of
+    M = L^2, each step two products with the CSR matrix L of the vector
+    read back as complex, from v0 split into its real and imaginary parts.
+    The real form doubles every eigenvalue of M and leaves it unchanged; a
+    complex eigsh goes through ARPACK's non-symmetric driver (znaupd), which
+    took 21.6-22.9 against 18.5-19.7 ms on six 16^2 robustness trials for
+    the same 282 products.  sqrt(theta) halves theta's relative error, and
+    |theta - lambda| <= ||r|| for an eigenvalue lambda of M (Parlett, "The
+    Symmetric Eigenvalue Problem", SIAM 1998, Thm 4.5.1).
+    """
+    # Imported here: scipy.sparse.linalg adds ~35 modules to CLI start-up.
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = L.shape[0]
+
+    def square(w):
+        z = L @ (L @ (w[:n] + 1.0j * w[n:]))
+        return np.concatenate([z.real, z.imag])
+
+    try:
+        theta, w = eigsh(LinearOperator((2 * n, 2 * n), matvec=square, dtype=float),
+                         k=1, which="SA", ncv=min(_LANCZOS_NCV, 2 * n),
+                         v0=np.concatenate([v0.real, v0.imag]), tol=1e-12,
+                         maxiter=_LANCZOS_RESTARTS)
+    except ArpackError:
+        return None
+    theta, z = float(theta[0]), w[:n, 0] + 1.0j * w[n:, 0]
+    if not np.linalg.norm(L @ (L @ z) - theta * z) <= _LANCZOS_RESIDUAL * theta:
+        return None
+    return float(np.sqrt(theta))
+
+
+def _shift_invert_margin(L, v0) -> float:
     """Smallest |eigenvalue| of the sparse localizer L by ARPACK shift-invert
     around 0: one _splu factor of L, handed to ARPACK as OPinv, then solves.
     With ARPACK's own factor (COLAMD, partial pivoting) a call took
@@ -312,24 +391,14 @@ def _margin(L) -> float:
     285 ms on the 27^2 amorphous Chern window (kappa = 0.1, 2 BLAS threads).
     The factor is freed on return, before the signature's two.
 
-    The start vector is a fixed-seed random one: a constant vector can be
-    orthogonal to the wanted eigenvector on a symmetric window.  tol = 1e-10
-    stops the iteration short of machine precision: the smallest |eigenvalues|
-    of L sit in a cluster, and at tol = 0 ARPACK took 36-59 % more
-    shift-invert solves (16^2 periodic and 27^2 amorphous Chern windows) for
-    margins that agreed to ~2e-15.  A 2 x 2 L (the even one of one orbital,
-    the odd one of one site) is [[a, b], [conj(b), -a]], below ARPACK's
-    k < n - 1; its spectrum is +-sqrt(a^2 + |b|^2).
+    tol = 1e-10 stops the iteration short of machine precision: the smallest
+    |eigenvalues| of L sit in a cluster, and at tol = 0 ARPACK took 36-59 %
+    more shift-invert solves (16^2 periodic and 27^2 amorphous Chern
+    windows) for margins that agreed to ~2e-15.
     """
-    if L.shape[0] == 2:
-        (a, b), _ = L.toarray()
-        return float(np.hypot(a.real, abs(b)))
     # Imported here: scipy.sparse.linalg adds ~35 modules to CLI start-up.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    rng = np.random.default_rng(0)
-    n = L.shape[0]
-    v0 = rng.standard_normal(n) + 1.0j * rng.standard_normal(n)
     lu = _splu(L)
     try:
         lam = eigsh(L, k=1, sigma=0, v0=v0, tol=1e-10,
@@ -388,8 +457,9 @@ def _certified_result(L, kappa: float, x0, mu: float, margin_min: float,
                       prior: WeylPrior | None = None) -> IndexResult:
     """The IndexResult of the sparse Hermitian localizer L: its _margin and
     its certified signature (_shifted_signature).  LocalizerUnreliable is
-    raised when the margin solve does not converge or a guard of the
-    signature fails on a margin above margin_min; below it the record is
+    raised when the margin solve does not converge (Lanczos on L^2 stalled
+    and its shift-invert fallback did not converge either) or a guard of
+    the signature fails on a margin above margin_min; below it the record is
     unreliable anyway and keeps its uncertified half-signature.  Given a
     prior (weyl_prior), the signature is the prior's and no signature is
     factored; a margin below prior.floor contradicts the prior and raises

@@ -288,6 +288,12 @@ def reference_localizer_even(H, mu, points, x0, block_dim, kappa):
             "margin": margin}
 
 
+def reference_margin(L):
+    """Smallest |eigenvalue| of the sparse Hermitian localizer L from a dense
+    numpy eigvalsh: the oracle of index._margin."""
+    return float(np.abs(np.linalg.eigvalsh(L.toarray())).min())
+
+
 def reference_localizer_odd(H, points, x0, grading, kappa):
     """Odd localizer index from the chiral-basis assembly
 

@@ -163,6 +163,27 @@ def test_criterion_5_robustness_30_perturbations():
                f"gap-closed exclusions {s['excluded_gap_closed']}")
 
 
+def test_criterion_5_negative_control_strength_10(monkeypatch):
+    # Criterion 5's window at strength_rel 10 (||V||_2 ~ 7, ten times the
+    # base margin): no trial is Weyl-certified, every trial margin (0.01-0.04)
+    # is past the Lanczos stage's restart cap and solved by shift-invert, and
+    # trials read 0 as well as 1, so the robustness verdict is fail.
+    from delonetop import index
+
+    solves = []
+    shift_invert = index._shift_invert_margin
+    monkeypatch.setattr(index, "_shift_invert_margin",
+                        lambda L, v0: solves.append(L.shape) or shift_invert(L, v0))
+    rep = run_robustness({"window": [0.0, 16.0]}, CHERN, {"kappa_list": [0.1]},
+                         experiment={"n_trials": 5, "strength_rel": 10.0,
+                                     "range": 2.0, "master_seed": 0})
+    assert rep.summary["base_index"] == 1
+    assert {r["index"] for r in rep.records[1:]} >= {0, 1}
+    assert rep.as_dict()["verdict"] == "fail" and not rep.passed
+    assert rep.diagnostics["certified"] == 0
+    assert len(solves) == 5
+
+
 def test_criterion_6_stacked_phase_is_weak():
     ok = True
     details = []

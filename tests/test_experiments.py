@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from delonetop import cli, experiments
+from delonetop import cli, experiments, index
 from delonetop.errors import InvalidInput
 from delonetop.experiments import (build_lattice, run_omega_independence,
                                    run_quantization, run_robustness,
@@ -15,6 +15,7 @@ from delonetop.groupoid import BlockOperator, builtin_model, represent
 from delonetop.index import (kappa_stability, localizer_index_even,
                              localizer_index_odd, position_dirac)
 from delonetop.spectral import eig_hermitian, eigenvalues
+from oracles import reference_margin
 
 CHERN = {"name": "chern_2band_2d", "M": 1.0, "mu": 0.0}
 SSH = {"name": "chiral_ssh_1d", "t1": 0.5, "t2": 1.0}
@@ -721,6 +722,108 @@ def test_certified_trials_factor_no_signature(monkeypatch, lattice, model, exper
     # The base window is solved whole (eigenvalues) and factors its signature.
     assert calls == ({"signature": 1, "far": 0} if certified
                      else {"signature": 1 + solved, "far": 4})
+
+
+# ---------------------------------------------------------------------------
+# the margin solve: Lanczos on L^2, shift-invert where it stalls
+# ---------------------------------------------------------------------------
+
+def test_margins_match_the_dense_oracle_on_robustness_trials(monkeypatch):
+    # The periodic_robustness benchmark at input seed 1 (16^2, kappa 0.1):
+    # the base localizer and trials 0-10.  Shift-invert on the diagonal-pivot
+    # factor read trials 4 and 10 2.1e-12 and 3.5e-12 relative off.
+    solved = []
+    real = index._margin
+
+    def margin(L):
+        solved.append((L, real(L)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(index, "_margin", margin)
+    rep = run_robustness({"window": [0.0, 16.0]}, CHERN, {"kappa_list": [0.1]},
+                         experiment={"n_trials": 11, "strength_rel": 0.2, "range": 2.0,
+                                     "master_seed": 1})
+    assert [m for _, m in solved] == [r["margin"] for r in rep.records]
+    assert len(solved) == 12
+    for L, m in solved:
+        ref = reference_margin(L)
+        assert abs(m - ref) <= 1e-13 * ref
+
+
+def _assert_same_report(a, b):
+    """Equal reports up to the margins' last digits: every float within
+    1e-12 relative, everything else (integers, statuses, verdicts) equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_same_report(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_report(x, y)
+    elif isinstance(a, float):
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0, nan_ok=True)
+    else:
+        assert a == b
+
+
+_STACK = {"stack_window": [0.0, 7.0], "control": False}
+# CERTIFIABLE_RUNS plus every quantization and stacking config of the tests
+# and of CI (experiment None: run_quantization takes none).
+MARGIN_RUNS = {
+    **CERTIFIABLE_RUNS,
+    "quantization-12": (run_quantization, {"window": [0.0, 12.0]}, CHERN, KAPPAS, None),
+    "quantization-10-ci": (run_quantization, {"window": [0.0, 10.0]}, CHERN,
+                           {"kappa_list": [0.15]}, None),
+    "quantization-10-amorphous-ci": (run_quantization, {
+        "generator": "hardcore_random", "window": [0.0, 10.0], "min_dist": 0.8,
+        "target_R": 1.2, "seed": 1}, CHERN, {"kappa_list": [0.15]}, None),
+    "quantization-14-seeds": (run_quantization, {
+        "generator": "hardcore_random", "window": [0.0, 14.0], "min_dist": 0.8,
+        "target_R": 1.2, "seeds": [1, 2]}, CHERN, {"kappa_list": [0.15]}, None),
+    "quantization-23": (run_quantization, {"window": [0.0, 23.0]}, CHERN,
+                        {"kappa_list": [0.1]}, None),
+    "criterion-4-amorphous": (run_quantization, {
+        "generator": "hardcore_random", "window": [0.0, 27.0], "min_dist": 0.8,
+        "target_R": 1.2, "seeds": [1, 2, 3]}, CHERN, {"kappa_list": [0.1]}, None),
+    "quantization-ssh-60": (run_quantization, {"dim": 1, "window": [0.0, 60.0]}, SSH,
+                            {"kappa_list": [0.1]}, None),
+    **{f"quantization-default-{name}": (run_quantization, lattice, model, None, None)
+       for name, lattice, model in (
+           ("periodic", {"window": [0.0, 12.0]}, CHERN),
+           ("amorphous", {"generator": "hardcore_random", "window": [0.0, 14.0],
+                          "min_dist": 0.8, "target_R": 1.2, "seed": 1}, CHERN),
+           ("ssh", {"dim": 1, "window": [0.0, 34.0]}, SSH))},
+    "stacking-30-margin-min": (run_stacking, {"dim": 1, "window": [0.0, 30.0]}, SSH,
+                               {"kappa_list": [0.1], "margin_min": 0.48},
+                               {"stack_window": [0.0, 5.0], "control": False}),
+    "stacking-34": (run_stacking, {"dim": 1, "window": [0.0, 34.0]}, SSH, KAPPAS, _STACK),
+    "stacking-fibonacci": (run_stacking, {"generator": "fibonacci_1d", "length": 48.0},
+                           SSH, {"kappa_list": [0.1]},
+                           {"stack_window": [0.0, 5.0], "control": False}),
+    "stacking-control": (run_stacking, {"dim": 1, "window": [0.0, 20.0]}, SSH,
+                         {"kappa_list": [0.1]},
+                         {"stack_window": [0.0, 4.0], "control_window": [0.0, 10.0]}),
+    "stacking-ci": (run_stacking, {"dim": 1, "window": [0.0, 20.0]}, SSH,
+                    {"kappa_list": [0.1]}, {"stack_window": [0.0, 4.0], "control": False}),
+    **{f"criterion-6-{name}": (run_stacking, lattice, SSH,
+                               {"kappa_list": [0.05, 0.1, 0.2]}, _STACK)
+       for name, lattice in (("periodic", {"dim": 1, "window": [0.0, 34.0]}),
+                             ("fibonacci", {"generator": "fibonacci_1d", "length": 48.0}))},
+}
+
+
+@pytest.mark.parametrize("name", list(MARGIN_RUNS))
+def test_lanczos_and_shift_invert_margins_give_the_same_records(monkeypatch, name):
+    # The shift-invert fallback is the Lanczos stage's oracle: with that stage
+    # off, every margin is shift-invert's and nothing else may move.
+    driver, lattice, model, index_cfg, experiment = MARGIN_RUNS[name]
+    kwargs = {} if experiment is None else {"experiment": experiment}
+    rep = driver(lattice, model, index_cfg, **kwargs)
+    monkeypatch.setattr(index, "_lanczos_margin", lambda L, v0: None)
+    fallback = driver(lattice, model, index_cfg, **kwargs)
+    _assert_same_report(rep.as_dict(), fallback.as_dict())
+    _assert_same_report(rep.diagnostics, fallback.diagnostics)
 
 
 # ---------------------------------------------------------------------------

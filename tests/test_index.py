@@ -419,6 +419,47 @@ def _certified_localizer(kind, z2_12, chern_12, **kwargs):
     return localizer_index_odd(represent(SSH, omega), dirac, 0.1, GRADING, **kwargs)
 
 
+def test_margin_falls_back_to_shift_invert_where_lanczos_stalls(monkeypatch):
+    # 27^2 hard-core (seed 1) at kappa = 0.005: the margin is 0.041, L^2 is
+    # ill-conditioned and Lanczos needs past its restart cap (about 930
+    # products, against 210 at kappa = 0.1), so shift-invert solves it.
+    sites = build_lattice({"generator": "hardcore_random", "window": [0.0, 27.0],
+                           "min_dist": 0.8, "target_R": 1.2, "seed": 1})
+    H = represent(builtin_model("chern_2band_2d", M=1.0), sites)
+    dirac = position_dirac(sites, sites.window_center, block_dim=2)
+    assembled = []
+    monkeypatch.setattr(index, "_certified_result", lambda L, *args: assembled.append(L))
+    # Only the assembly of L is wanted: a stand-in spectrum skips H's solve.
+    localizer_index_even(H, 0.0, dirac, 0.005, margin_min=0.0, hdata=np.array([-1.0, 1.0]))
+    (L,) = assembled
+
+    stages, factors = {}, []
+    real_lanczos, real_shift_invert = index._lanczos_margin, index._shift_invert_margin
+    real_splu = scipy.sparse.linalg.splu
+
+    def lanczos(L, v0):
+        stages["lanczos"] = real_lanczos(L, v0)
+        return stages["lanczos"]
+
+    def shift_invert(L, v0):
+        stages["shift-invert"] = real_shift_invert(L, v0)
+        return stages["shift-invert"]
+
+    def splu(A, **kwargs):
+        factors.append(A.shape)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(index, "_lanczos_margin", lanczos)
+    monkeypatch.setattr(index, "_shift_invert_margin", shift_invert)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", splu)
+    margin = index._margin(L)
+    assert stages["lanczos"] is None
+    assert margin == stages["shift-invert"]
+    assert factors == [L.shape]
+    # A dense eigvalsh of this L (3,104 rows) reads 0.04058939724571828.
+    assert margin == pytest.approx(0.04058939724571828, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["even", "odd"])
 def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12, kind):
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", _failing_eigsh)
@@ -427,17 +468,28 @@ def test_even_localizer_unconverged_margin_raises(monkeypatch, z2_12, chern_12, 
 
 
 def _edit_lu(monkeypatch, edit):
-    """Replace splu by one whose factor of the k-th shifted L (k = 1, 2) is
-    edit(lu, k); the first call, the margin solve's factor of L itself, is
-    left as it is."""
-    real = scipy.sparse.linalg.splu
-    count = []
+    """Replace splu by one whose factor of the k-th shifted L (k = 1, 2) of
+    _shifted_signature is edit(lu, k); a factor made outside it, such as the
+    margin's shift-invert one when its Lanczos stage falls back, is left as
+    it is."""
+    real_splu, real_signature = scipy.sparse.linalg.splu, index._shifted_signature
+    shifted = []
+
+    def signature(L, margin):
+        shifted.append(0)
+        try:
+            return real_signature(L, margin)
+        finally:
+            shifted.clear()
 
     def fake(A, **kwargs):
-        count.append(1)
-        lu = real(A, **kwargs)
-        return lu if len(count) == 1 else edit(lu, len(count) - 1)
+        lu = real_splu(A, **kwargs)
+        if not shifted:
+            return lu
+        shifted[0] += 1
+        return edit(lu, shifted[0])
 
+    monkeypatch.setattr(index, "_shifted_signature", signature)
     monkeypatch.setattr("scipy.sparse.linalg.splu", fake)
 
 
